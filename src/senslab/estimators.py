@@ -197,10 +197,17 @@ def project_scalar(
 
     Each scalar sample t_i is lifted to R^d along the unit direction u, with
     orthogonal noise V_i = lam + (I - u u^T) Z_i shared across the lift. The
-    inner Z draws come from a stream fixed at construction and are
-    regenerated identically on every call, so g is a deterministic function
-    of t. ``mc_inner`` defaults to 1 when f is linear in the data (the noise
-    term averages out exactly) and 256 otherwise.
+    inner Z draws come from a stream fixed at construction, so g is a
+    deterministic function of t. The (mc_inner, n, d) noise block V is built
+    once per n and reused, read-only, until a call with another n replaces
+    it (one slot, shared by every thread); it holds the same bytes as a block
+    regenerated on every call, so reports do not change. ``mc_inner``
+    defaults to 1 when f is linear in the data (the noise term averages out
+    exactly) and 256 otherwise.
+
+    For an inner estimator that is linear in the data (the mean) and
+    lam orthogonal to u, <u, V_i> = 0, so g(t) equals the scalar mean of t
+    for any mc_inner; ``test_projected_mean_is_exact_scalar_mean`` checks it.
     """
     u = np.atleast_1d(np.asarray(u, dtype=np.float64))
     lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
@@ -221,18 +228,30 @@ def project_scalar(
         rng = RngStream(seed=0, stream_id=_PROJECTION_STREAM_TAG)
     u = u.copy()
     lam = lam.copy()
+    noise_slot: list[np.ndarray | None] = [None]
 
-    def _lift(tvals: np.ndarray) -> np.ndarray:
-        # (mc_inner, n, d) lifted datasets; Z regenerated from the frozen stream.
-        n = tvals.size
-        z = standard_normal(rng.generator(), (mc_inner, n, d))
-        v = lam + z - np.einsum("rij,j->ri", z, u)[:, :, None] * u
-        return tvals[None, :, None] * u + v
+    def _noise(n: int) -> np.ndarray:
+        # Readers take the slot's block in one step; two threads that miss
+        # together build the same bytes, so either may win the slot.
+        cached = noise_slot[0]
+        if cached is not None and cached.shape[1] == n:
+            return cached
+        # In place, so the build holds one block and one temporary (peak
+        # memory); the operation order matches lam + z - <z, u> u, so the
+        # bytes do too.
+        v = standard_normal(rng.generator(), (mc_inner, n, d))
+        along = np.einsum("rij,j->ri", v, u)
+        np.add(lam, v, out=v)
+        v -= along[:, :, None] * u
+        v.flags.writeable = False
+        noise_slot[0] = v
+        return v
 
     def fn(t: Dataset) -> np.ndarray:
         if t.d != 1:
             raise ValueError("projected estimator takes scalar (d = 1) datasets")
-        lifted = _lift(t.samples[:, 0])
+        # (mc_inner, n, d) lifted datasets.
+        lifted = t.samples[:, 0][None, :, None] * u + _noise(t.n)
         vals = f.on_stack(lifted) @ u
         return np.array([float(vals.mean())])
 

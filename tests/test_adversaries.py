@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special, stats
+
+import senslab.adversaries as adversaries_mod
 
 from senslab import (
     CorruptionBudget,
@@ -12,6 +15,7 @@ from senslab import (
     block_layout,
     block_resample,
     coordinatewise_median,
+    couple_gaussian_pair,
     empirical_mean,
     hamming_ball_sup,
     hamming_distance,
@@ -132,6 +136,31 @@ class TestTvCoupling:
         assert abs(y.mean() - (mu + eta)) < 5 * se
         assert abs(x.var(ddof=1) - 1) < 5 * math.sqrt(2 / x.size)
         assert abs(y.var(ddof=1) - 1) < 5 * math.sqrt(2 / y.size)
+
+    def test_residual_law(self):
+        # Where the coupling fails, X' must follow (q - p)_+ / TV, which lives
+        # on y > c = mu + eta/2 with CDF
+        # [Phi(y-mu-eta) - Phi(y-mu) - Phi(c-mu-eta) + Phi(c-mu)] / TV.
+        mu, eta, n = 0.3, 0.1, 2000
+        c, tv = mu + eta / 2, tv_gaussian_shift(eta)
+        residual = []
+        for t in range(60):
+            x, y = couple_gaussian_pair(RngStream(9, t).generator(), mu, eta, n)
+            residual.append(y[x != y])
+        vals = np.concatenate(residual)
+        assert vals.size > 4000
+        assert np.all(vals > c)
+
+        def cdf(v):
+            return (special.ndtr(v - mu - eta) - special.ndtr(v - mu)
+                    - special.ndtr(c - mu - eta) + special.ndtr(c - mu)) / tv
+
+        assert stats.kstest(vals, cdf).pvalue > 1e-3
+
+    def test_proposal_guard_bounds_the_work(self, monkeypatch):
+        monkeypatch.setattr(adversaries_mod, "_COUPLING_MAX_PROPOSALS", 1000)
+        with pytest.raises(RuntimeError, match="failed to terminate"):
+            couple_gaussian_pair(RngStream(2, 0).generator(), 0.0, 0.05, 2000)
 
 
 class TestBlockResample:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import senslab.estimators as est_mod
 from senslab import (
     ClipInterval,
     CorruptionBudget,
@@ -188,6 +189,45 @@ class TestProjectScalar:
             vals[t] = (g(data)[0] - mu_prime) ** 2
         se = vals.std(ddof=1) / math.sqrt(trials)
         assert abs(vals.mean() - 1 / n) < 4 * se
+
+    @pytest.mark.parametrize("inner, d, u, lam, mc_inner", [
+        ("mean", 5, sample_unit_direction(5, RngStream(4, 0)), np.zeros(5), 64),
+        ("median", 3, np.array([0.6, 0.0, 0.8]), np.array([0.8, 0.7, -0.6]), 16),
+    ])
+    def test_cached_lift_matches_regenerated_lift_bytes(self, inner, d, u, lam, mc_inner):
+        f = mean_estimator(d) if inner == "mean" else median_estimator(d)
+        rng = RngStream(4, 1)
+        cached = project_scalar(f, u, lam, mc_inner=mc_inner, rng=rng)
+        gen = RngStream(4, 2).generator()
+        for n in (7, 31, 7, 200, 200):
+            t = Dataset(standard_normal(gen, (n, 1)))
+            # Reference: the lift regenerated from the frozen stream per call.
+            z = standard_normal(rng.generator(), (mc_inner, n, d))
+            v = lam + z - np.einsum("rij,j->ri", z, u)[:, :, None] * u
+            lifted = t.samples[:, 0][None, :, None] * u + v
+            want = np.array([float((f.on_stack(lifted) @ u).mean())])
+            fresh = project_scalar(f, u, lam, mc_inner=mc_inner, rng=rng)
+            assert cached(t).tobytes() == want.tobytes() == fresh(t).tobytes()
+
+    def test_lift_noise_is_built_once_per_n_and_read_only(self, monkeypatch):
+        built = []
+
+        def recording_normal(gen, size):
+            out = standard_normal(gen, size)
+            built.append(out)
+            return out
+
+        monkeypatch.setattr(est_mod, "standard_normal", recording_normal)
+        g = project_scalar(mean_estimator(3), np.array([0.0, 0.6, 0.8]), np.zeros(3),
+                           mc_inner=8, rng=RngStream(6, 1))
+        short, long = Dataset(np.arange(5.0)), Dataset(np.arange(9.0))
+        for t in (short, short, long, long, short):
+            g(t)
+        # The noise block is built in place from the drawn array.
+        assert [b.shape for b in built] == [(8, 5, 3), (8, 9, 3), (8, 5, 3)]
+        assert not any(b.flags.writeable for b in built)
+        with pytest.raises(ValueError):
+            built[-1][0, 0, 0] = 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):

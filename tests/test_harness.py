@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from senslab import (
     IneqCheckResult,
     UnboundedSensitivityError,
     all_pass,
+    build_estimator,
     coupling_obstruction_high,
     estimate_es,
     format_verify_table,
@@ -72,6 +74,21 @@ class TestEstimateEs:
         kw = dict(eta=0.1, n=60, q=2, trials=300, seed=7)
         serial = estimate_es("mean", "resample", gauss(3), **kw)
         threaded = estimate_es("mean", "resample", gauss(3), workers=4, **kw)
+        assert serial.to_json(include_trials=True) == threaded.to_json(include_trials=True)
+
+    def test_projected_reports_byte_identical_when_threads_share_the_lift(self):
+        # Each estimator starts with an empty lift cache, so the threads race
+        # to build it; a short switch interval makes the race likely.
+        kw = dict(eta=0.1, n=40, q=2, trials=100, seed=12)
+        serial = estimate_es(build_estimator("projected:64", d=5, seed=3), "resample",
+                             gauss(1), workers=1, **kw)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = estimate_es(build_estimator("projected:64", d=5, seed=3), "resample",
+                                   gauss(1), workers=4, **kw)
+        finally:
+            sys.setswitchinterval(interval)
         assert serial.to_json(include_trials=True) == threaded.to_json(include_trials=True)
 
     def test_local_shift_requires_delta(self):
