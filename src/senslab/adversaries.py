@@ -20,11 +20,12 @@ Mechanisms:
 * ``median_worst_case``      -- the exact worst-case median displacement
   under k row replacements, with an achieving dataset.
 * ``hamming_ball_sup``       -- exact sup over the radius-k Hamming ball for
-  estimators on binary data, by full enumeration.
+  estimators on binary data, by full enumeration in stacked chunks.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -70,6 +71,8 @@ ADVERSARY_NAMES = (
 EXACT_ADVERSARIES = frozenset({"median-exact", "hamming-ball"})
 
 _BALL_GUARD = 10 ** 6
+# Ball points per f.on_stack call in hamming_ball_sup.
+_BALL_CHUNK = 8192
 # Proposals per residual round, and in total per call, of couple_gaussian_pair.
 _COUPLING_BLOCK = 1 << 20
 _COUPLING_MAX_PROPOSALS = 1 << 26
@@ -227,6 +230,11 @@ def median_worst_case(x: Dataset, budget: CorruptionBudget) -> AdversaryOutcome:
     entries above the maximum (or the k largest below the minimum). The
     corrupting value is x_(n) + 1 (resp. x_(1) - 1) so the dataset stays
     finite; the achieved median is the same order statistic either way.
+
+    The order statistics come from one selection (``np.partition`` with a
+    list of ranks), not a sort. The replaced rows are exactly those a stable
+    argsort would pick, so ties resolve the same way. A zero certificate is
+    always +0.0.
     """
     _check_budget(x, budget)
     if x.d != 1:
@@ -242,32 +250,62 @@ def median_worst_case(x: Dataset, budget: CorruptionBudget) -> AdversaryOutcome:
         return _outcome(x, x, budget, certificate=0.0)
 
     vals = x.samples[:, 0]
-    order = np.argsort(vals, kind="stable")
-    svals = vals[order]
+    svals = np.partition(vals, [0, k - 1, m - 1 - k, m - 1, m - 1 + k, n - k, n - 1])
     med = svals[m - 1]
     up = float(svals[m - 1 + k] - med)
     down = float(med - svals[m - 1 - k])
+    # Replace the rows a stable argsort would put first (resp. last): every
+    # value strictly beyond the cut order statistic, then the ties at the
+    # cut by lowest (resp. highest) index.
     if up >= down:
-        replace_idx = order[:k]
+        cut = svals[k - 1]
+        beyond = np.flatnonzero(vals < cut)
+        ties = np.flatnonzero(vals == cut)[:k - beyond.size]
         fill = float(svals[-1]) + 1.0
         cert = up
     else:
-        replace_idx = order[-k:]
+        cut = svals[n - k]
+        beyond = np.flatnonzero(vals > cut)
+        ties = np.flatnonzero(vals == cut)
+        ties = ties[ties.size - (k - beyond.size):]
         fill = float(svals[0]) - 1.0
         cert = down
+    replace_idx = np.concatenate([beyond, ties])
     corrupted = x.replace_rows(replace_idx, np.full((k, 1), fill))
-    return _outcome(x, corrupted, budget, certificate=cert)
+    # A zero gap between order statistics that are 0.0 and -0.0 would take
+    # its sign from how the ties fall; report it as +0.0.
+    return _outcome(x, corrupted, budget, certificate=cert + 0.0)
 
 
 def _ball_size(n: int, k: int) -> int:
     return sum(math.comb(n, j) for j in range(min(k, n) + 1))
 
 
+@functools.lru_cache(maxsize=8)
+def _flip_masks(n: int, k: int) -> np.ndarray:
+    """Read-only uint32 masks of the nonzero flips of weight <= k on n bits (k >= 1).
+
+    Bit i of a mask flips row i. The order is ``itertools.combinations``
+    order: weight 1 first, then each weight in lexicographic order.
+    """
+    parts = []
+    for j in range(1, min(k, n) + 1):
+        flat = itertools.chain.from_iterable(itertools.combinations(range(n), j))
+        combos = np.fromiter(flat, dtype=np.int64, count=math.comb(n, j) * j).reshape(-1, j)
+        parts.append((np.int64(1) << combos).sum(axis=1).astype(np.uint32))
+    masks = np.concatenate(parts)
+    masks.flags.writeable = False
+    return masks
+
+
 def hamming_ball_sup(f: Estimator, x: Dataset, budget: CorruptionBudget) -> AdversaryOutcome:
     """Exact sup of |f(y) - f(x)| over binary y within Hamming radius k.
 
     Enumerates the whole ball, so it is guarded: n <= 24 and the ball must
-    hold at most 1e6 points. Returns an argmax dataset as the corruption.
+    hold at most 1e6 points. The flips are a cached table of integer masks
+    per (n, k); each chunk of at most 8192 of them is expanded into
+    datasets and evaluated with one ``f.on_stack`` call. Returns an argmax
+    dataset as the corruption: the first maximiser in enumeration order.
     """
     _check_budget(x, budget)
     if x.d != 1:
@@ -285,30 +323,19 @@ def hamming_ball_sup(f: Estimator, x: Dataset, budget: CorruptionBudget) -> Adve
     if k == 0:
         return _outcome(x, x, budget, certificate=0.0)
 
+    masks = _flip_masks(n, k)
+    shifts = np.arange(n, dtype=np.uint32)
+    flipped = 1.0 - bits
     best_gap = 0.0
     best_bits = bits
-    chunk_rows: list[np.ndarray] = []
-
-    def flush(rows: list[np.ndarray]) -> None:
-        nonlocal best_gap, best_bits
-        if not rows:
-            return
-        stack = np.stack(rows)[:, :, None]
-        gaps = np.abs(f.on_stack(stack)[:, 0] - base)
+    for lo in range(0, masks.size, _BALL_CHUNK):
+        flip = ((masks[lo:lo + _BALL_CHUNK, None] >> shifts) & 1) != 0
+        rows = np.where(flip, flipped, bits)
+        gaps = np.abs(f.on_stack(rows[:, :, None])[:, 0] - base)
         j = int(np.argmax(gaps))
         if gaps[j] > best_gap:
             best_gap = float(gaps[j])
             best_bits = rows[j]
-        rows.clear()
-
-    for j in range(1, k + 1):
-        for combo in itertools.combinations(range(n), j):
-            y = bits.copy()
-            y[list(combo)] = 1.0 - y[list(combo)]
-            chunk_rows.append(y)
-            if len(chunk_rows) >= 8192:
-                flush(chunk_rows)
-    flush(chunk_rows)
 
     corrupted = Dataset(best_bits) if best_gap > 0.0 else x
     return _outcome(x, corrupted, budget, certificate=best_gap)
