@@ -47,9 +47,7 @@ from .core import (
     compute_k,
     hamming_distance,
     normal_cdf,
-    normal_pdf,
     normal_quantile,
-    sample_gaussian,
     standard_normal,
     uniform_open,
 )

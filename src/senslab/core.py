@@ -32,15 +32,15 @@ __all__ = [
     "GaussianModel",
     "compute_k",
     "hamming_distance",
-    "sample_gaussian",
     "normal_cdf",
-    "normal_pdf",
     "normal_quantile",
     "standard_normal",
     "uniform_open",
 ]
 
 _MASK64 = (1 << 64) - 1
+# The largest double below 1: the top of the open unit interval.
+_BELOW_ONE = float(np.nextafter(1.0, 0.0))
 
 
 def normal_cdf(x):
@@ -48,30 +48,61 @@ def normal_cdf(x):
     return special.ndtr(x)
 
 
-def normal_pdf(x):
-    """Standard normal density phi(x)."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
-
 def normal_quantile(p):
     """Inverse standard normal CDF Phi^{-1}(p)."""
     return special.ndtri(p)
 
 
+def _open_unit(u, out=None):
+    """Map raw ``Generator.random`` draws j / 2^53 to (j + 0.5) / 2^53, inside (0, 1).
+
+    Adding 2^-54 gives (j + 0.5) / 2^53 exactly as rounded, since scaling by
+    2^-53 is exact and commutes with rounding. The top value j = 2^53 - 1
+    would round to 1.0 (fl(2^53 - 0.5) = 2^53 under ties-to-even), so the
+    result is clamped to 1 - 2^-53; no other value changes. ``out`` (for
+    example ``u`` itself) makes the transform in place.
+    """
+    return np.minimum(np.add(u, 2.0 ** -54, out=out), _BELOW_ONE, out=out)
+
+
 def uniform_open(gen: np.random.Generator, size) -> np.ndarray:
     """Uniform variates strictly inside (0, 1).
 
-    Uses (j + 0.5) / 2^53 over a random 53-bit integer j, so neither endpoint
-    is ever produced and the downstream inverse-CDF transform stays finite.
+    Returns (j + 0.5) / 2^53 over a random 53-bit integer j (see
+    ``_open_unit``), so neither endpoint is ever produced and the downstream
+    inverse-CDF transform stays finite.
+
+    j comes from ``gen.random(size)``, which returns (next_uint64 >> 11) *
+    2^-53: one 64-bit draw per value. That is the same j, bit for bit and at
+    the same stream position, as ``gen.integers(0, 2^53, dtype=uint64)``:
+    for a power-of-two range Lemire's rejection threshold
+    (2^64 - 2^53) mod 2^53 is 0, so ``integers`` never rejects, takes one
+    draw per value and returns (next * 2^53) >> 64 = next >> 11.
     """
-    j = gen.integers(0, 1 << 53, size=size, dtype=np.uint64)
-    return (j.astype(np.float64) + 0.5) * (2.0 ** -53)
+    return _open_unit(gen.random(size))
 
 
 def standard_normal(gen: np.random.Generator, size) -> np.ndarray:
     """Standard normal variates by inverse-CDF transform of open uniforms."""
     return special.ndtri(uniform_open(gen, size))
+
+
+def _normal_rows(raw: np.ndarray, mu) -> np.ndarray:
+    """Turn raw ``Generator.random`` draws into N(mu, I) variates in place.
+
+    The same values as ``standard_normal(gen, raw.shape) + mu`` from the
+    generator that drew ``raw``, without the temporaries. The result is
+    checked finite, as a ``Dataset`` would be.
+    """
+    special.ndtri(_open_unit(raw, out=raw), out=raw)
+    raw += mu
+    _check_finite(raw)
+    return raw
+
+
+def _check_finite(arr: np.ndarray) -> None:
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("all sample entries must be finite")
 
 
 @dataclass(frozen=True)
@@ -98,6 +129,27 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=key))
 
 
+def _rekey(gen: np.random.Generator, seed: int, stream_id: int) -> np.random.Generator:
+    """Reset ``gen``'s Philox to the start of stream (seed, stream_id).
+
+    The generator then draws the same bytes as
+    ``RngStream(seed, stream_id).generator()`` (key words [seed, stream_id],
+    counter 0, empty output buffer), at a fraction of the cost of building a
+    new generator. The caller validates the key, for example by building the
+    ``RngStream`` once.
+    """
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, np.uint64),
+                  "key": np.array([seed, stream_id], np.uint64)},
+        "buffer": np.zeros(4, np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """n samples in R^d stored as a read-only (n, d) float64 array.
@@ -116,8 +168,7 @@ class Dataset:
             raise ValueError(f"samples must be an (n, d) array, got ndim={arr.ndim}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"need n >= 1 and d >= 1, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("all sample entries must be finite")
+        _check_finite(arr)
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
@@ -214,7 +265,3 @@ class GaussianModel:
             raise ValueError(f"n must be a positive integer, got {n}")
         return Dataset(self.draw(rng.generator(), int(n)))
 
-
-def sample_gaussian(model: GaussianModel, n: int, rng: RngStream) -> Dataset:
-    """n i.i.d. rows from N(mu, I_d), deterministic given the stream."""
-    return model.sample(n, rng)

@@ -11,6 +11,13 @@ clean data and (seed, 2t + 1) for the adversary, and per-trial values are
 stored by index before a fixed-order reduction. Reports are therefore
 byte-identical across reruns regardless of the worker count.
 
+Gaussian trials of the resample, local-shift and block-resample adversaries,
+and of the low-corruption and variance obstruction experiments, run in
+chunks: each trial's streams fill its rows of (T, n, d) buffers of raw
+uniforms, the chunk is turned into normals in one pass, and the estimator
+runs once on the clean stack and once on the corrupted one. The values are
+the same, bit for bit, as drawing and evaluating one trial at a time.
+
 The three obstruction experiments mirror the mechanisms that force
 sensitivity onto any accurate estimator: a local mean shift that the
 estimator cannot distinguish from a true parameter shift, a TV-coupling
@@ -45,11 +52,16 @@ from .adversaries import (
     tv_coupling_adversary,
 )
 from .bernoulli import BernoulliModel, beta_binomial_layer_law
-from .core import (
+# standard_normal is not called here; bench/tracing.py wraps this module's
+# binding of it, so it stays imported.
+from .core import (  # noqa: F401
     CorruptionBudget,
     Dataset,
     GaussianModel,
     RngStream,
+    _check_finite,
+    _normal_rows,
+    _rekey,
     standard_normal,
     uniform_open,
 )
@@ -177,6 +189,116 @@ class SensitivityReport:
         return ",".join(values[c] for c in CSV_COLUMNS)
 
 
+# Adversaries whose Gaussian trials run in chunks (_run_chunked).
+_CHUNKED_ADVERSARIES = frozenset({"resample", "local-shift", "block-resample"})
+# Bytes per trial-stacked buffer of a chunk, and the most trials in one chunk.
+_CHUNK_BYTES = 1 << 19
+_CHUNK_TRIALS = 256
+
+
+class _TrialStreams:
+    """The contract streams of trial t, (seed, 2t) and (seed, 2t + 1).
+
+    One Philox generator per role is re-keyed for every trial, which draws
+    the same bytes as ``RngStream(seed, 2t[+1]).generator()``. Each thread
+    owns its own instance.
+    """
+
+    def __init__(self, seed: int):
+        self.seed = int(seed)
+        self._data = np.random.Generator(np.random.Philox(0))
+        self._adversary = np.random.Generator(np.random.Philox(0))
+
+    def data(self, t: int) -> np.random.Generator:
+        return _rekey(self._data, self.seed, 2 * t)
+
+    def adversary(self, t: int) -> np.random.Generator:
+        return _rekey(self._adversary, self.seed, 2 * t + 1)
+
+
+def _run_chunked(trials: int, seed: int, workers: int, trial_bytes: int,
+                 run_chunk: Callable[[_TrialStreams, int, int], None]) -> None:
+    """Call ``run_chunk(streams, lo, hi)`` over contiguous chunks of [0, trials).
+
+    A chunk holds at most 256 trials and at most 512 KiB per trial-stacked
+    buffer of ``trial_bytes`` per trial. With workers > 1 the chunks are split
+    into contiguous shards, one thread and one ``_TrialStreams`` each.
+    ``run_chunk`` stores its results by trial index, so the reduction that
+    follows sees them in a fixed order.
+    """
+    RngStream(seed, 2 * trials - 1)  # the largest key: out-of-range seeds raise here
+    size = max(1, min(_CHUNK_TRIALS, _CHUNK_BYTES // trial_bytes))
+    chunks = [(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
+
+    def shard(part):
+        streams = _TrialStreams(seed)
+        for lo, hi in part:
+            run_chunk(streams, lo, hi)
+
+    if workers <= 1:
+        shard(chunks)
+        return
+    per = -(-len(chunks) // workers)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(shard, [chunks[i:i + per] for i in range(0, len(chunks), per)]))
+
+
+def _corrupt_chunk(streams: _TrialStreams, lo: int, hi: int, model: GaussianModel, n: int,
+                   k: int, adversary: str, *, delta: float | None = None,
+                   prior: tuple[float, float] | None = None
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Clean and corrupted (T, n, d) stacks of trials lo..hi-1, and each
+    trial's recomputed Hamming distance.
+
+    Trial t draws what the per-trial adversaries draw, in the same order:
+    the clean rows from stream (seed, 2t), after one uniform mean from
+    ``prior`` when given (``mean_obstruction_low``); then from stream
+    (seed, 2t + 1) the k replaced rows (``choice``, except block-resample,
+    which replaces block t mod M) and, unless the adversary is local-shift,
+    fresh model rows for them.
+    """
+    size, d = hi - lo, model.d
+    clean = np.empty((size, n, d))
+    shift = model.mu if prior is None else np.empty((size, 1, 1))
+    idx = np.empty((size, k), dtype=np.intp)
+    blocks = block_layout(n, k) if adversary == "block-resample" else None
+    width = 0 if adversary == "local-shift" else k
+    if blocks is not None:
+        width = max(stop - start for start, stop in blocks)
+    # Zeros, so the unused rows after a short block stay finite.
+    fresh = np.zeros((size, width, d))
+    spans = []
+    for i, t in enumerate(range(lo, hi)):
+        gen = streams.data(t)
+        if prior is not None:
+            shift[i] = _uniform_scalar(gen, *prior)
+        gen.random(out=clean[i])
+        gen = streams.adversary(t)
+        if blocks is not None:
+            start, stop = blocks[t % len(blocks)]
+            spans.append((start, stop))
+            gen.random(out=fresh[i, :stop - start])
+            continue
+        idx[i] = gen.choice(n, size=k, replace=False)
+        if adversary == "resample":
+            gen.random(out=fresh[i])
+    _normal_rows(clean, shift)
+    corrupted = clean.copy()
+    rows = np.arange(size)[:, None]
+    if adversary == "local-shift":
+        shifted = clean[rows, idx] + float(delta)
+        _check_finite(shifted)
+        corrupted[rows, idx] = shifted
+    elif blocks is None:
+        corrupted[rows, idx] = _normal_rows(fresh, model.mu)
+    else:
+        _normal_rows(fresh, model.mu)
+        for i, (start, stop) in enumerate(spans):
+            corrupted[i, start:stop] = fresh[i, :stop - start]
+    achieved = np.count_nonzero((corrupted != clean).any(axis=2), axis=1)
+    return clean, corrupted, achieved
+
+
 def _resolve_estimator(estimator: Estimator | str, d: int, seed: int) -> Estimator:
     if isinstance(estimator, str):
         return build_estimator(estimator, d=d, seed=seed)
@@ -271,8 +393,20 @@ def estimate_es(
             return 0.0
         return float(np.linalg.norm(est(out.corrupted) - est(x)))
 
+    def run_chunk(streams: _TrialStreams, lo: int, hi: int) -> None:
+        clean, corrupted, achieved = _corrupt_chunk(streams, lo, hi, model, n, budget.k,
+                                                    adversary, delta=delta)
+        # Row by row: np.linalg.norm of a 1-D vector can differ in the last
+        # bit from a vectorised norm(axis=1).
+        diff = est.on_stack(corrupted) - est.on_stack(clean)
+        for i in range(hi - lo):
+            feasible = achieved[i] <= budget.k
+            per_trial[lo + i] = float(np.linalg.norm(diff[i])) if feasible else 0.0
+
     per_trial = np.empty(trials)
-    if workers <= 1:
+    if adversary in _CHUNKED_ADVERSARIES and isinstance(model, GaussianModel):
+        _run_chunked(trials, seed, workers, n * model.d * 8, run_chunk)
+    elif workers <= 1:
         for t in range(trials):
             per_trial[t] = run_trial(t)
     else:
@@ -456,12 +590,15 @@ def mean_obstruction_low(
                       "outside the low-corruption regime", stacklevel=2)
 
     disps = np.empty(trials)
-    for t in range(trials):
-        gen = RngStream(seed, 2 * t).generator()
-        mu_prime = _uniform_scalar(gen, lo, hi)
-        x = Dataset(mu_prime + standard_normal(gen, (n, 1)))
-        out = local_shift_adversary(x, budget, delta, RngStream(seed, 2 * t + 1))
-        disps[t] = float(est(out.corrupted)[0] - est(x)[0])
+    # Scalar rows; each trial's clean mean comes from the prior.
+    model = GaussianModel(np.zeros(1))
+
+    def run_chunk(streams: _TrialStreams, first: int, last: int) -> None:
+        clean, corrupted, _ = _corrupt_chunk(streams, first, last, model, n, budget.k,
+                                             "local-shift", delta=delta, prior=(lo, hi))
+        disps[first:last] = est.on_stack(corrupted)[:, 0] - est.on_stack(clean)[:, 0]
+
+    _run_chunked(trials, seed, 1, n * 8, run_chunk)
 
     return MeanObstructionReport(
         eta=float(eta),
@@ -590,23 +727,41 @@ def variance_obstruction(
     with Monte Carlo slack and returns sqrt(max gap) as the certified ES_2
     lower bound.
     """
+    if not isinstance(model, GaussianModel):
+        raise ValueError("variance_obstruction requires a GaussianModel")
     est = _resolve_estimator(f, model.d, seed)
     budget = CorruptionBudget.from_eta(eta, n)
     budget.require_nonempty()
     layout = block_layout(n, budget.k)
     m_blocks = len(layout)
 
+    # The blocks are consecutive, so the per-block draws of stream
+    # (seed, 2t + 1) fill one (n, d) array of fresh rows in row order.
+    in_block = np.zeros((m_blocks, n, 1), dtype=bool)
+    for i, (start, stop) in enumerate(layout):
+        in_block[i, start:stop] = True
     outputs = np.empty((trials, est.output_dim))
     gaps = np.empty((trials, m_blocks))
-    for t in range(trials):
-        x = model.sample(n, RngStream(seed, 2 * t)).samples
-        fx = est.on_stack(x[None])[0]
-        outputs[t] = fx
-        adv_gen = RngStream(seed, 2 * t + 1).generator()
-        stack = np.broadcast_to(x, (m_blocks,) + x.shape).copy()
-        for i, (start, stop) in enumerate(layout):
-            stack[i, start:stop, :] = model.draw(adv_gen, stop - start)
-        gaps[t] = ((est.on_stack(stack) - fx) ** 2).sum(axis=1)
+
+    def run_chunk(streams: _TrialStreams, lo: int, hi: int) -> None:
+        clean = np.empty((hi - lo, n, model.d))
+        fresh = np.empty_like(clean)
+        for i, t in enumerate(range(lo, hi)):
+            streams.data(t).random(out=clean[i])
+            streams.adversary(t).random(out=fresh[i])
+        _normal_rows(clean, model.mu)
+        _normal_rows(fresh, model.mu)
+        fx = est.on_stack(clean)
+        outputs[lo:hi] = fx
+        # Stack i is the clean sample with block i resampled; one stack is
+        # reused for every trial of the chunk.
+        stack = np.empty((m_blocks, n, model.d))
+        for i in range(hi - lo):
+            np.copyto(stack, clean[i])
+            np.copyto(stack, fresh[i], where=in_block)
+            gaps[lo + i] = ((est.on_stack(stack) - fx[i]) ** 2).sum(axis=1)
+
+    _run_chunked(trials, seed, 1, n * model.d * 8, run_chunk)
 
     var_clean, var_se = analysis._variance_with_se(outputs)
     block_means = gaps.mean(axis=0)

@@ -15,7 +15,6 @@ from senslab import (
     hamming_distance,
     normal_cdf,
     normal_quantile,
-    sample_gaussian,
 )
 
 
@@ -141,13 +140,13 @@ class TestRngStream:
 class TestGaussianSampler:
     def test_mean_within_clt_bound(self):
         n = 100_000
-        x = sample_gaussian(GaussianModel(np.zeros(1)), n, RngStream(1, 0))
+        x = GaussianModel(np.zeros(1)).sample(n, RngStream(1, 0))
         assert abs(float(x.samples.mean())) < 4 / math.sqrt(n)
 
     def test_per_coordinate_moments_d4(self):
         n = 100_000
         model = GaussianModel(3.0 * np.ones(4))
-        x = sample_gaussian(model, n, RngStream(2, 0))
+        x = model.sample(n, RngStream(2, 0))
         var = x.samples.var(axis=0, ddof=1)
         assert np.all(np.abs(var - 1.0) < 0.05)
         # 5-sigma Monte Carlo tolerance on each coordinate mean and variance
@@ -156,13 +155,13 @@ class TestGaussianSampler:
 
     def test_determinism_contract(self):
         model = GaussianModel(np.zeros(3))
-        a = sample_gaussian(model, 50, RngStream(9, 7))
-        b = sample_gaussian(model, 50, RngStream(9, 7))
+        a = model.sample(50, RngStream(9, 7))
+        b = model.sample(50, RngStream(9, 7))
         assert np.array_equal(a.samples, b.samples)
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
-            sample_gaussian(GaussianModel(np.zeros(1)), 0, RngStream(0, 0))
+            GaussianModel(np.zeros(1)).sample(0, RngStream(0, 0))
 
 
 class TestNormalCdf:
