@@ -2,8 +2,6 @@
 when an adversary replaces a bounded fraction of the sample."""
 
 from .adversaries import (
-    ADVERSARY_NAMES,
-    EXACT_ADVERSARIES,
     AdversaryOutcome,
     block_layout,
     block_resample,
@@ -67,6 +65,8 @@ from .estimators import (
     sample_unit_direction,
 )
 from .harness import (
+    ADVERSARY_NAMES,
+    EXACT_ADVERSARIES,
     SCHEMA,
     CouplingObstructionReport,
     MeanObstructionReport,

@@ -54,21 +54,7 @@ __all__ = [
     "block_layout",
     "median_worst_case",
     "hamming_ball_sup",
-    "ADVERSARY_NAMES",
-    "EXACT_ADVERSARIES",
 ]
-
-ADVERSARY_NAMES = (
-    "resample",
-    "local-shift",
-    "tv-coupling",
-    "block-resample",
-    "median-exact",
-    "hamming-ball",
-)
-
-# Adversaries whose certificate equals the exact pointwise sensitivity.
-EXACT_ADVERSARIES = frozenset({"median-exact", "hamming-ball"})
 
 _BALL_GUARD = 10 ** 6
 # Ball points per f.on_stack call in hamming_ball_sup.

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .core import CorruptionBudget, Dataset, RngStream, uniform_open
+from .core import CorruptionBudget, Dataset, RngStream, _open_unit
 from .estimators import Estimator
 
 __all__ = [
@@ -95,8 +95,13 @@ class BernoulliModel:
     def d(self) -> int:
         return 1
 
+    def from_random(self, raw: np.ndarray) -> np.ndarray:
+        """Turn raw ``Generator.random`` draws (..., 1) into 0/1 rows in place."""
+        raw[...] = _open_unit(raw, out=raw) < self.p
+        return raw
+
     def draw(self, gen: np.random.Generator, size: int) -> np.ndarray:
-        return (uniform_open(gen, (size, 1)) < self.p).astype(np.float64)
+        return self.from_random(gen.random((size, 1)))
 
     def sample(self, n: int, rng: RngStream) -> Dataset:
         if int(n) < 1:

@@ -72,13 +72,12 @@ def _write(path: str | None, text: str) -> None:
 _SENS_DEFAULTS = {
     "estimator": "mean", "adversary": "resample", "n": 1000, "d": 1,
     "eta": 0.1, "q": 2, "trials": 10_000, "seed": 0, "mu": [0.0],
-    "delta": None, "workers": 1, "out": None, "csv": None, "keep_trials": False,
+    "delta": None, "workers": 1, "out": None, "csv": None,
 }
 _SENS_CONVERTERS = {
     "estimator": str, "adversary": str, "n": int, "d": int, "eta": float,
     "q": int, "trials": int, "seed": int, "mu": _parse_float_list,
     "delta": float, "workers": int, "out": str, "csv": str,
-    "keep_trials": lambda raw: raw.lower() in ("1", "true", "yes"),
 }
 
 
@@ -129,7 +128,7 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    text = report.to_json(include_trials=bool(cfg["keep_trials"]))
+    text = report.to_json()
     print(text)
     _write(cfg["out"], text)
     if cfg["csv"]:
@@ -138,11 +137,11 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
 
 
 _SCALING_DEFAULTS = {
-    **{k: v for k, v in _SENS_DEFAULTS.items() if k not in ("csv", "keep_trials", "mu")},
+    **{k: v for k, v in _SENS_DEFAULTS.items() if k not in ("csv", "mu")},
     "sweep": "eta", "values": None, "mu": [0.0],
 }
 _SCALING_CONVERTERS = {
-    **{k: v for k, v in _SENS_CONVERTERS.items() if k not in ("csv", "keep_trials")},
+    **{k: v for k, v in _SENS_CONVERTERS.items() if k != "csv"},
     "sweep": str, "values": _parse_float_list,
 }
 

@@ -87,19 +87,6 @@ def standard_normal(gen: np.random.Generator, size) -> np.ndarray:
     return special.ndtri(uniform_open(gen, size))
 
 
-def _normal_rows(raw: np.ndarray, mu) -> np.ndarray:
-    """Turn raw ``Generator.random`` draws into N(mu, I) variates in place.
-
-    The same values as ``standard_normal(gen, raw.shape) + mu`` from the
-    generator that drew ``raw``, without the temporaries. The result is
-    checked finite, as a ``Dataset`` would be.
-    """
-    special.ndtri(_open_unit(raw, out=raw), out=raw)
-    raw += mu
-    _check_finite(raw)
-    return raw
-
-
 def _check_finite(arr: np.ndarray) -> None:
     if not np.all(np.isfinite(arr)):
         raise ValueError("all sample entries must be finite")
@@ -256,9 +243,18 @@ class GaussianModel:
     def d(self) -> int:
         return self.mu.size
 
+    def from_random(self, raw: np.ndarray) -> np.ndarray:
+        """Turn raw ``Generator.random`` draws (..., d) into model rows in place:
+        ``standard_normal(gen, raw.shape) + mu`` from the generator that drew
+        them, without temporaries, checked finite as a ``Dataset`` would be."""
+        special.ndtri(_open_unit(raw, out=raw), out=raw)
+        raw += self.mu
+        _check_finite(raw)
+        return raw
+
     def draw(self, gen: np.random.Generator, size: int) -> np.ndarray:
         """(size, d) array of fresh rows, consuming draws from gen."""
-        return standard_normal(gen, (size, self.d)) + self.mu
+        return self.from_random(gen.random((size, self.d)))
 
     def sample(self, n: int, rng: RngStream) -> Dataset:
         if int(n) < 1:

@@ -1,13 +1,12 @@
 """Estimators and the combinators that wrap them.
 
 An :class:`Estimator` is a pure function Dataset -> R^output_dim together
-with the metadata the measurement harness relies on (translation
-equivariance, linearity in the data, binary domain) and an optional
-vectorized path over stacked datasets. The concrete estimators here are the
-coordinatewise mean and median, the interval-clipped versions of either, the
-plug-in mean for binary data, and the scalar projection lift that turns a
-d-dimensional estimator into a deterministic estimator of one coordinate
-along a chosen unit direction.
+with the metadata the rest of the package reads (linearity in the data,
+binary domain) and an optional vectorized path over stacked datasets. The
+concrete estimators here are the coordinatewise mean and median, the
+interval-clipped versions of either, the plug-in mean for binary data, and
+the scalar projection lift that turns a d-dimensional estimator into a
+deterministic estimator of one coordinate along a chosen unit direction.
 """
 
 from __future__ import annotations
@@ -67,7 +66,6 @@ class Estimator:
     output_dim: int
     fn: Callable[[Dataset], np.ndarray]
     stack_fn: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
-    translation_equivariant: bool = False
     linear_in_data: bool = False
     binary_domain: bool = False
 
@@ -128,7 +126,6 @@ def mean_estimator(d: int = 1) -> Estimator:
         output_dim=d,
         fn=empirical_mean,
         stack_fn=lambda stack: stack.mean(axis=1),
-        translation_equivariant=True,
         linear_in_data=True,
     )
 
@@ -144,7 +141,6 @@ def median_estimator(d: int = 1) -> Estimator:
         output_dim=d,
         fn=coordinatewise_median,
         stack_fn=_median_stack,
-        translation_equivariant=True,
     )
 
 

@@ -11,11 +11,9 @@ clean data and (seed, 2t + 1) for the adversary, and per-trial values are
 stored by index before a fixed-order reduction. Reports are therefore
 byte-identical across reruns regardless of the worker count.
 
-Gaussian trials of the resample, local-shift and block-resample adversaries,
-and of the low-corruption and variance obstruction experiments, run in
-chunks: each trial's streams fill its rows of (T, n, d) buffers of raw
-uniforms, the chunk is turned into normals in one pass, and the estimator
-runs once on the clean stack and once on the corrupted one. The values are
+Every trial runs in one chunked engine: each trial's streams fill its rows
+of (T, n, d) stacks and the estimator runs once per stack. One table maps
+each adversary name to what it accepts and to its chunk step. The values are
 the same, bit for bit, as drawing and evaluating one trial at a time.
 
 The three obstruction experiments mirror the mechanisms that force
@@ -39,11 +37,9 @@ import numpy as np
 from scipy import integrate
 
 from . import analysis
-from .adversaries import (
-    ADVERSARY_NAMES,
-    EXACT_ADVERSARIES,
+# Names not called here stay imported: bench/tracing.py wraps these bindings.
+from .adversaries import (  # noqa: F401
     block_layout,
-    block_resample,
     couple_gaussian_pair,
     hamming_ball_sup,
     local_shift_adversary,
@@ -52,15 +48,12 @@ from .adversaries import (
     tv_coupling_adversary,
 )
 from .bernoulli import BernoulliModel, beta_binomial_layer_law
-# standard_normal is not called here; bench/tracing.py wraps this module's
-# binding of it, so it stays imported.
 from .core import (  # noqa: F401
     CorruptionBudget,
     Dataset,
     GaussianModel,
     RngStream,
     _check_finite,
-    _normal_rows,
     _rekey,
     standard_normal,
     uniform_open,
@@ -69,6 +62,8 @@ from .estimators import Estimator, build_estimator, mean_estimator, median_estim
 
 __all__ = [
     "SCHEMA",
+    "ADVERSARY_NAMES",
+    "EXACT_ADVERSARIES",
     "UnboundedSensitivityError",
     "SensitivityReport",
     "ScalingFit",
@@ -189,8 +184,6 @@ class SensitivityReport:
         return ",".join(values[c] for c in CSV_COLUMNS)
 
 
-# Adversaries whose Gaussian trials run in chunks (_run_chunked).
-_CHUNKED_ADVERSARIES = frozenset({"resample", "local-shift", "block-resample"})
 # Bytes per trial-stacked buffer of a chunk, and the most trials in one chunk.
 _CHUNK_BYTES = 1 << 19
 _CHUNK_TRIALS = 256
@@ -243,60 +236,146 @@ def _run_chunked(trials: int, seed: int, workers: int, trial_bytes: int,
         list(pool.map(shard, [chunks[i:i + per] for i in range(0, len(chunks), per)]))
 
 
-def _corrupt_chunk(streams: _TrialStreams, lo: int, hi: int, model: GaussianModel, n: int,
-                   k: int, adversary: str, *, delta: float | None = None,
-                   prior: tuple[float, float] | None = None
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Clean and corrupted (T, n, d) stacks of trials lo..hi-1, and each
-    trial's recomputed Hamming distance.
+@dataclass(frozen=True)
+class _Job:
+    """The inputs of a trial step. With a ``prior``, trial t first draws a mean
+    mu' uniformly from it and its clean rows are N(mu', 1)."""
 
-    Trial t draws what the per-trial adversaries draw, in the same order:
-    the clean rows from stream (seed, 2t), after one uniform mean from
-    ``prior`` when given (``mean_obstruction_low``); then from stream
-    (seed, 2t + 1) the k replaced rows (``choice``, except block-resample,
-    which replaces block t mod M) and, unless the adversary is local-shift,
-    fresh model rows for them.
-    """
-    size, d = hi - lo, model.d
-    clean = np.empty((size, n, d))
-    shift = model.mu if prior is None else np.empty((size, 1, 1))
-    idx = np.empty((size, k), dtype=np.intp)
-    blocks = block_layout(n, k) if adversary == "block-resample" else None
-    width = 0 if adversary == "local-shift" else k
-    if blocks is not None:
-        width = max(stop - start for start, stop in blocks)
-    # Zeros, so the unused rows after a short block stay finite.
-    fresh = np.zeros((size, width, d))
-    spans = []
+    model: GaussianModel | BernoulliModel
+    budget: CorruptionBudget
+    est: Estimator | None = None
+    delta: float | None = None
+    prior: tuple[float, float] | None = None
+
+
+def _clean_stack(job: _Job, streams: _TrialStreams, lo: int, hi: int) -> np.ndarray:
+    clean = np.empty((hi - lo, job.budget.n, job.model.d))
+    shift = np.empty((hi - lo, 1, 1))
     for i, t in enumerate(range(lo, hi)):
         gen = streams.data(t)
-        if prior is not None:
-            shift[i] = _uniform_scalar(gen, *prior)
+        if job.prior is not None:
+            shift[i] = _uniform_scalar(gen, *job.prior)
         gen.random(out=clean[i])
+    job.model.from_random(clean)
+    if job.prior is not None:
+        # The model's mean is 0 and no normal is -0.0: the bytes of adding mu'.
+        clean += shift
+    return clean
+
+
+def _chosen_rows(job: _Job, streams: _TrialStreams, lo: int, hi: int, fresh=None):
+    """Each trial's k rows by ``choice``, then its ``fresh`` rows, from stream (seed, 2t + 1)."""
+    idx = np.empty((hi - lo, job.budget.k), dtype=np.intp)
+    for i, t in enumerate(range(lo, hi)):
         gen = streams.adversary(t)
-        if blocks is not None:
-            start, stop = blocks[t % len(blocks)]
-            spans.append((start, stop))
-            gen.random(out=fresh[i, :stop - start])
-            continue
-        idx[i] = gen.choice(n, size=k, replace=False)
-        if adversary == "resample":
+        idx[i] = gen.choice(job.budget.n, size=job.budget.k, replace=False)
+        if fresh is not None:
             gen.random(out=fresh[i])
-    _normal_rows(clean, shift)
+    return np.arange(hi - lo)[:, None], idx
+
+
+def _resample_pairs(job: _Job, streams: _TrialStreams, lo: int, hi: int):
+    clean = _clean_stack(job, streams, lo, hi)
+    fresh = np.empty((hi - lo, job.budget.k, job.model.d))
+    chosen = _chosen_rows(job, streams, lo, hi, fresh)
     corrupted = clean.copy()
-    rows = np.arange(size)[:, None]
-    if adversary == "local-shift":
-        shifted = clean[rows, idx] + float(delta)
-        _check_finite(shifted)
-        corrupted[rows, idx] = shifted
-    elif blocks is None:
-        corrupted[rows, idx] = _normal_rows(fresh, model.mu)
-    else:
-        _normal_rows(fresh, model.mu)
-        for i, (start, stop) in enumerate(spans):
-            corrupted[i, start:stop] = fresh[i, :stop - start]
-    achieved = np.count_nonzero((corrupted != clean).any(axis=2), axis=1)
-    return clean, corrupted, achieved
+    corrupted[chosen] = job.model.from_random(fresh)
+    return clean, corrupted
+
+
+def _local_shift_pairs(job: _Job, streams: _TrialStreams, lo: int, hi: int):
+    clean = _clean_stack(job, streams, lo, hi)
+    chosen = _chosen_rows(job, streams, lo, hi)
+    corrupted = clean.copy()
+    corrupted[chosen] = clean[chosen] + float(job.delta)
+    return clean, corrupted
+
+
+def _block_pairs(job: _Job, streams: _TrialStreams, lo: int, hi: int):
+    clean = _clean_stack(job, streams, lo, hi)
+    blocks = block_layout(job.budget.n, job.budget.k)
+    corrupted = clean.copy()
+    fresh = np.zeros(clean.shape[:2], dtype=bool)
+    for i, t in enumerate(range(lo, hi)):
+        start, stop = blocks[t % len(blocks)]
+        streams.adversary(t).random(out=corrupted[i, start:stop])
+        fresh[i, start:stop] = True
+    corrupted[fresh] = job.model.from_random(corrupted[fresh])
+    return clean, corrupted
+
+
+def _coupling_pairs(job: _Job, streams: _TrialStreams, lo: int, hi: int):
+    eta, n = job.budget.eta, job.budget.n
+    clean, corrupted = np.empty((2, hi - lo, n, 1))
+    for i, t in enumerate(range(lo, hi)):
+        gen = streams.data(t)
+        mu = float(job.model.mu[0]) if job.prior is None else _uniform_scalar(gen, *job.prior)
+        clean[i, :, 0], corrupted[i, :, 0] = couple_gaussian_pair(gen, mu, eta, n)
+    return clean, corrupted
+
+
+def _run_pairs(job: _Job, pairs: Callable, trials: int, seed: int, workers: int = 1):
+    """f(corrupted) - f(clean) of every trial, and whether its recomputed
+    Hamming distance is at most k. Both stacks must be finite."""
+    diff = np.empty((trials, job.est.output_dim))
+    feasible = np.empty(trials, dtype=bool)
+
+    def run_chunk(streams: _TrialStreams, lo: int, hi: int) -> None:
+        clean, corrupted = pairs(job, streams, lo, hi)
+        _check_finite(clean)
+        _check_finite(corrupted)
+        achieved = np.count_nonzero((corrupted != clean).any(axis=2), axis=1)
+        feasible[lo:hi] = achieved <= job.budget.k
+        diff[lo:hi] = job.est.on_stack(corrupted) - job.est.on_stack(clean)
+
+    _run_chunked(trials, seed, workers, job.budget.n * job.model.d * 8, run_chunk)
+    return diff, feasible
+
+
+def _median_only(est: Estimator, n: int) -> None:
+    if est.name == "mean":
+        raise UnboundedSensitivityError(
+            est.name, "median-exact",
+            "the adaptive sup of the unclipped mean is infinite: one replaced row "
+            "of magnitude M displaces the mean by M/n, unbounded as M grows",
+        )
+    if est.name != "median":
+        raise ValueError("median-exact certificates apply to the median only")
+    if n % 2 == 0:
+        raise ValueError("median-exact requires odd n")
+
+
+@dataclass(frozen=True)
+class _Adversary:
+    """One adversary of ``estimate_es``. ``step(job, streams, lo, hi)`` returns
+    the clean and corrupted stacks of trials lo..hi-1, drawn as the public
+    adversary draws them; an exact adversary's ``step(job, x)`` returns its
+    certificate for the clean dataset x. ``check(est, n)`` may reject."""
+
+    step: Callable
+    models: tuple[type, ...] = (GaussianModel, BernoulliModel)
+    exact: bool = False
+    needs_delta: bool = False
+    scalar_only: bool = False
+    nonempty: bool = False
+    binary_only: bool = False
+    check: Callable[[Estimator, int], None] = lambda est, n: None
+
+
+_ADVERSARIES = {
+    "resample": _Adversary(_resample_pairs),
+    "local-shift": _Adversary(_local_shift_pairs, needs_delta=True, scalar_only=True,
+                              nonempty=True),
+    "tv-coupling": _Adversary(_coupling_pairs, (GaussianModel,), scalar_only=True),
+    "block-resample": _Adversary(_block_pairs, nonempty=True),
+    "median-exact": _Adversary(lambda job, x: median_worst_case(x, job.budget).certificate,
+                               exact=True, scalar_only=True, check=_median_only),
+    "hamming-ball": _Adversary(lambda job, x: hamming_ball_sup(job.est, x, job.budget).certificate,
+                               (BernoulliModel,), exact=True, binary_only=True),
+}
+ADVERSARY_NAMES = tuple(_ADVERSARIES)
+# Adversaries whose certificate equals the exact pointwise sensitivity.
+EXACT_ADVERSARIES = frozenset(name for name, spec in _ADVERSARIES.items() if spec.exact)
 
 
 def _resolve_estimator(estimator: Estimator | str, d: int, seed: int) -> Estimator:
@@ -305,36 +384,23 @@ def _resolve_estimator(estimator: Estimator | str, d: int, seed: int) -> Estimat
     return estimator
 
 
-def _validate_combo(est: Estimator, adversary: str, model, n: int, delta) -> None:
-    if adversary not in ADVERSARY_NAMES:
+def _validate_combo(est: Estimator, adversary: str, model, n: int, delta) -> _Adversary:
+    """The table entry of ``adversary``, once the request is one it can run."""
+    spec = _ADVERSARIES.get(adversary)
+    if spec is None:
         raise ValueError(f"unknown adversary {adversary!r}; known: {', '.join(ADVERSARY_NAMES)}")
-    if adversary == "median-exact":
-        if est.name == "mean":
-            raise UnboundedSensitivityError(
-                est.name, adversary,
-                "the adaptive sup of the unclipped mean is infinite: one replaced row "
-                "of magnitude M displaces the mean by M/n, unbounded as M grows",
-            )
-        if est.name != "median":
-            raise ValueError("median-exact certificates apply to the median only")
-        if model.d != 1:
-            raise ValueError("median-exact requires scalar (d = 1) data")
-        if n % 2 == 0:
-            raise ValueError("median-exact requires odd n")
-    elif adversary == "hamming-ball":
-        if not est.binary_domain:
-            raise ValueError("hamming-ball enumerates binary corruptions; use a "
-                             "binary-domain estimator such as bernoulli-plugin")
-        if not isinstance(model, BernoulliModel):
-            raise ValueError("hamming-ball requires a BernoulliModel for the clean data")
-    elif adversary == "local-shift":
-        if delta is None:
-            raise ValueError("local-shift requires delta")
-        if model.d != 1:
-            raise ValueError("local-shift requires scalar (d = 1) data")
-    elif adversary == "tv-coupling":
-        if not isinstance(model, GaussianModel) or model.d != 1:
-            raise ValueError("tv-coupling requires a scalar GaussianModel")
+    spec.check(est, n)
+    if spec.binary_only and not est.binary_domain:
+        raise ValueError(f"{adversary} enumerates binary corruptions; use a "
+                         "binary-domain estimator such as bernoulli-plugin")
+    if not isinstance(model, spec.models):
+        names = " or ".join(m.__name__ for m in spec.models)
+        raise ValueError(f"{adversary} requires a {names} for the clean data")
+    if spec.needs_delta and delta is None:
+        raise ValueError(f"{adversary} requires delta")
+    if spec.scalar_only and model.d != 1:
+        raise ValueError(f"{adversary} requires scalar (d = 1) data")
+    return spec
 
 
 def estimate_es(
@@ -354,8 +420,8 @@ def estimate_es(
 
     Per trial t: sample a clean dataset from the model with stream (seed, 2t),
     corrupt it with stream (seed, 2t + 1), and record the displacement
-    |f(Y) - f(X)| (or the adversary's exact certificate). Infeasible coupling
-    trials contribute 0, which keeps the estimate a valid lower bound. The
+    |f(Y) - f(X)| (or the adversary's exact certificate). Over-budget trials
+    contribute 0, which keeps the estimate a valid lower bound. The
     q-th-moment CI is mean +/- 1.96 stderr mapped through x -> x^{1/q}.
     """
     if q not in (1, 2):
@@ -363,56 +429,24 @@ def estimate_es(
     if trials < 100:
         raise ValueError(f"need trials >= 100, got {trials}")
     est = _resolve_estimator(estimator, model.d, seed)
-    _validate_combo(est, adversary, model, n, delta)
+    spec = _validate_combo(est, adversary, model, n, delta)
     budget = CorruptionBudget.from_eta(eta, n)
-    if adversary in ("local-shift", "block-resample"):
+    if spec.nonempty:
         budget.require_nonempty()
-    n_blocks = len(block_layout(n, budget.k)) if adversary == "block-resample" else 0
-    mu0 = float(model.mu[0]) if isinstance(model, GaussianModel) else None
+    job = _Job(model, budget, est, delta)
+    per_trial = np.empty(trials)
+    if spec.exact:
+        def run_chunk(streams: _TrialStreams, lo: int, hi: int) -> None:
+            clean = _clean_stack(job, streams, lo, hi)
+            per_trial[lo:hi] = [spec.step(job, Dataset(x)) for x in clean]
 
-    def run_trial(t: int) -> float:
-        data_rng = RngStream(seed, 2 * t)
-        adv_rng = RngStream(seed, 2 * t + 1)
-        if adversary == "tv-coupling":
-            clean, out = tv_coupling_adversary(mu0, eta, n, data_rng)
-            if not out.feasible:
-                return 0.0
-            return float(np.linalg.norm(est(out.corrupted) - est(clean)))
-        x = model.sample(n, data_rng)
-        if adversary == "median-exact":
-            return float(median_worst_case(x, budget).certificate)
-        if adversary == "hamming-ball":
-            return float(hamming_ball_sup(est, x, budget).certificate)
-        if adversary == "resample":
-            out = resampling_adversary(x, budget, model, adv_rng)
-        elif adversary == "local-shift":
-            out = local_shift_adversary(x, budget, delta, adv_rng)
-        else:
-            out = block_resample(x, budget, t % n_blocks, model, adv_rng)
-        if not out.feasible:
-            return 0.0
-        return float(np.linalg.norm(est(out.corrupted) - est(x)))
-
-    def run_chunk(streams: _TrialStreams, lo: int, hi: int) -> None:
-        clean, corrupted, achieved = _corrupt_chunk(streams, lo, hi, model, n, budget.k,
-                                                    adversary, delta=delta)
+        _run_chunked(trials, seed, workers, n * model.d * 8, run_chunk)
+    else:
+        diff, feasible = _run_pairs(job, spec.step, trials, seed, workers)
         # Row by row: np.linalg.norm of a 1-D vector can differ in the last
         # bit from a vectorised norm(axis=1).
-        diff = est.on_stack(corrupted) - est.on_stack(clean)
-        for i in range(hi - lo):
-            feasible = achieved[i] <= budget.k
-            per_trial[lo + i] = float(np.linalg.norm(diff[i])) if feasible else 0.0
-
-    per_trial = np.empty(trials)
-    if adversary in _CHUNKED_ADVERSARIES and isinstance(model, GaussianModel):
-        _run_chunked(trials, seed, workers, n * model.d * 8, run_chunk)
-    elif workers <= 1:
         for t in range(trials):
-            per_trial[t] = run_trial(t)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for t, value in enumerate(pool.map(run_trial, range(trials))):
-                per_trial[t] = value
+            per_trial[t] = float(np.linalg.norm(diff[t])) if feasible[t] else 0.0
 
     powered = per_trial if q == 1 else per_trial * per_trial
     moment = float(powered.mean())
@@ -435,7 +469,7 @@ def estimate_es(
         es_estimate=moment ** root,
         ci_low=lo ** root,
         ci_high=hi ** root,
-        lower_bound_only=adversary not in EXACT_ADVERSARIES,
+        lower_bound_only=not spec.exact,
         per_trial=per_trial,
     )
 
@@ -539,6 +573,20 @@ def _uniform_scalar(gen: np.random.Generator, lo: float, hi: float) -> float:
     return lo + (hi - lo) * float(uniform_open(gen, ()))
 
 
+def _scalar_job(h: Estimator | str, experiment: str, eta: float, n: int, seed: int,
+                prior: tuple[float, float], delta: float | None = None) -> _Job:
+    """The job of an obstruction experiment: a scalar estimator, scalar rows."""
+    est = _resolve_estimator(h, 1, seed)
+    if est.output_dim != 1:
+        raise ValueError(f"{experiment} takes a scalar estimator")
+    budget = CorruptionBudget.from_eta(eta, n)
+    budget.require_nonempty()
+    lo, hi = prior
+    if not (0.0 <= lo < hi <= 1.0):
+        raise ValueError(f"prior must be an interval inside [0, 1], got {prior}")
+    return _Job(GaussianModel(np.zeros(1)), budget, est, delta, (float(lo), float(hi)))
+
+
 @dataclass(frozen=True)
 class MeanObstructionReport:
     """Low-corruption obstruction: local shift vs the global shift it mimics."""
@@ -576,42 +624,27 @@ def mean_obstruction_low(
     reported alongside. Requires the low-corruption regime k <= sqrt(n)
     (violations warn rather than fail).
     """
-    est = _resolve_estimator(h, 1, seed)
-    if est.output_dim != 1:
-        raise ValueError("mean_obstruction_low takes a scalar estimator")
-    budget = CorruptionBudget.from_eta(eta, n)
-    budget.require_nonempty()
-    lo, hi = prior
-    if not (0.0 <= lo < hi <= 1.0):
-        raise ValueError(f"prior must be an interval inside [0, 1], got {prior}")
-    regime_ok = budget.k <= math.sqrt(n)
+    job = _scalar_job(h, "mean_obstruction_low", eta, n, seed, prior, delta)
+    k = job.budget.k
+    regime_ok = k <= math.sqrt(n)
     if not regime_ok:
-        warnings.warn(f"k = {budget.k} exceeds sqrt(n) = {math.sqrt(n):.2f}; "
+        warnings.warn(f"k = {k} exceeds sqrt(n) = {math.sqrt(n):.2f}; "
                       "outside the low-corruption regime", stacklevel=2)
 
-    disps = np.empty(trials)
-    # Scalar rows; each trial's clean mean comes from the prior.
-    model = GaussianModel(np.zeros(1))
-
-    def run_chunk(streams: _TrialStreams, first: int, last: int) -> None:
-        clean, corrupted, _ = _corrupt_chunk(streams, first, last, model, n, budget.k,
-                                             "local-shift", delta=delta, prior=(lo, hi))
-        disps[first:last] = est.on_stack(corrupted)[:, 0] - est.on_stack(clean)[:, 0]
-
-    _run_chunked(trials, seed, 1, n * 8, run_chunk)
+    disps = _run_pairs(job, _local_shift_pairs, trials, seed)[0][:, 0]
 
     return MeanObstructionReport(
         eta=float(eta),
         delta=float(delta),
         n=n,
-        k=budget.k,
+        k=k,
         trials=trials,
         seed=seed,
-        prior=(float(lo), float(hi)),
+        prior=job.prior,
         avg_displacement=float(disps.mean()),
         stderr=float(disps.std(ddof=1) / math.sqrt(trials)),
         predicted=float(eta) * float(delta),
-        chi2_budget=analysis.chi2_localshift_bound(budget.k, n, delta),
+        chi2_budget=analysis.chi2_localshift_bound(k, n, delta),
         regime_ok=regime_ok,
     )
 
@@ -651,35 +684,18 @@ def coupling_obstruction_high(
     """
     if not (0.0 < eta <= 0.1):
         raise ValueError(f"coupling obstruction requires eta in (0, 1/10], got {eta}")
-    est = _resolve_estimator(h, 1, seed)
-    if est.output_dim != 1:
-        raise ValueError("coupling_obstruction_high takes a scalar estimator")
-    budget = CorruptionBudget.from_eta(eta, n)
-    budget.require_nonempty()
-    lo, hi = prior if prior is not None else (0.0, 1.0 - eta)
-    if not (0.0 <= lo < hi <= 1.0):
-        raise ValueError(f"prior must be an interval inside [0, 1], got {(lo, hi)}")
-
-    vals = np.empty(trials)
-    infeasible = 0
-    for t in range(trials):
-        gen = RngStream(seed, 2 * t).generator()
-        mu_prime = _uniform_scalar(gen, lo, hi)
-        x, y = couple_gaussian_pair(gen, mu_prime, eta, n)
-        if int(np.count_nonzero(x != y)) <= budget.k:
-            vals[t] = float(est(Dataset(y))[0] - est(Dataset(x))[0])
-        else:
-            vals[t] = 0.0
-            infeasible += 1
-
-    rate = infeasible / trials
+    job = _scalar_job(h, "coupling_obstruction_high", eta, n, seed,
+                      (0.0, 1.0 - eta) if prior is None else prior)
+    diff, feasible = _run_pairs(job, _coupling_pairs, trials, seed)
+    vals = np.where(feasible, diff[:, 0], 0.0)
+    rate = (trials - int(np.count_nonzero(feasible))) / trials
     return CouplingObstructionReport(
         eta=float(eta),
         n=n,
-        k=budget.k,
+        k=job.budget.k,
         trials=trials,
         seed=seed,
-        prior=(float(lo), float(hi)),
+        prior=job.prior,
         avg_displacement_on_feasible=float(vals.mean()),
         stderr=float(vals.std(ddof=1) / math.sqrt(trials)),
         infeasible_rate=rate,
@@ -732,6 +748,7 @@ def variance_obstruction(
     est = _resolve_estimator(f, model.d, seed)
     budget = CorruptionBudget.from_eta(eta, n)
     budget.require_nonempty()
+    job = _Job(model, budget)
     layout = block_layout(n, budget.k)
     m_blocks = len(layout)
 
@@ -744,13 +761,11 @@ def variance_obstruction(
     gaps = np.empty((trials, m_blocks))
 
     def run_chunk(streams: _TrialStreams, lo: int, hi: int) -> None:
-        clean = np.empty((hi - lo, n, model.d))
+        clean = _clean_stack(job, streams, lo, hi)
         fresh = np.empty_like(clean)
         for i, t in enumerate(range(lo, hi)):
-            streams.data(t).random(out=clean[i])
             streams.adversary(t).random(out=fresh[i])
-        _normal_rows(clean, model.mu)
-        _normal_rows(fresh, model.mu)
+        model.from_random(fresh)
         fx = est.on_stack(clean)
         outputs[lo:hi] = fx
         # Stack i is the clean sample with block i resampled; one stack is
@@ -831,7 +846,6 @@ def _scaled_mean(factor: float) -> Estimator:
         output_dim=1,
         fn=lambda x: factor * x.samples.mean(axis=0),
         stack_fn=lambda stack: factor * stack.mean(axis=1),
-        translation_equivariant=False,
         linear_in_data=True,
     )
 

@@ -61,6 +61,17 @@ class TestSensitivityCommand:
         payload = json.loads(out)
         assert payload["kind"] == "unbounded-sensitivity"
 
+    def test_keep_trials_is_an_unknown_config_key(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("n=50\ntrials=150\nkeep_trials=1\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "senslab", "sensitivity", "--config", str(cfg)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.strip() == "unknown config key 'keep_trials'"
+        assert proc.stdout == ""
+
     def test_worker_flag_reproduces_bytes(self, capsys, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for path, workers in zip(paths, ("1", "3")):

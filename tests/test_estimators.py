@@ -66,7 +66,6 @@ class TestSymmetries:
     @pytest.mark.parametrize("factory", [mean_estimator, median_estimator])
     def test_translation_equivariance(self, factory):
         est = factory(3)
-        assert est.translation_equivariant
         gen = np.random.default_rng(5)
         x = gen.normal(size=(11, 3))
         c = np.array([2.5, -1.0, 0.25])

@@ -1,10 +1,10 @@
 """The chunked trial engine against golden reports and the per-trial loops it replaced.
 
 The golden digests were computed from the per-trial implementation before
-the engine existed. The reference loops below draw and evaluate one trial at
-a time through the public adversaries, as that implementation did; the
-engine does the same floating-point operations on the same values, so every
-comparison is exact (bytes and ``==``), not approximate.
+the engine ran those trials. The reference loops below draw and evaluate one
+trial at a time through the public adversaries, as that implementation did;
+the engine does the same floating-point operations on the same values, so
+every comparison is exact (bytes and ``==``), not approximate.
 """
 
 import hashlib
@@ -20,18 +20,25 @@ from scipy import special
 
 import senslab as sl
 from senslab import (
+    BernoulliModel,
     CorruptionBudget,
     Dataset,
     GaussianModel,
     RngStream,
+    UnboundedSensitivityError,
     analysis,
     block_layout,
     block_resample,
     build_estimator,
+    couple_gaussian_pair,
+    coupling_obstruction_high,
     estimate_es,
+    hamming_ball_sup,
     local_shift_adversary,
     mean_obstruction_low,
+    median_worst_case,
     resampling_adversary,
+    tv_coupling_adversary,
     uniform_open,
     variance_obstruction,
 )
@@ -93,7 +100,6 @@ GOLDEN = {
     "obstruction/variance/median-d3-n101": (
         lambda: variance_obstruction("median", gauss(3), eta=0.07, n=101, trials=40, seed=19),
         "5b348d5d4ad5cd16707bdea069c36e86470947cbfb4bbb94f7d56d3637872da3"),
-    # Still per trial: pinned so that the engine leaves them alone.
     "obstruction/coupling-high": (
         lambda: sl.coupling_obstruction_high("clipped-mean", eta=0.1, n=500, trials=50, seed=20),
         "90169f1eb3c7f7ff2c775b556a358672d04b85d81538b05a9a4de87f9c8c6f8f"),
@@ -101,6 +107,27 @@ GOLDEN = {
         lambda: estimate_es("clipped-mean", "tv-coupling", gauss(1), eta=0.05, n=500, trials=100,
                             seed=21),
         "1cc4d1d9a196c690f163de6b03a60217462cd9916776e3d5ca82de5d375f6887"),
+    "es/bernoulli-plugin/resample": (
+        lambda: estimate_es("bernoulli-plugin", "resample", BernoulliModel(0.3), eta=0.1, n=40,
+                            trials=120, seed=31),
+        "ecdd174d4e5719ffbd81001d228a996a4084424dca61c7ef484915ff4ac7d6c9"),
+    "es/bernoulli-plugin/block-resample": (
+        lambda: estimate_es("bernoulli-plugin", "block-resample", BernoulliModel(0.6), eta=0.07,
+                            n=45, trials=110, seed=32),
+        "b77a651970624cd6785d8f2213c875de7a0d158c5571425438ea1485a7db27eb"),
+    # Several chunks each, so the shards split them between the threads.
+    "es/clipped-mean/tv-coupling/workers2": (
+        lambda: estimate_es("clipped-mean", "tv-coupling", gauss(1, 0.4), eta=0.05, n=2000,
+                            trials=120, seed=33, workers=2),
+        "216d3b793a1ece6baf402e8860e24166ee495c14450e75fb23aefca38a7439d6"),
+    "es/median/median-exact/workers3": (
+        lambda: estimate_es("median", "median-exact", gauss(1), eta=0.1, n=4001, trials=130,
+                            seed=34, workers=3),
+        "5bc1f35c668578afdd3050f0c8f7e39f3a3a49da98436befd6a76d0e79127219"),
+    "es/bernoulli-plugin/hamming-ball/workers2": (
+        lambda: estimate_es("bernoulli-plugin", "hamming-ball", BernoulliModel(0.4), eta=0.2,
+                            n=10, trials=300, seed=35, workers=2),
+        "2cf9d9f5167c3d6f865954e3da865b9c04e1c3fb8f32eeb3554bff4df7e824f4"),
 }
 
 
@@ -117,13 +144,22 @@ def reference_es(est, adversary, model, *, eta, n, trials, seed, delta=None):
     n_blocks = len(block_layout(n, budget.k)) if adversary == "block-resample" else 0
     values = np.empty(trials)
     for t in range(trials):
-        x = model.sample(n, RngStream(seed, 2 * t))
-        adv_rng = RngStream(seed, 2 * t + 1)
+        data_rng, adv_rng = RngStream(seed, 2 * t), RngStream(seed, 2 * t + 1)
+        if adversary == "tv-coupling":
+            x, out = tv_coupling_adversary(float(model.mu[0]), eta, n, data_rng)
+        else:
+            x = model.sample(n, data_rng)
+        if adversary == "median-exact":
+            values[t] = median_worst_case(x, budget).certificate
+            continue
+        if adversary == "hamming-ball":
+            values[t] = hamming_ball_sup(est, x, budget).certificate
+            continue
         if adversary == "resample":
             out = resampling_adversary(x, budget, model, adv_rng)
         elif adversary == "local-shift":
             out = local_shift_adversary(x, budget, delta, adv_rng)
-        else:
+        elif adversary == "block-resample":
             out = block_resample(x, budget, t % n_blocks, model, adv_rng)
         values[t] = float(np.linalg.norm(est(out.corrupted) - est(x))) if out.feasible else 0.0
     return values
@@ -139,6 +175,22 @@ def reference_mean_low(est, *, eta, delta, n, prior, trials, seed):
         out = local_shift_adversary(x, budget, delta, RngStream(seed, 2 * t + 1))
         disps[t] = float(est(out.corrupted)[0] - est(x)[0])
     return disps
+
+
+def reference_coupling_high(est, *, eta, n, prior, trials, seed):
+    k = sl.compute_k(eta, n)
+    vals = np.empty(trials)
+    infeasible = 0
+    for t in range(trials):
+        gen = RngStream(seed, 2 * t).generator()
+        mu_prime = prior[0] + (prior[1] - prior[0]) * float(uniform_open(gen, ()))
+        x, y = couple_gaussian_pair(gen, mu_prime, eta, n)
+        if int(np.count_nonzero(x != y)) <= k:
+            vals[t] = float(est(Dataset(y))[0] - est(Dataset(x))[0])
+        else:
+            vals[t] = 0.0
+            infeasible += 1
+    return vals, infeasible
 
 
 def reference_variance(est, model, *, eta, n, trials, seed):
@@ -157,23 +209,41 @@ def reference_variance(est, model, *, eta, n, trials, seed):
     return outputs, gaps
 
 
-@settings(max_examples=40, deadline=None)
+def oracle_case(adversary, bernoulli, name, n, d, eta):
+    """Move a drawn case onto a combination that ``adversary`` accepts."""
+    if adversary == "hamming-ball":
+        bernoulli, name, n = True, "bernoulli-plugin", min(n, 12)
+    elif adversary == "tv-coupling":
+        bernoulli = False
+    elif adversary == "median-exact":
+        name, n, eta = "median", n | 1, min(eta, 0.45)
+    if name == "bernoulli-plugin" and (not bernoulli or adversary == "local-shift"):
+        name = "mean"  # the plug-in rejects non-binary rows
+    if bernoulli or name.startswith("clipped") or adversary in (
+            "local-shift", "tv-coupling", "median-exact"):
+        d = 1
+    if adversary in ("local-shift", "block-resample") and sl.compute_k(eta, n) < 1:
+        eta = 1.0 / n + 1e-9
+    return bernoulli, name, n, d, eta
+
+
+@settings(max_examples=80, deadline=None)
 @given(
-    adversary=st.sampled_from(["resample", "local-shift", "block-resample"]),
-    name=st.sampled_from(["mean", "median", "clipped-mean", "clipped-median"]),
+    adversary=st.sampled_from(sl.ADVERSARY_NAMES),
+    bernoulli=st.booleans(),
+    name=st.sampled_from(["mean", "median", "clipped-mean", "clipped-median",
+                          "bernoulli-plugin"]),
     n=st.integers(2, 90),
     d=st.integers(1, 5),
     eta=st.floats(0.01, 0.6),
     mu=st.floats(-3.0, 3.0),
+    p=st.floats(0.0, 1.0),
     trials=st.integers(100, 130),
     seed=st.integers(0, 2 ** 64 - 1),
 )
-def test_es_matches_per_trial_loop(adversary, name, n, d, eta, mu, trials, seed):
-    if adversary == "local-shift" or name.startswith("clipped"):
-        d = 1
-    if adversary != "resample" and sl.compute_k(eta, n) < 1:
-        eta = 1.0 / n + 1e-9
-    model = gauss(d, mu)
+def test_es_matches_per_trial_loop(adversary, bernoulli, name, n, d, eta, mu, p, trials, seed):
+    bernoulli, name, n, d, eta = oracle_case(adversary, bernoulli, name, n, d, eta)
+    model = BernoulliModel(p) if bernoulli else gauss(d, mu)
     delta = 0.7 if adversary == "local-shift" else None
     report = estimate_es(name, adversary, model, eta=eta, n=n, trials=trials, seed=seed,
                          delta=delta)
@@ -198,6 +268,23 @@ def test_mean_low_matches_per_trial_loop(name, n, eta, trials, seed):
     assert report.stderr == float(disps.std(ddof=1) / math.sqrt(trials))
 
 
+@pytest.mark.parametrize("name,eta,n,prior,trials,seed", [
+    ("clipped-mean", 0.1, 500, (0.0, 0.9), 60, 20),
+    # k = 1 with TV(0.05) = 0.02 over 30 rows: about one trial in eight is
+    # over budget and scores 0.
+    ("clipped-median", 0.05, 30, (0.2, 0.7), 300, 2 ** 64 - 1),
+    ("projected:4", 0.1, 41, (0.0, 0.9), 80, 6),  # no stack_fn
+])
+def test_coupling_high_matches_per_trial_loop(name, eta, n, prior, trials, seed):
+    report = coupling_obstruction_high(name, eta=eta, n=n, prior=prior, trials=trials, seed=seed)
+    est = build_estimator(name, d=1, seed=seed)
+    vals, infeasible = reference_coupling_high(est, eta=eta, n=n, prior=prior, trials=trials,
+                                               seed=seed)
+    assert report.avg_displacement_on_feasible == float(vals.mean())
+    assert report.stderr == float(vals.std(ddof=1) / math.sqrt(trials))
+    assert report.infeasible_rate == infeasible / trials
+
+
 @pytest.mark.parametrize("name,d,n,eta,trials", [
     ("mean", 16, 400, 0.1, 23),
     ("median", 3, 101, 0.07, 30),
@@ -210,6 +297,51 @@ def test_variance_matches_per_trial_loop(name, d, n, eta, trials):
                                        trials=trials, seed=9)
     assert report.block_gaps == tuple(float(v) for v in gaps.mean(axis=0))
     assert (report.var_clean, report.var_clean_stderr) == analysis._variance_with_se(outputs)
+
+
+# --- validation: every rejection estimate_es makes, with its type and message ---
+
+REJECTIONS = {
+    "unknown-adversary": (("mean", "nope", gauss(1)), {},
+                          ValueError, r"unknown adversary 'nope'; known: resample, "),
+    "q": (("mean", "resample", gauss(1)), {"q": 3}, ValueError, r"q must be 1 or 2"),
+    "trials": (("mean", "resample", gauss(1)), {"trials": 99}, ValueError,
+               r"need trials >= 100"),
+    "local-shift/no-delta": (("mean", "local-shift", gauss(1)), {}, ValueError,
+                             r"local-shift requires delta"),
+    "local-shift/d2": (("mean", "local-shift", gauss(2)), {"delta": 0.5}, ValueError,
+                       r"local-shift requires scalar \(d = 1\) data"),
+    "median-exact/mean": (("mean", "median-exact", gauss(1)), {"n": 21},
+                          UnboundedSensitivityError,
+                          r"unbounded sensitivity for \(mean, median-exact\)"),
+    "median-exact/clipped-mean": (("clipped-mean", "median-exact", gauss(1)), {"n": 21},
+                                  ValueError, r"median-exact certificates apply to the median"),
+    "median-exact/d2": (("median", "median-exact", gauss(2)), {"n": 21}, ValueError,
+                        r"median-exact requires scalar \(d = 1\) data"),
+    "median-exact/even-n": (("median", "median-exact", gauss(1)), {"n": 20}, ValueError,
+                            r"median-exact requires odd n"),
+    "hamming-ball/non-binary": (("mean", "hamming-ball", BernoulliModel(0.5)), {"n": 10},
+                                ValueError, r"hamming-ball enumerates binary corruptions"),
+    "hamming-ball/gaussian": (("bernoulli-plugin", "hamming-ball", gauss(1)), {"n": 10},
+                              ValueError, r"hamming-ball requires a BernoulliModel"),
+    "tv-coupling/bernoulli": (("clipped-mean", "tv-coupling", BernoulliModel(0.5)), {},
+                              ValueError, r"tv-coupling requires a (scalar )?GaussianModel"),
+    "tv-coupling/d2": (("mean", "tv-coupling", gauss(2)), {}, ValueError,
+                       r"tv-coupling requires (a )?scalar"),
+    "local-shift/k0": (("mean", "local-shift", gauss(1)), {"eta": 0.01, "delta": 0.5},
+                       ValueError, r"budget allows no corruption"),
+    "block-resample/k0": (("mean", "block-resample", gauss(1)), {"eta": 0.01}, ValueError,
+                          r"budget allows no corruption"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTIONS))
+def test_rejections(case):
+    args, overrides, error, message = REJECTIONS[case]
+    kwargs = {"eta": 0.1, "n": 20, "trials": 100, "seed": 0, **overrides}
+    with pytest.raises(error, match=message) as info:
+        estimate_es(*args, **kwargs)
+    assert type(info.value) is error
 
 
 # --- threads, streams, checks and memory ---
