@@ -53,11 +53,8 @@ from .estimators import (
     ESTIMATOR_NAMES,
     ClipInterval,
     Estimator,
-    bernoulli_plugin,
     build_estimator,
     clip_estimator,
-    coordinatewise_median,
-    empirical_mean,
     mean_estimator,
     median_estimator,
     plugin_estimator,

@@ -275,10 +275,6 @@ def binomial_point_mass(n: int, r: int) -> float:
     return float(math.exp(log_pmf))
 
 
-def _draw_stack(model: GaussianModel, gen: np.random.Generator, trials: int, n: int) -> np.ndarray:
-    return standard_normal(gen, (trials, n, model.d)) + model.mu
-
-
 def _variance_with_se(values: np.ndarray) -> tuple[float, float]:
     # Unbiased total variance of (T, dout) samples plus the stderr of the
     # per-trial squared-deviation mean.
@@ -298,8 +294,8 @@ def efron_stein_check(f: Estimator, model: GaussianModel, n: int, trials: int,
     if trials < 1000:
         raise ValueError("efron_stein_check needs trials >= 1e3")
     gen = rng.generator()
-    x = _draw_stack(model, gen, trials, n)
-    fresh = _draw_stack(model, gen, trials, n)
+    x = model.from_random(gen.random((trials, n, model.d)))
+    fresh = model.from_random(gen.random((trials, n, model.d)))
     fx = f.on_stack(x)
     lhs, se_lhs = _variance_with_se(fx)
 

@@ -1,12 +1,14 @@
 """Estimators and the combinators that wrap them.
 
-An :class:`Estimator` is a pure function Dataset -> R^output_dim together
-with the metadata the rest of the package reads (linearity in the data,
-binary domain) and an optional vectorized path over stacked datasets. The
-concrete estimators here are the coordinatewise mean and median, the
-interval-clipped versions of either, the plug-in mean for binary data, and
-the scalar projection lift that turns a d-dimensional estimator into a
-deterministic estimator of one coordinate along a chosen unit direction.
+An :class:`Estimator` evaluates a (T, n, d) stack of datasets at once through
+its ``stack_fn`` and returns (T, output_dim); that stacked call is its only
+evaluation path, and one dataset is evaluated as a stack of one. It carries
+the metadata the rest of the package reads (linearity in the data, binary
+domain). The concrete estimators here are the coordinatewise mean and
+median, the interval-clipped versions of either, the plug-in mean for binary
+data, and the scalar projection lift that turns a d-dimensional estimator
+into a deterministic estimator of one coordinate along a chosen unit
+direction.
 """
 
 from __future__ import annotations
@@ -21,9 +23,6 @@ from .core import Dataset, RngStream, standard_normal
 __all__ = [
     "ClipInterval",
     "Estimator",
-    "empirical_mean",
-    "coordinatewise_median",
-    "bernoulli_plugin",
     "clip_estimator",
     "project_scalar",
     "mean_estimator",
@@ -57,43 +56,29 @@ class ClipInterval:
 class Estimator:
     """A deterministic map Dataset -> R^output_dim plus harness metadata.
 
-    ``stack_fn``, when present, evaluates the estimator on a (T, n, d) stack
-    of datasets at once and returns (T, output_dim); it must agree with
-    ``fn`` row by row.
+    ``stack_fn`` evaluates the estimator on a (T, n, d) stack of datasets at
+    once and returns (T, output_dim); row t must depend on dataset t alone.
     """
 
     name: str
     output_dim: int
-    fn: Callable[[Dataset], np.ndarray]
-    stack_fn: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
+    stack_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     linear_in_data: bool = False
     binary_domain: bool = False
 
     def __call__(self, x: Dataset) -> np.ndarray:
-        out = np.atleast_1d(np.asarray(self.fn(x), dtype=np.float64))
-        if out.shape != (self.output_dim,):
-            raise ValueError(f"estimator {self.name!r} returned shape {out.shape}, "
-                             f"expected ({self.output_dim},)")
-        return out
+        return self.on_stack(x.samples[None])[0]
 
     def on_stack(self, stack: np.ndarray) -> np.ndarray:
-        """Evaluate on a (T, n, d) stack; falls back to a per-dataset loop."""
+        """Evaluate on a (T, n, d) stack; the result is (T, output_dim)."""
         stack = np.asarray(stack, dtype=np.float64)
         if stack.ndim != 3:
             raise ValueError(f"stack must be (T, n, d), got shape {stack.shape}")
-        if self.stack_fn is not None:
-            out = np.asarray(self.stack_fn(stack), dtype=np.float64)
-            return out.reshape(stack.shape[0], self.output_dim)
-        return np.stack([self(Dataset(stack[t])) for t in range(stack.shape[0])])
-
-
-def empirical_mean(x: Dataset) -> np.ndarray:
-    """Coordinatewise arithmetic mean.
-
-    numpy's pairwise summation keeps the relative error below 1e-12 for
-    n up to 1e7 (checked against math.fsum in the test suite).
-    """
-    return x.samples.mean(axis=0)
+        out = np.asarray(self.stack_fn(stack), dtype=np.float64)
+        if out.shape != (stack.shape[0], self.output_dim):
+            raise ValueError(f"estimator {self.name!r} returned shape {out.shape}, "
+                             f"expected ({stack.shape[0]}, {self.output_dim})")
+        return out
 
 
 def _median_index(n: int) -> int:
@@ -102,35 +87,18 @@ def _median_index(n: int) -> int:
     return (n - 1) // 2
 
 
-def coordinatewise_median(x: Dataset) -> np.ndarray:
-    """Per-coordinate median via selection (introselect), not a full sort.
-
-    Odd n returns the middle order statistic x_(m) with n = 2m - 1; even n
-    returns the lower median x_(n/2).
-    """
-    idx = _median_index(x.n)
-    return np.partition(x.samples, idx, axis=0)[idx].copy()
-
-
-def bernoulli_plugin(x: Dataset | np.ndarray) -> float:
-    """Fraction of ones |x| / n of a binary sample. Rejects non-binary input."""
-    vals = x.samples[:, 0] if isinstance(x, Dataset) else np.asarray(x, dtype=np.float64).ravel()
-    if not np.all((vals == 0.0) | (vals == 1.0)):
-        raise ValueError("bernoulli_plugin requires entries in {0, 1}")
-    return float(vals.mean())
-
-
 def mean_estimator(d: int = 1) -> Estimator:
     return Estimator(
         name="mean",
         output_dim=d,
-        fn=empirical_mean,
         stack_fn=lambda stack: stack.mean(axis=1),
         linear_in_data=True,
     )
 
 
 def _median_stack(stack: np.ndarray) -> np.ndarray:
+    # Per-coordinate selection (introselect), not a full sort: the middle
+    # order statistic for odd n, the lower median x_(n/2) for even n.
     idx = _median_index(stack.shape[1])
     return np.partition(stack, idx, axis=1)[:, idx, :]
 
@@ -139,7 +107,6 @@ def median_estimator(d: int = 1) -> Estimator:
     return Estimator(
         name="median",
         output_dim=d,
-        fn=coordinatewise_median,
         stack_fn=_median_stack,
     )
 
@@ -153,7 +120,6 @@ def plugin_estimator() -> Estimator:
     return Estimator(
         name="bernoulli-plugin",
         output_dim=1,
-        fn=lambda x: np.array([bernoulli_plugin(x)]),
         stack_fn=_check_stack,
         linear_in_data=True,
         binary_domain=True,
@@ -169,15 +135,10 @@ def clip_estimator(f: Estimator, interval: ClipInterval) -> Estimator:
     """
     if f.output_dim != 1:
         raise ValueError("clip_estimator applies to scalar estimators only")
-    stack_fn = None
-    if f.stack_fn is not None:
-        inner = f.stack_fn
-        stack_fn = lambda stack: interval.clip(inner(stack))  # noqa: E731
     return Estimator(
         name=f"clipped-{f.name}",
         output_dim=1,
-        fn=lambda x: interval.clip(f(x)),
-        stack_fn=stack_fn,
+        stack_fn=lambda stack: interval.clip(f.on_stack(stack)),
         binary_domain=f.binary_domain,
     )
 
@@ -243,18 +204,21 @@ def project_scalar(
         noise_slot[0] = v
         return v
 
-    def fn(t: Dataset) -> np.ndarray:
-        if t.d != 1:
+    def stack_fn(stack: np.ndarray) -> np.ndarray:
+        if stack.shape[2] != 1:
             raise ValueError("projected estimator takes scalar (d = 1) datasets")
-        # (mc_inner, n, d) lifted datasets.
-        lifted = t.samples[:, 0][None, :, None] * u + _noise(t.n)
-        vals = f.on_stack(lifted) @ u
-        return np.array([float(vals.mean())])
+        # One trial's (mc_inner, n, d) lift at a time bounds the temporaries,
+        # and a per-trial matmul keeps the bytes of a one-dataset call.
+        noise = _noise(stack.shape[1])
+        out = np.empty((stack.shape[0], 1))
+        for i, t in enumerate(stack[:, :, 0]):
+            out[i] = (f.on_stack(t[None, :, None] * u + noise) @ u).mean()
+        return out
 
     return Estimator(
         name=f"projected:{mc_inner}({f.name})",
         output_dim=1,
-        fn=fn,
+        stack_fn=stack_fn,
     )
 
 

@@ -14,12 +14,12 @@ from senslab import (
     RngStream,
     block_layout,
     block_resample,
-    coordinatewise_median,
     couple_gaussian_pair,
-    empirical_mean,
     hamming_ball_sup,
     hamming_distance,
     local_shift_adversary,
+    mean_estimator,
+    median_estimator,
     median_worst_case,
     plugin_estimator,
     resampling_adversary,
@@ -56,12 +56,13 @@ class TestResampling:
         model = GaussianModel(np.zeros(d))
         budget = CorruptionBudget.from_eta(k / n + 1e-12, n)
         assert budget.k == k
+        mean = mean_estimator(d)
         vals = np.empty(trials)
         for t in range(trials):
             x = model.sample(n, RngStream(4, 2 * t))
             out = resampling_adversary(x, budget, model, RngStream(4, 2 * t + 1))
             assert out.achieved_hamming == k
-            vals[t] = float(((empirical_mean(out.corrupted) - empirical_mean(x)) ** 2).sum())
+            vals[t] = float(((mean(out.corrupted) - mean(x)) ** 2).sum())
         target = 2 * k * d / n ** 2
         se = vals.std(ddof=1) / math.sqrt(trials)
         assert abs(vals.mean() - target) < 4 * se
@@ -72,10 +73,11 @@ class TestResampling:
         model = GaussianModel(np.ones(d))
         budget = CorruptionBudget.from_eta(0.1, n)
         shifts = np.empty((trials, d))
+        mean = mean_estimator(d)
         for t in range(trials):
             x = model.sample(n, RngStream(5, 2 * t))
             out = resampling_adversary(x, budget, model, RngStream(5, 2 * t + 1))
-            shifts[t] = empirical_mean(out.corrupted) - empirical_mean(x)
+            shifts[t] = mean(out.corrupted) - mean(x)
         target = 2 * k / n ** 2
         var = shifts.var(axis=0, ddof=1)
         tol = 4 * target * math.sqrt(2 / trials)
@@ -95,7 +97,8 @@ class TestLocalShift:
         budget = CorruptionBudget.from_eta(0.1, n)
         x = GaussianModel(np.zeros(1)).sample(n, RngStream(2, 0))
         out = local_shift_adversary(x, budget, delta, RngStream(2, 1))
-        shift = float(empirical_mean(out.corrupted)[0] - empirical_mean(x)[0])
+        mean = mean_estimator(1)
+        shift = float(mean(out.corrupted)[0] - mean(x)[0])
         assert shift == pytest.approx(budget.k * delta / n, abs=1e-12)
         assert out.achieved_hamming == budget.k
 
@@ -190,12 +193,13 @@ class TestBlockResample:
         n, d, trials = 20, 2, 4000
         budget = CorruptionBudget.from_eta(6 / n + 1e-12, n)
         model = GaussianModel(np.zeros(d))
+        mean = mean_estimator(d)
         for block, size in ((0, 6), (3, 2)):
             vals = np.empty(trials)
             for t in range(trials):
                 x = model.sample(n, RngStream(9, 2 * t))
                 out = block_resample(x, budget, block, model, RngStream(9, 2 * t + 1))
-                vals[t] = float(((empirical_mean(out.corrupted) - empirical_mean(x)) ** 2).sum())
+                vals[t] = float(((mean(out.corrupted) - mean(x)) ** 2).sum())
             target = 2 * size * d / n ** 2
             se = vals.std(ddof=1) / math.sqrt(trials)
             assert abs(vals.mean() - target) < 4 * se
@@ -217,6 +221,7 @@ class TestMedianWorstCase:
     def test_random_datasets_match_brute_force(self):
         gen = np.random.default_rng(12)
         n = 7
+        median = median_estimator(1)
         for _ in range(200):
             vals = gen.normal(size=n)
             x = Dataset(vals)
@@ -226,8 +231,7 @@ class TestMedianWorstCase:
                 assert out.achieved_hamming == k
                 assert out.feasible
                 # the corrupted dataset achieves exactly the certificate
-                achieved = abs(float(coordinatewise_median(out.corrupted)[0])
-                               - float(coordinatewise_median(x)[0]))
+                achieved = abs(float(median(out.corrupted)[0]) - float(median(x)[0]))
                 assert achieved == pytest.approx(out.certificate, abs=1e-12)
                 assert out.certificate == pytest.approx(
                     brute_force_median_sup(vals, k), abs=1e-12)
@@ -315,10 +319,11 @@ class TestHammingBallSup:
 class TestMeanAdaptiveUnboundedness:
     def test_displacement_grows_without_bound(self):
         x = GaussianModel(np.zeros(1)).sample(20, RngStream(17, 0))
-        base = float(empirical_mean(x)[0])
+        mean = mean_estimator(1)
+        base = float(mean(x)[0])
         gaps = []
         for magnitude in (1e3, 1e6, 1e9):
             y = x.replace_rows([0], [[magnitude]])
-            gaps.append(abs(float(empirical_mean(y)[0]) - base))
+            gaps.append(abs(float(mean(y)[0]) - base))
         assert gaps[0] < gaps[1] < gaps[2]
         assert gaps[2] > 1e7

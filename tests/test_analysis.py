@@ -42,7 +42,6 @@ def tv_quadrature_oracle(eta: float) -> float:
 def constant_estimator(value: float) -> Estimator:
     return Estimator(
         name="const", output_dim=1,
-        fn=lambda x: np.array([value]),
         stack_fn=lambda stack: np.full((stack.shape[0], 1), value),
     )
 
@@ -290,7 +289,6 @@ class TestCramerRao:
     def test_scaled_mean(self):
         scaled = Estimator(
             "2x-mean", 1,
-            fn=lambda x: 2.0 * x.samples.mean(axis=0),
             stack_fn=lambda s: 2.0 * s.mean(axis=1),
         )
         r = cramer_rao_check(scaled, 0.0, 25, 50_000, RngStream(27, 1))

@@ -214,14 +214,3 @@ class TestExpectedSensitivity:
         with pytest.raises(ValueError):
             bernoulli_expected_sensitivity(plugin_estimator(), 21, 0.5,
                                            CorruptionBudget.from_eta(0.1, 21))
-
-    def test_loop_path_without_stack_fn(self):
-        from senslab.estimators import Estimator
-        slow_plugin = Estimator(
-            "slow-plugin", 1,
-            fn=lambda x: np.array([x.samples.mean()]),
-            binary_domain=True,
-        )
-        budget = CorruptionBudget.from_eta(1 / 5 + 1e-12, 5)
-        got = bernoulli_expected_sensitivity(slow_plugin, 5, 0.5, budget)
-        assert got == pytest.approx(1 / 5, abs=1e-12)

@@ -12,11 +12,8 @@ from senslab import (
     Dataset,
     Estimator,
     RngStream,
-    bernoulli_plugin,
     build_estimator,
     clip_estimator,
-    coordinatewise_median,
-    empirical_mean,
     hamming_ball_sup,
     mean_estimator,
     median_estimator,
@@ -29,16 +26,17 @@ from senslab import (
 
 class TestEmpiricalMean:
     def test_examples(self):
-        assert empirical_mean(Dataset(np.array([0.0, 2.0]))) == pytest.approx(1.0, abs=0)
+        assert mean_estimator(1)(Dataset(np.array([0.0, 2.0]))) == pytest.approx(1.0, abs=0)
         v = np.array([1.5, -2.0, 3.0])
-        assert np.array_equal(empirical_mean(Dataset(np.tile(v, (7, 1)))), v)
+        assert np.array_equal(mean_estimator(3)(Dataset(np.tile(v, (7, 1)))), v)
         x = Dataset(np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]]))
-        assert np.array_equal(empirical_mean(x), np.array([1.0, 1.0]))
+        assert np.array_equal(mean_estimator(2)(x), np.array([1.0, 1.0]))
 
     def test_summation_accuracy_at_ten_million(self):
+        # numpy's pairwise summation keeps the relative error below 1e-12
         gen = np.random.default_rng(3)
         vals = gen.normal(size=10_000_000) + 1e6
-        got = float(empirical_mean(Dataset(vals))[0])
+        got = float(mean_estimator(1)(Dataset(vals))[0])
         # long-double accumulation as the high-precision oracle
         exact = float(np.sum(vals.astype(np.longdouble)) / vals.size)
         assert abs(got - exact) / abs(exact) < 1e-12
@@ -46,20 +44,21 @@ class TestEmpiricalMean:
 
 class TestCoordinatewiseMedian:
     def test_examples(self):
-        assert coordinatewise_median(Dataset(np.array([3.0, 1.0, 2.0])))[0] == 2.0
-        assert coordinatewise_median(Dataset(np.array([0.0, 1.0, 2.0, 3.0, 10.0])))[0] == 2.0
+        median = median_estimator(1)
+        assert median(Dataset(np.array([3.0, 1.0, 2.0])))[0] == 2.0
+        assert median(Dataset(np.array([0.0, 1.0, 2.0, 3.0, 10.0])))[0] == 2.0
         v = np.array([4.0, -1.0])
-        assert np.array_equal(coordinatewise_median(Dataset(np.tile(v, (9, 1)))), v)
+        assert np.array_equal(median_estimator(2)(Dataset(np.tile(v, (9, 1)))), v)
 
     def test_even_n_is_lower_median(self):
-        assert coordinatewise_median(Dataset(np.array([4.0, 1.0, 3.0, 2.0])))[0] == 2.0
+        assert median_estimator(1)(Dataset(np.array([4.0, 1.0, 3.0, 2.0])))[0] == 2.0
 
     def test_matches_sort_oracle(self):
         gen = np.random.default_rng(11)
         for n in (1, 2, 5, 8, 101):
             arr = gen.normal(size=(n, 3))
             want = np.sort(arr, axis=0)[(n - 1) // 2]
-            assert np.array_equal(coordinatewise_median(Dataset(arr)), want)
+            assert np.array_equal(median_estimator(3)(Dataset(arr)), want)
 
 
 class TestSymmetries:
@@ -89,12 +88,49 @@ class TestSymmetries:
         assert np.array_equal(est.on_stack(stack), want)
 
 
+BUILT_IN = ("mean", "median", "clipped-mean", "clipped-median", "bernoulli-plugin",
+            "projected:1", "projected:16", "projected:256")
+
+
+@pytest.mark.parametrize("name", BUILT_IN)
+@settings(max_examples=10, deadline=None)
+@given(n=st.integers(min_value=1, max_value=40), d=st.integers(min_value=1, max_value=4),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_stack_rows_equal_single_dataset_rows(name, n, d, seed):
+    # Row i of a 5-stack is the estimate of dataset i alone, byte for byte.
+    vector = name in ("mean", "median") or name.startswith("projected:")
+    est = build_estimator(name, d=d if vector else 1, seed=seed)
+    gen = np.random.default_rng(seed)
+    if name == "bernoulli-plugin":
+        stack = (gen.random((5, n, 1)) < 0.5).astype(np.float64)
+    else:
+        stack = gen.normal(size=(5, n, d if name in ("mean", "median") else 1))
+    rows = est.on_stack(stack)
+    for i in range(5):
+        assert rows[i].tobytes() == est.on_stack(stack[i:i + 1])[0].tobytes()
+
+
+class TestStrictShape:
+    def test_transposed_output_raises(self):
+        # (2, T) from an output_dim=2 stack_fn would reshape into scrambled rows.
+        est = Estimator("transposed", 2, lambda s: np.stack([s[:, 0, 0], s[:, 1, 0]]))
+        with pytest.raises(ValueError, match=r"returned shape \(2, 3\), expected \(3, 2\)"):
+            est.on_stack(np.arange(6.0).reshape(3, 2, 1))
+
+    def test_per_dataset_function_in_stack_fn_slot_raises(self):
+        est = Estimator("per-dataset", 1, lambda x: np.array([1.7]))
+        with pytest.raises(ValueError, match=r"returned shape \(1,\)"):
+            est(Dataset(np.zeros(4)))
+        with pytest.raises(ValueError, match=r"returned shape \(1,\)"):
+            est.on_stack(np.zeros((3, 4, 1)))
+
+
 class TestClipEstimator:
     def test_examples(self):
-        const = Estimator("const", 1, lambda x: np.array([1.7]))
+        const = Estimator("const", 1, lambda s: np.full((s.shape[0], 1), 1.7))
         clipped = clip_estimator(const, ClipInterval(0.0, 1.0))
         assert clipped(Dataset(np.zeros(3)))[0] == 1.0
-        const2 = Estimator("const", 1, lambda x: np.array([0.4]))
+        const2 = Estimator("const", 1, lambda s: np.full((s.shape[0], 1), 0.4))
         assert clip_estimator(const2, ClipInterval(0.0, 1.0))(Dataset(np.zeros(3)))[0] == 0.4
 
     def test_rejects_bad_interval(self):
@@ -120,7 +156,6 @@ class TestClipEstimator:
         # range escapes [0, 1]
         raw = Estimator(
             "affine", 1,
-            fn=lambda x: np.array([2.0 * x.samples.mean() - 0.3]),
             stack_fn=lambda s: 2.0 * s.mean(axis=1) - 0.3,
             binary_domain=True,
         )
@@ -138,15 +173,16 @@ class TestClipEstimator:
 
 class TestBernoulliPlugin:
     def test_examples(self):
-        assert bernoulli_plugin(np.array([1.0, 1.0, 0.0, 0.0])) == 0.5
-        assert bernoulli_plugin(np.zeros(8)) == 0.0
+        plugin = plugin_estimator()
+        assert plugin(Dataset(np.array([1.0, 1.0, 0.0, 0.0])))[0] == 0.5
+        assert plugin(Dataset(np.zeros(8)))[0] == 0.0
         x = np.zeros(12)
         x[:7] = 1.0
-        assert bernoulli_plugin(x) == pytest.approx(7 / 12, abs=1e-15)
+        assert plugin(Dataset(x))[0] == pytest.approx(7 / 12, abs=1e-15)
 
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):
-            bernoulli_plugin(np.array([0.0, 0.5]))
+            plugin_estimator()(Dataset(np.array([0.0, 0.5])))
         with pytest.raises(ValueError):
             plugin_estimator().on_stack(np.full((2, 3, 1), 0.25))
 

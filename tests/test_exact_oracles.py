@@ -49,16 +49,9 @@ def weighted_estimator() -> Estimator:
 
     return Estimator(
         "weighted", 1,
-        fn=lambda x: np.array([x.samples[:, 0] @ weights(x.n)]),
         stack_fn=lambda stack: stack[:, :, 0] @ weights(stack.shape[1])[:, None],
         binary_domain=True,
     )
-
-
-def loop_estimator() -> Estimator:
-    """The plug-in without ``stack_fn``, so ``on_stack`` takes the per-dataset loop."""
-    return Estimator("loop-plugin", 1, fn=lambda x: np.array([x.samples.mean()]),
-                     binary_domain=True)
 
 
 # -- golden reports, computed before the exact adversaries were vectorised --
@@ -198,8 +191,7 @@ def cube_probs(n: int, p: float) -> np.ndarray:
     return np.exp(log_w)
 
 
-@pytest.mark.parametrize("make, max_n", [(plugin_estimator, 12), (weighted_estimator, 12),
-                                         (loop_estimator, 7)])
+@pytest.mark.parametrize("make, max_n", [(plugin_estimator, 12), (weighted_estimator, 12)])
 def test_dilation_matches_xor_loop(make, max_n):
     f = make()
     for n in range(1, max_n + 1):

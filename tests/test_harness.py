@@ -238,7 +238,6 @@ class TestVarianceObstruction:
     def test_constant_estimator_gives_zeros(self):
         from senslab.estimators import Estimator
         const = Estimator("const", 2,
-                          fn=lambda x: np.array([1.0, 2.0]),
                           stack_fn=lambda s: np.tile([1.0, 2.0], (s.shape[0], 1)))
         rep = variance_obstruction(const, gauss(2), eta=0.2, n=20, trials=500, seed=20)
         assert abs(rep.var_clean) < 1e-15

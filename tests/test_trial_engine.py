@@ -7,6 +7,7 @@ the engine does the same floating-point operations on the same values, so
 every comparison is exact (bytes and ``==``), not approximate.
 """
 
+import dataclasses
 import hashlib
 import math
 import sys
@@ -82,11 +83,29 @@ GOLDEN = {
         lambda: estimate_es("mean", "block-resample", gauss(2), eta=0.07, n=101, trials=150,
                             seed=14),
         "139b31fe26a5942685472829ce66847b91c46074e6b2ee172ae5637201b3ca90"),
-    # No stack_fn: on_stack evaluates the stacked datasets one at a time.
+    # The lift's stack_fn evaluates the stacked datasets one at a time.
     "es/projected:16/resample": (
         lambda: estimate_es(build_estimator("projected:16", d=4, seed=15), "resample", gauss(1),
                             eta=0.1, n=50, trials=100, seed=15),
         "7a1f14baf2f32274ba5119d7ba4b3feccc21416226c8635941bd2bc1d97bc8c1"),
+    # The bench's mc-heavy job shape: one (256, 200, 8) lift per trial.
+    "es/projected:256/resample/d8": (
+        lambda: estimate_es(build_estimator("projected:256", d=8, seed=41), "resample", gauss(1),
+                            eta=0.1, n=200, trials=100, seed=41),
+        "87eb551e3aaaefc8f9e1d3c66d2cf6271d484cb789dd5b92261dfda322cc9e28"),
+    # A matmul over the whole stack's lifts moves the last bit here; one per trial does not.
+    "es/projected:1/resample/d3": (
+        lambda: estimate_es(build_estimator("projected:1", d=3, seed=42), "resample", gauss(1),
+                            eta=0.1, n=200, trials=100, seed=42),
+        "20008dd5a9960292f461d33dfee61470e79c1ef167b01bc1f4acb9f565973e61"),
+    "efron-stein/mean-d3": (
+        lambda: analysis.efron_stein_check(sl.mean_estimator(3), gauss(3, 0.5), 25, 1000,
+                                           RngStream(43, 0)),
+        "20b1d345468dca5e403f43fe1913990b36ed7d3114f3179d87b43db682f9720f"),
+    "efron-stein/median-n101": (
+        lambda: analysis.efron_stein_check(sl.median_estimator(1), gauss(1), 101, 1000,
+                                           RngStream(44, 0)),
+        "73608b201bba84aecad41b72f1652cee3eaef709ecffe28066eaa7b10ffabe71"),
     "es/mean/resample/k0": (
         lambda: estimate_es("mean", "resample", gauss(1), eta=0.005, n=100, trials=100, seed=16),
         "131f6f5f6870656f1be17c0a0dd596646ecf191c172c618fa75a55d42fdef452"),
@@ -273,7 +292,7 @@ def test_mean_low_matches_per_trial_loop(name, n, eta, trials, seed):
     # k = 1 with TV(0.05) = 0.02 over 30 rows: about one trial in eight is
     # over budget and scores 0.
     ("clipped-median", 0.05, 30, (0.2, 0.7), 300, 2 ** 64 - 1),
-    ("projected:4", 0.1, 41, (0.0, 0.9), 80, 6),  # no stack_fn
+    ("projected:4", 0.1, 41, (0.0, 0.9), 80, 6),
 ])
 def test_coupling_high_matches_per_trial_loop(name, eta, n, prior, trials, seed):
     report = coupling_obstruction_high(name, eta=eta, n=n, prior=prior, trials=trials, seed=seed)
@@ -342,6 +361,33 @@ def test_rejections(case):
     with pytest.raises(error, match=message) as info:
         estimate_es(*args, **kwargs)
     assert type(info.value) is error
+
+
+# --- median-exact certifies what the estimator computes, not what it is called ---
+
+def median_exact(est, **kwargs):
+    return estimate_es(est, "median-exact", gauss(1), eta=0.1, n=21, trials=100, seed=5,
+                       **kwargs)
+
+
+def test_median_exact_rejects_the_mean_named_median():
+    fake = sl.Estimator("median", 1, sl.mean_estimator(1).stack_fn)
+    with pytest.raises(ValueError, match=r"median only"):
+        median_exact(fake)
+
+
+def test_median_exact_rejects_the_clipped_mean_named_mean():
+    fake = dataclasses.replace(sl.clip_estimator(sl.mean_estimator(1), sl.ClipInterval(0.0, 1.0)),
+                               name="mean")
+    with pytest.raises(ValueError, match=r"median only") as info:
+        median_exact(fake)
+    assert type(info.value) is ValueError
+
+
+def test_median_exact_accepts_the_median_under_another_name():
+    renamed = dataclasses.replace(sl.median_estimator(1), name="my-median")
+    want = median_exact("median").per_trial
+    assert median_exact(renamed).per_trial.tobytes() == want.tobytes()
 
 
 # --- threads, streams, checks and memory ---
