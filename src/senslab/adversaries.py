@@ -6,6 +6,10 @@ recomputed from the data -- never trusted from the construction -- together
 with a feasibility flag against the budget and, where an exact worst case is
 known, a certificate value.
 
+The resampling, local-shift and block draws are written once, as bodies that
+corrupt a (T, n, d) stack with one generator per trial: the trial engine runs
+them on a chunk of trials, the public functions on a one-trial stack.
+
 Mechanisms:
 
 * ``resampling_adversary``   -- refresh a uniformly random k-subset of rows
@@ -94,17 +98,56 @@ def _check_budget(x: Dataset, budget: CorruptionBudget) -> None:
         raise ValueError(f"budget is for n={budget.n} but dataset has n={x.n}")
 
 
+def _chosen_rows(clean: np.ndarray, k: int, gens, fresh: np.ndarray | None = None):
+    """Index of k random rows per trial of ``clean`` by ``choice``, after which the
+    trial's generator fills its ``fresh`` rows. ``gens`` yields one generator
+    per trial and is consumed in trial order, so each may be the previous one
+    re-keyed."""
+    idx = np.empty((clean.shape[0], k), dtype=np.intp)
+    for i, gen in enumerate(gens):
+        idx[i] = gen.choice(clean.shape[1], size=k, replace=False)
+        if fresh is not None:
+            gen.random(out=fresh[i])
+    return np.arange(clean.shape[0])[:, None], idx
+
+
+def _resample_stack(clean: np.ndarray, budget: CorruptionBudget, model, gens) -> np.ndarray:
+    """Copy of the stack ``clean`` with k random rows per trial redrawn from the model."""
+    fresh = np.empty((clean.shape[0], budget.k, clean.shape[2]))
+    chosen = _chosen_rows(clean, budget.k, gens, fresh)
+    corrupted = clean.copy()
+    corrupted[chosen] = model.from_random(fresh)
+    return corrupted
+
+
+def _shift_stack(clean: np.ndarray, budget: CorruptionBudget, delta: float, gens) -> np.ndarray:
+    """Copy of the stack ``clean`` with k random rows per trial shifted by +delta."""
+    chosen = _chosen_rows(clean, budget.k, gens)
+    corrupted = clean.copy()
+    corrupted[chosen] = clean[chosen] + float(delta)
+    return corrupted
+
+
+def _block_stack(clean: np.ndarray, model, blocks, gens) -> np.ndarray:
+    """Copy of the stack ``clean`` with each trial's block [start, stop) of
+    ``blocks`` redrawn from the model, all fresh rows in one model pass."""
+    corrupted = clean.copy()
+    fresh = np.zeros(clean.shape[:2], dtype=bool)
+    for i, ((start, stop), gen) in enumerate(zip(blocks, gens)):
+        gen.random(out=corrupted[i, start:stop])
+        fresh[i, start:stop] = True
+    corrupted[fresh] = model.from_random(corrupted[fresh])
+    return corrupted
+
+
 def resampling_adversary(x: Dataset, budget: CorruptionBudget, model: GaussianModel,
                          rng: RngStream) -> AdversaryOutcome:
     """Replace a uniformly random k-subset of rows by fresh draws from the model."""
     _check_budget(x, budget)
     if model.d != x.d:
         raise ValueError(f"model dimension {model.d} does not match dataset d={x.d}")
-    if budget.k == 0:
-        return _outcome(x, x, budget)
-    gen = rng.generator()
-    idx = gen.choice(x.n, size=budget.k, replace=False)
-    return _outcome(x, x.replace_rows(idx, model.draw(gen, budget.k)), budget)
+    corrupted = _resample_stack(x.samples[None], budget, model, [rng.generator()])
+    return _outcome(x, Dataset(corrupted[0]), budget)
 
 
 def local_shift_adversary(x: Dataset, budget: CorruptionBudget, delta: float,
@@ -118,10 +161,8 @@ def local_shift_adversary(x: Dataset, budget: CorruptionBudget, delta: float,
     if x.d != 1:
         raise ValueError("local shift is defined for scalar (d = 1) datasets")
     budget.require_nonempty()
-    gen = rng.generator()
-    idx = gen.choice(x.n, size=budget.k, replace=False)
-    shifted = x.samples[idx] + float(delta)
-    return _outcome(x, x.replace_rows(idx, shifted), budget)
+    corrupted = _shift_stack(x.samples[None], budget, delta, [rng.generator()])
+    return _outcome(x, Dataset(corrupted[0]), budget)
 
 
 def couple_gaussian_pair(gen: np.random.Generator, mu: float, eta: float,
@@ -202,10 +243,8 @@ def block_resample(x: Dataset, budget: CorruptionBudget, block_index: int,
     layout = block_layout(x.n, budget.k)
     if not (0 <= block_index < len(layout)):
         raise ValueError(f"block_index must lie in [0, {len(layout)}), got {block_index}")
-    start, stop = layout[block_index]
-    idx = np.arange(start, stop)
-    fresh = model.draw(rng.generator(), stop - start)
-    return _outcome(x, x.replace_rows(idx, fresh), budget)
+    corrupted = _block_stack(x.samples[None], model, [layout[block_index]], [rng.generator()])
+    return _outcome(x, Dataset(corrupted[0]), budget)
 
 
 def median_worst_case(x: Dataset, budget: CorruptionBudget) -> AdversaryOutcome:

@@ -57,6 +57,8 @@ __all__ = [
 _EXP_OVERFLOW = 700.0
 # Absolute allowance so zero-variance (degenerate) checks survive float roundoff.
 _ROUNDOFF = 1e-12
+# Draws per block of chi2_localshift_mc.
+_CHI2_CHUNK = 20_000
 
 
 @dataclass(frozen=True)
@@ -143,8 +145,8 @@ def _log_esp_k(w: np.ndarray, k: int) -> np.ndarray:
     return np.log(e[k]) + k * np.log(mx)
 
 
-def chi2_localshift_mc(k: int, n: int, delta: float, draws: int, rng: RngStream,
-                       chunk: int = 20_000) -> tuple[float, float]:
+def chi2_localshift_mc(k: int, n: int, delta: float, draws: int,
+                       rng: RngStream) -> tuple[float, float]:
     """Monte Carlo chi^2 between the k-subset delta-shift mixture and the
     global (k/n) delta shift, by exact mixture likelihood ratios.
 
@@ -162,7 +164,7 @@ def chi2_localshift_mc(k: int, n: int, delta: float, draws: int, rng: RngStream,
     pieces = []
     left = draws
     while left > 0:
-        t = min(chunk, left)
+        t = min(_CHI2_CHUNK, left)
         x = m + standard_normal(gen, (t, n))
         s = x.sum(axis=1)
         log_lr = (_log_esp_k(np.exp(delta * x), k) - log_binom

@@ -185,7 +185,7 @@ def compute_k(eta: float, n: int) -> int:
     """
     if not (0.0 < float(eta) < 1.0):
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
-    if int(n) < 1:
+    if int(n) != n or int(n) < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     return math.floor(Fraction(float(eta)) * int(n))
 
@@ -252,12 +252,8 @@ class GaussianModel:
         _check_finite(raw)
         return raw
 
-    def draw(self, gen: np.random.Generator, size: int) -> np.ndarray:
-        """(size, d) array of fresh rows, consuming draws from gen."""
-        return self.from_random(gen.random((size, self.d)))
-
     def sample(self, n: int, rng: RngStream) -> Dataset:
-        if int(n) < 1:
+        if int(n) != n or int(n) < 1:
             raise ValueError(f"n must be a positive integer, got {n}")
-        return Dataset(self.draw(rng.generator(), int(n)))
+        return Dataset(self.from_random(rng.generator().random((int(n), self.d))))
 

@@ -13,8 +13,9 @@ byte-identical across reruns regardless of the worker count.
 
 Every trial runs in one chunked engine: each trial's streams fill its rows
 of (T, n, d) stacks and the estimator runs once per stack. One table maps
-each adversary name to what it accepts and to its chunk step. The values are
-the same, bit for bit, as drawing and evaluating one trial at a time.
+each adversary name to what it accepts and to its chunk step, which draws
+with the same body as the public adversary. The values are the same, bit for
+bit, as drawing and evaluating one trial at a time.
 
 The three obstruction experiments mirror the mechanisms that force
 sensitivity onto any accurate estimator: a local mean shift that the
@@ -30,13 +31,14 @@ import json
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy import integrate
 
 from . import analysis
+from .adversaries import _block_stack, _resample_stack, _shift_stack
 # Names not called here stay imported: bench/tracing.py wraps these bindings.
 from .adversaries import (  # noqa: F401
     block_layout,
@@ -136,24 +138,8 @@ class SensitivityReport:
     per_trial: np.ndarray
 
     def to_json_dict(self, include_trials: bool = False) -> dict:
-        out = {
-            "schema": SCHEMA,
-            "kind": "sensitivity-report",
-            "estimator": self.estimator,
-            "adversary": self.adversary,
-            "n": self.n,
-            "d": self.d,
-            "eta": self.eta,
-            "k": self.k,
-            "q": self.q,
-            "trials": self.trials,
-            "seed": self.seed,
-            "delta": self.delta,
-            "es_estimate": self.es_estimate,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "lower_bound_only": self.lower_bound_only,
-        }
+        out = {"schema": SCHEMA, "kind": "sensitivity-report"}
+        out.update((f.name, getattr(self, f.name)) for f in fields(self) if f.name != "per_trial")
         if include_trials:
             out["per_trial"] = [float(v) for v in self.per_trial]
         return out
@@ -166,22 +152,13 @@ class SensitivityReport:
         return ",".join(CSV_COLUMNS)
 
     def csv_row(self) -> str:
-        values = {
-            "eta": repr(self.eta),
-            "n": str(self.n),
-            "d": str(self.d),
-            "k": str(self.k),
-            "estimator": self.estimator,
-            "adversary": self.adversary,
-            "q": str(self.q),
-            "es_estimate": repr(self.es_estimate),
-            "ci_low": repr(self.ci_low),
-            "ci_high": repr(self.ci_high),
-            "lower_bound_only": "true" if self.lower_bound_only else "false",
-            "trials": str(self.trials),
-            "seed": str(self.seed),
-        }
-        return ",".join(values[c] for c in CSV_COLUMNS)
+        return ",".join(_csv_cell(getattr(self, c)) for c in CSV_COLUMNS)
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 # Bytes per trial-stacked buffer of a chunk, and the most trials in one chunk.
@@ -263,45 +240,24 @@ def _clean_stack(job: _Job, streams: _TrialStreams, lo: int, hi: int) -> np.ndar
     return clean
 
 
-def _chosen_rows(job: _Job, streams: _TrialStreams, lo: int, hi: int, fresh=None):
-    """Each trial's k rows by ``choice``, then its ``fresh`` rows, from stream (seed, 2t + 1)."""
-    idx = np.empty((hi - lo, job.budget.k), dtype=np.intp)
-    for i, t in enumerate(range(lo, hi)):
-        gen = streams.adversary(t)
-        idx[i] = gen.choice(job.budget.n, size=job.budget.k, replace=False)
-        if fresh is not None:
-            gen.random(out=fresh[i])
-    return np.arange(hi - lo)[:, None], idx
-
-
 def _resample_pairs(job: _Job, streams: _TrialStreams, lo: int, hi: int):
     clean = _clean_stack(job, streams, lo, hi)
-    fresh = np.empty((hi - lo, job.budget.k, job.model.d))
-    chosen = _chosen_rows(job, streams, lo, hi, fresh)
-    corrupted = clean.copy()
-    corrupted[chosen] = job.model.from_random(fresh)
-    return clean, corrupted
+    gens = map(streams.adversary, range(lo, hi))
+    return clean, _resample_stack(clean, job.budget, job.model, gens)
 
 
 def _local_shift_pairs(job: _Job, streams: _TrialStreams, lo: int, hi: int):
     clean = _clean_stack(job, streams, lo, hi)
-    chosen = _chosen_rows(job, streams, lo, hi)
-    corrupted = clean.copy()
-    corrupted[chosen] = clean[chosen] + float(job.delta)
-    return clean, corrupted
+    gens = map(streams.adversary, range(lo, hi))
+    return clean, _shift_stack(clean, job.budget, job.delta, gens)
 
 
 def _block_pairs(job: _Job, streams: _TrialStreams, lo: int, hi: int):
     clean = _clean_stack(job, streams, lo, hi)
-    blocks = block_layout(job.budget.n, job.budget.k)
-    corrupted = clean.copy()
-    fresh = np.zeros(clean.shape[:2], dtype=bool)
-    for i, t in enumerate(range(lo, hi)):
-        start, stop = blocks[t % len(blocks)]
-        streams.adversary(t).random(out=corrupted[i, start:stop])
-        fresh[i, start:stop] = True
-    corrupted[fresh] = job.model.from_random(corrupted[fresh])
-    return clean, corrupted
+    layout = block_layout(job.budget.n, job.budget.k)
+    blocks = [layout[t % len(layout)] for t in range(lo, hi)]
+    gens = map(streams.adversary, range(lo, hi))
+    return clean, _block_stack(clean, job.model, blocks, gens)
 
 
 def _coupling_pairs(job: _Job, streams: _TrialStreams, lo: int, hi: int):
@@ -350,8 +306,8 @@ def _median_only(est: Estimator, n: int) -> None:
 @dataclass(frozen=True)
 class _Adversary:
     """One adversary of ``estimate_es``. ``step(job, streams, lo, hi)`` returns
-    the clean and corrupted stacks of trials lo..hi-1, drawn as the public
-    adversary draws them; an exact adversary's ``step(job, x)`` returns its
+    the clean and corrupted stacks of trials lo..hi-1, drawn by the body the
+    public adversary also runs; an exact adversary's ``step(job, x)`` returns its
     certificate for the clean dataset x. ``check(est, n)`` may reject."""
 
     step: Callable
@@ -535,6 +491,9 @@ def scaling_sweep(
         raise ValueError("sweep grid needs at least 4 points")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError("sweep grid must be strictly increasing")
+    if any(v != int(v) for v in (n, d) + (values if variable != "eta" else ())):
+        raise ValueError(f"n, d and their sweep values must be integers, got n={n}, d={d}, "
+                         f"{variable}={values}")
 
     reports = []
     for v in values:

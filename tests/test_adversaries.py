@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -8,6 +9,7 @@ from scipy import special, stats
 import senslab.adversaries as adversaries_mod
 
 from senslab import (
+    BernoulliModel,
     CorruptionBudget,
     Dataset,
     GaussianModel,
@@ -26,6 +28,61 @@ from senslab import (
     tv_gaussian_shift,
     tv_coupling_adversary,
 )
+
+
+def outcome_digest(outcomes) -> str:
+    """sha256 over each outcome's corrupted bytes and its (achieved_hamming, feasible)."""
+    h = hashlib.sha256()
+    for out in outcomes:
+        h.update(out.corrupted.samples.tobytes())
+        h.update(repr((out.achieved_hamming, out.feasible)).encode())
+    return h.hexdigest()
+
+
+def resample_case(model, n, eta):
+    budget = CorruptionBudget.from_eta(eta, n)
+    return [resampling_adversary(model.sample(n, RngStream(s, 0)), budget, model, RngStream(s, 1))
+            for s in range(4)]
+
+
+def shift_case(n, eta, delta):
+    budget = CorruptionBudget.from_eta(eta, n)
+    return [local_shift_adversary(GaussianModel(np.zeros(1)).sample(n, RngStream(s, 0)), budget,
+                                  delta, RngStream(s, 1))
+            for s in range(4)]
+
+
+def block_case(model, n, eta):
+    """Every block of the layout, each from its own adversary stream."""
+    budget = CorruptionBudget.from_eta(eta, n)
+    x = model.sample(n, RngStream(7, 0))
+    return [block_resample(x, budget, b, model, RngStream(7, 2 * b + 1))
+            for b in range(len(block_layout(n, budget.k)))]
+
+
+# Computed from the public adversaries before they shared the engine's
+# stacked bodies; the draws each call makes must not move.
+OUTCOME_PINS = {
+    "resample/d3": (lambda: resample_case(GaussianModel(np.full(3, 0.25)), 60, 0.1),
+        "55d71f3f3cba6ec738477b32b5415ecac4206dae185c0cf0ab7a459a826bb420"),
+    "resample/k0": (lambda: resample_case(GaussianModel(np.zeros(2)), 50, 0.01),
+        "5224f2ba55c9d9e3b9abe58d6b7ed19ea76e1bff696b859015cef53de4e36aee"),
+    "resample/bernoulli": (lambda: resample_case(BernoulliModel(0.3), 40, 0.15),
+        "bc91ebddf23b0287042f2e83fe9ab6cd07d09839d3dc4e9520fb31868b057da9"),
+    "local-shift": (lambda: shift_case(80, 0.1, 0.7),
+        "0b9fbd35e5f2d3d07b7035fcf68a95904cf5a84dc92479f1a16068f392f06381"),
+    # k = 4 at n = 41: ten blocks of 4 rows and a last block of 1.
+    "block/n41-k4": (lambda: block_case(GaussianModel(np.full(2, -0.5)), 41, 0.1),
+        "bd1aec62227228214e6549bb494a41fd9bba376459ea77498c7583ad72aa07e4"),
+    "block/bernoulli": (lambda: block_case(BernoulliModel(0.6), 45, 0.07),
+        "dcd868ce90b29d47f3a761a1a36bd3f019004900d6a6058d4ba9add0274a09cc"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUTCOME_PINS))
+def test_public_adversary_pins(name):
+    run, digest = OUTCOME_PINS[name]
+    assert outcome_digest(run()) == digest
 
 
 def brute_force_median_sup(values: np.ndarray, k: int, sentinel: float = 1e6) -> float:

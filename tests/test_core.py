@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from senslab import (
+    BernoulliModel,
     CorruptionBudget,
     Dataset,
     GaussianModel,
@@ -23,6 +24,7 @@ class TestComputeK:
         assert compute_k(0.1, 100) == 10
         assert compute_k(0.29, 7) == 2
         assert compute_k(1 / 50, 50) == 1  # at least one contaminated point
+        assert compute_k(0.1, 400.0) == 40  # an integral float is an integer
 
     def test_floor_not_round(self):
         assert compute_k(0.99, 10) == 9
@@ -36,6 +38,16 @@ class TestComputeK:
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
             compute_k(0.5, 0)
+
+    @pytest.mark.parametrize("n", [400.7, 1.5])
+    def test_rejects_non_integral_n(self, n):
+        # Truncating n would size the budget and the sample for rows that a
+        # report still labels n.
+        with pytest.raises(ValueError, match="positive integer"):
+            compute_k(0.1, n)
+        for model in (GaussianModel(np.zeros(1)), BernoulliModel(0.5)):
+            with pytest.raises(ValueError, match="positive integer"):
+                model.sample(n, RngStream(0, 0))
 
     @given(eta=st.floats(min_value=1e-9, max_value=1 - 1e-9, allow_nan=False),
            n=st.integers(min_value=1, max_value=10_000))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import sys
 
@@ -140,6 +141,10 @@ class TestEstimateEs:
         with pytest.raises(ValueError):
             estimate_es("mean", "poisoning", gauss(1), eta=0.1, n=50, trials=100, seed=0)
 
+    def test_rejects_non_integral_n(self):
+        with pytest.raises(ValueError, match="positive integer"):
+            estimate_es("mean", "resample", gauss(1), eta=0.1, n=400.7, trials=100, seed=0)
+
     def test_csv_row_has_fixed_column_order(self):
         report = estimate_es("mean", "resample", gauss(1), eta=0.1, n=50,
                              trials=100, seed=11)
@@ -151,6 +156,30 @@ class TestEstimateEs:
         assert fields[0] == "0.1"
         assert fields[4] == "mean"
         assert fields[10] == "true"
+
+    # Computed before the report's fields were stated once; csv_row and
+    # to_json (without trials) must keep their bytes.
+    TEXT_PINS = {
+        "local-shift": (
+            lambda: estimate_es("clipped-mean", "local-shift", gauss(1, 0.5), eta=0.05, n=200,
+                                delta=0.5, trials=100, seed=61),
+            "0.05,200,1,10,clipped-mean,local-shift,2,0.025000000000000012,0.025,"
+            "0.02500000000000002,true,100,61",
+            "ea68a69d5dd0449f2d0bd3ef76b9e0164b1e5ea04c30fba4059f620b20e60d0b"),
+        "median-exact": (
+            lambda: estimate_es("median", "median-exact", gauss(1), eta=0.1, n=101, q=1,
+                                trials=100, seed=62),
+            "0.1,101,1,10,median,median-exact,1,0.29739249989820526,0.28374966700837645,"
+            "0.3110353327880341,false,100,62",
+            "9a1920c00140d0d96e5797cc0f0ba977344b0c95fd2efd7054d8f1ce6cc4e9cf"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(TEXT_PINS))
+    def test_report_text_pins(self, name):
+        run, row, digest = self.TEXT_PINS[name]
+        report = run()
+        assert report.csv_row() == row
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
 
 
 class TestScalingSweep:
@@ -178,6 +207,17 @@ class TestScalingSweep:
         with pytest.raises(ValueError):
             scaling_sweep("mean", "resample", variable="k",
                           values=(1, 2, 3, 4), n=100, trials=100, seed=0)
+
+    @pytest.mark.parametrize("variable,values,sizes", [
+        ("d", (1.5, 2.5, 4.5, 8.5), {}),
+        ("n", (100, 200.5, 400, 800), {}),
+        ("eta", (0.02, 0.04, 0.08, 0.16), {"d": 2.5}),
+    ])
+    def test_rejects_non_integral_sizes(self, variable, values, sizes):
+        # Truncated sizes would be fitted against the untruncated log values.
+        with pytest.raises(ValueError, match="must be integers"):
+            scaling_sweep("mean", "resample", variable=variable, values=values, n=100,
+                          trials=100, seed=0, **sizes)
 
 
 class TestMeanObstructionLow:

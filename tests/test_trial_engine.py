@@ -2,9 +2,13 @@
 
 The golden digests were computed from the per-trial implementation before
 the engine ran those trials. The reference loops below draw and evaluate one
-trial at a time through the public adversaries, as that implementation did;
-the engine does the same floating-point operations on the same values, so
-every comparison is exact (bytes and ``==``), not approximate.
+trial at a time, as that implementation did. They make the resampling,
+local-shift and block draws themselves (``choice``, then the fresh rows'
+raw uniforms through ``model.from_random``) rather than through the public
+adversaries, which share the engine's stacked bodies, so a change to those
+bodies' draws fails here. The engine does the same floating-point operations
+on the same values, so every comparison is exact (bytes and ``==``), not
+approximate.
 """
 
 import dataclasses
@@ -29,16 +33,13 @@ from senslab import (
     UnboundedSensitivityError,
     analysis,
     block_layout,
-    block_resample,
     build_estimator,
     couple_gaussian_pair,
     coupling_obstruction_high,
     estimate_es,
     hamming_ball_sup,
-    local_shift_adversary,
     mean_obstruction_low,
     median_worst_case,
-    resampling_adversary,
     tv_coupling_adversary,
     uniform_open,
     variance_obstruction,
@@ -156,16 +157,32 @@ def test_golden_report(name):
     assert hashlib.sha256(text(run()).encode()).hexdigest() == digest
 
 
-# --- reference loops: one trial at a time through the public adversaries ---
+# --- reference loops: one trial at a time, with their own adversary draws ---
+
+def ref_resample(x, budget, model, gen):
+    idx = gen.choice(x.n, size=budget.k, replace=False)
+    return x.replace_rows(idx, model.from_random(gen.random((budget.k, x.d))))
+
+
+def ref_shift(x, budget, delta, gen):
+    idx = gen.choice(x.n, size=budget.k, replace=False)
+    return x.replace_rows(idx, x.samples[idx] + float(delta))
+
+
+def ref_block(x, start, stop, model, gen):
+    fresh = model.from_random(gen.random((stop - start, x.d)))
+    return x.replace_rows(np.arange(start, stop), fresh)
+
 
 def reference_es(est, adversary, model, *, eta, n, trials, seed, delta=None):
     budget = CorruptionBudget.from_eta(eta, n)
-    n_blocks = len(block_layout(n, budget.k)) if adversary == "block-resample" else 0
+    layout = block_layout(n, budget.k) if adversary == "block-resample" else []
     values = np.empty(trials)
     for t in range(trials):
-        data_rng, adv_rng = RngStream(seed, 2 * t), RngStream(seed, 2 * t + 1)
+        data_rng, adv_gen = RngStream(seed, 2 * t), RngStream(seed, 2 * t + 1).generator()
         if adversary == "tv-coupling":
             x, out = tv_coupling_adversary(float(model.mu[0]), eta, n, data_rng)
+            y = out.corrupted
         else:
             x = model.sample(n, data_rng)
         if adversary == "median-exact":
@@ -175,12 +192,13 @@ def reference_es(est, adversary, model, *, eta, n, trials, seed, delta=None):
             values[t] = hamming_ball_sup(est, x, budget).certificate
             continue
         if adversary == "resample":
-            out = resampling_adversary(x, budget, model, adv_rng)
+            y = ref_resample(x, budget, model, adv_gen)
         elif adversary == "local-shift":
-            out = local_shift_adversary(x, budget, delta, adv_rng)
+            y = ref_shift(x, budget, delta, adv_gen)
         elif adversary == "block-resample":
-            out = block_resample(x, budget, t % n_blocks, model, adv_rng)
-        values[t] = float(np.linalg.norm(est(out.corrupted) - est(x))) if out.feasible else 0.0
+            y = ref_block(x, *layout[t % len(layout)], model, adv_gen)
+        feasible = sl.hamming_distance(x, y) <= budget.k
+        values[t] = float(np.linalg.norm(est(y) - est(x))) if feasible else 0.0
     return values
 
 
@@ -191,8 +209,8 @@ def reference_mean_low(est, *, eta, delta, n, prior, trials, seed):
         gen = RngStream(seed, 2 * t).generator()
         mu_prime = prior[0] + (prior[1] - prior[0]) * float(uniform_open(gen, ()))
         x = Dataset(mu_prime + sl.standard_normal(gen, (n, 1)))
-        out = local_shift_adversary(x, budget, delta, RngStream(seed, 2 * t + 1))
-        disps[t] = float(est(out.corrupted)[0] - est(x)[0])
+        y = ref_shift(x, budget, delta, RngStream(seed, 2 * t + 1).generator())
+        disps[t] = float(est(y)[0] - est(x)[0])
     return disps
 
 
@@ -223,7 +241,7 @@ def reference_variance(est, model, *, eta, n, trials, seed):
         adv_gen = RngStream(seed, 2 * t + 1).generator()
         stack = np.broadcast_to(x, (len(layout),) + x.shape).copy()
         for i, (start, stop) in enumerate(layout):
-            stack[i, start:stop, :] = model.draw(adv_gen, stop - start)
+            stack[i, start:stop, :] = model.from_random(adv_gen.random((stop - start, model.d)))
         gaps[t] = ((est.on_stack(stack) - fx) ** 2).sum(axis=1)
     return outputs, gaps
 
