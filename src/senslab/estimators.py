@@ -155,12 +155,22 @@ def project_scalar(
     Each scalar sample t_i is lifted to R^d along the unit direction u, with
     orthogonal noise V_i = lam + (I - u u^T) Z_i shared across the lift. The
     inner Z draws come from a stream fixed at construction, so g is a
-    deterministic function of t. The (mc_inner, n, d) noise block V is built
-    once per n and reused, read-only, until a call with another n replaces
-    it (one slot, shared by every thread); it holds the same bytes as a block
+    deterministic function of t. The noise block V is drawn as
+    (mc_inner, n, d) and built once per n, then kept read-only in
+    (n, d, mc_inner) layout until a call with another n replaces it (one
+    slot, shared by every thread); it holds the same bytes as a block
     regenerated on every call, so reports do not change. ``mc_inner``
     defaults to 1 when f is linear in the data (the noise term averages out
     exactly) and 256 otherwise.
+
+    Each trial's lift is built in that (n, d, mc_inner) layout and f sees it
+    as an (mc_inner, n, d) view. A reduction over n (the mean's sum) then
+    runs n as its outer loop over contiguous (d, mc_inner) rows instead of
+    mc_inner * n inner loops of length d; the sum over n stays sequential,
+    so every element gets the same additions in the same order. On that
+    view f can return an F-ordered (mc_inner, d) array (the mean does), so
+    its result is made C-contiguous before ``@ u``: on an F-ordered operand
+    the matmul takes another BLAS path that can move the last bit.
 
     For an inner estimator that is linear in the data (the mean) and
     lam orthogonal to u, <u, V_i> = 0, so g(t) equals the scalar mean of t
@@ -191,7 +201,7 @@ def project_scalar(
         # Readers take the slot's block in one step; two threads that miss
         # together build the same bytes, so either may win the slot.
         cached = noise_slot[0]
-        if cached is not None and cached.shape[1] == n:
+        if cached is not None and cached.shape[0] == n:
             return cached
         # In place, so the build holds one block and one temporary (peak
         # memory); the operation order matches lam + z - <z, u> u, so the
@@ -200,6 +210,7 @@ def project_scalar(
         along = np.einsum("rij,j->ri", v, u)
         np.add(lam, v, out=v)
         v -= along[:, :, None] * u
+        v = np.ascontiguousarray(v.transpose(1, 2, 0))
         v.flags.writeable = False
         noise_slot[0] = v
         return v
@@ -207,12 +218,16 @@ def project_scalar(
     def stack_fn(stack: np.ndarray) -> np.ndarray:
         if stack.shape[2] != 1:
             raise ValueError("projected estimator takes scalar (d = 1) datasets")
-        # One trial's (mc_inner, n, d) lift at a time bounds the temporaries,
-        # and a per-trial matmul keeps the bytes of a one-dataset call.
+        # One trial's lift at a time bounds the temporaries, and a per-trial
+        # matmul keeps the bytes of a one-dataset call. The lift buffer
+        # belongs to this call: the noise block is shared by threads.
         noise = _noise(stack.shape[1])
+        lift = np.empty_like(noise)
         out = np.empty((stack.shape[0], 1))
         for i, t in enumerate(stack[:, :, 0]):
-            out[i] = (f.on_stack(t[None, :, None] * u + noise) @ u).mean()
+            np.add(np.multiply.outer(t, u)[:, :, None], noise, out=lift)
+            inner = np.ascontiguousarray(f.on_stack(lift.transpose(2, 0, 1)))
+            out[i] = (inner @ u).mean()
         return out
 
     return Estimator(

@@ -27,6 +27,8 @@ over its documented grid and returns a pass/fail table.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import warnings
@@ -152,7 +154,12 @@ class SensitivityReport:
         return ",".join(CSV_COLUMNS)
 
     def csv_row(self) -> str:
-        return ",".join(_csv_cell(getattr(self, c)) for c in CSV_COLUMNS)
+        # csv.QUOTE_MINIMAL quotes a cell only when it holds a comma, a quote
+        # or a line break, so an estimator name with one reads back whole.
+        row = io.StringIO()
+        csv.writer(row, lineterminator="").writerow(_csv_cell(getattr(self, c))
+                                                    for c in CSV_COLUMNS)
+        return row.getvalue()
 
 
 def _csv_cell(value) -> str:
@@ -398,7 +405,7 @@ def estimate_es(
             clean = _clean_stack(job, streams, lo, hi)
             per_trial[lo:hi] = [spec.step(job, Dataset(x)) for x in clean]
 
-        _run_chunked(trials, seed, workers, n * model.d * 8, run_chunk)
+        _run_chunked(trials, seed, workers, budget.n * model.d * 8, run_chunk)
     else:
         diff, feasible = _run_pairs(job, spec.step, trials, seed, workers)
         # Row by row: np.linalg.norm of a 1-D vector can differ in the last
@@ -416,7 +423,7 @@ def estimate_es(
     return SensitivityReport(
         estimator=est.name,
         adversary=adversary,
-        n=n,
+        n=budget.n,
         d=model.d,
         eta=float(eta),
         k=budget.k,
@@ -597,7 +604,7 @@ def mean_obstruction_low(
     return MeanObstructionReport(
         eta=float(eta),
         delta=float(delta),
-        n=n,
+        n=job.budget.n,
         k=k,
         trials=trials,
         seed=seed,
@@ -652,7 +659,7 @@ def coupling_obstruction_high(
     rate = (trials - int(np.count_nonzero(feasible))) / trials
     return CouplingObstructionReport(
         eta=float(eta),
-        n=n,
+        n=job.budget.n,
         k=job.budget.k,
         trials=trials,
         seed=seed,
@@ -709,6 +716,7 @@ def variance_obstruction(
     est = _resolve_estimator(f, model.d, seed)
     budget = CorruptionBudget.from_eta(eta, n)
     budget.require_nonempty()
+    n = budget.n
     job = _Job(model, budget)
     layout = block_layout(n, budget.k)
     m_blocks = len(layout)

@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import hashlib
 import math
 import sys
@@ -15,6 +17,7 @@ from senslab import (
     coupling_obstruction_high,
     estimate_es,
     format_verify_table,
+    mean_estimator,
     mean_obstruction_low,
     scaling_sweep,
     variance_obstruction,
@@ -157,6 +160,15 @@ class TestEstimateEs:
         assert fields[4] == "mean"
         assert fields[10] == "true"
 
+    def test_csv_row_quotes_a_comma_in_the_estimator_name(self):
+        est = dataclasses.replace(mean_estimator(1), name='mean,"v2"')
+        report = estimate_es(est, "resample", gauss(1), eta=0.1, n=50, trials=100, seed=11)
+        [cells] = csv.reader([report.csv_row()])
+        assert len(cells) == len(SensitivityReport.csv_header().split(",")) == 13
+        assert cells[4] == 'mean,"v2"'
+        plain = estimate_es("mean", "resample", gauss(1), eta=0.1, n=50, trials=100, seed=11)
+        assert report.csv_row() == plain.csv_row().replace(",mean,", ',"mean,""v2""",')
+
     # Computed before the report's fields were stated once; csv_row and
     # to_json (without trials) must keep their bytes.
     TEXT_PINS = {
@@ -180,6 +192,25 @@ class TestEstimateEs:
         report = run()
         assert report.csv_row() == row
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("run", [
+    lambda n: estimate_es("mean", "resample", gauss(1), eta=0.1, n=n, trials=100, seed=0),
+    lambda n: estimate_es("median", "median-exact", gauss(1), eta=0.1, n=n + 1, trials=100,
+                          seed=0),
+    lambda n: mean_obstruction_low("clipped-mean", eta=0.05, delta=0.5, n=n, trials=100,
+                                   seed=0),
+    lambda n: coupling_obstruction_high("clipped-mean", eta=0.1, n=n, trials=100, seed=0),
+    lambda n: variance_obstruction("mean", gauss(1), eta=0.1, n=n, trials=100, seed=0),
+], ids=["resample", "median-exact", "mean-obstruction", "coupling-obstruction",
+        "variance-obstruction"])
+def test_reports_store_n_as_an_int(run):
+    whole, real = run(50), run(50.0)
+    assert type(real.n) is int
+    assert repr(real) == repr(whole)
+    if isinstance(whole, SensitivityReport):
+        assert real.to_json(include_trials=True) == whole.to_json(include_trials=True)
+        assert real.csv_row() == whole.csv_row()
 
 
 class TestScalingSweep:
