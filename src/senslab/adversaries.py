@@ -326,11 +326,12 @@ def _flip_masks(n: int, k: int) -> np.ndarray:
 def hamming_ball_sup(f: Estimator, x: Dataset, budget: CorruptionBudget) -> AdversaryOutcome:
     """Exact sup of |f(y) - f(x)| over binary y within Hamming radius k.
 
-    Enumerates the whole ball, so it is guarded: n <= 24 and the ball must
-    hold at most 1e6 points. The flips are a cached table of integer masks
-    per (n, k); each chunk of at most 8192 of them is expanded into
-    datasets and evaluated with one ``f.on_stack`` call. Returns an argmax
-    dataset as the corruption: the first maximiser in enumeration order.
+    Enumerates the whole ball, so it is guarded: at most 1e6 points (the
+    work and memory) and n <= 32 (the uint32 masks). The flips are a cached
+    table of integer masks per (n, k); each chunk of at most 8192 of them is
+    expanded into datasets and evaluated with one ``f.on_stack`` call.
+    Returns an argmax dataset as the corruption: the first maximiser in
+    enumeration order.
     """
     _check_budget(x, budget)
     if x.d != 1:
@@ -339,8 +340,8 @@ def hamming_ball_sup(f: Estimator, x: Dataset, budget: CorruptionBudget) -> Adve
     if not np.all((bits == 0.0) | (bits == 1.0)):
         raise ValueError("hamming ball enumeration requires entries in {0, 1}")
     n, k = x.n, budget.k
-    if n > 24:
-        raise ValueError(f"enumeration guard: n <= 24 required, got {n}")
+    if n > 32:
+        raise ValueError(f"flip masks are uint32: n <= 32 required, got {n}")
     if _ball_size(n, k) > _BALL_GUARD:
         raise ValueError(f"enumeration guard: ball size {_ball_size(n, k)} exceeds {_BALL_GUARD}")
 

@@ -12,13 +12,13 @@ The closed forms:
 * ``binomial_point_mass``     P(Bin(n, r/n) = r) via log-gamma, 0^0 = 1
 
 Each Monte Carlo checker returns an :class:`IneqCheckResult` comparing a
-simulated left-hand side against its closed form or partner estimate, with
-slack 4 * mc_stderr whenever simulation is involved (plus a 1e-12 roundoff
-floor so degenerate zero-variance rows are not failed by float noise). Identity-style checks
-(the Gaussian likelihood-ratio product, Cramer-Rao for exactly efficient
-statistics) are verified two-sidedly within the same slack; this is noted in
-the individual docstrings. A ``holds = False`` result on the documented grids
-is a test failure, not a warning.
+simulated left-hand side against its closed form or partner estimate. Every
+Monte Carlo verdict of the package is ``_mc_verdict``: lhs <= rhs + tol, or
+|lhs - rhs| <= tol for identity-style checks, with tol = max(_MC_SIGMAS *
+mc_stderr + extra, floor); ``extra`` is, for example, a 1e-12 roundoff floor
+so degenerate zero-variance rows are not failed by float noise. A
+``holds = False`` result on the documented grids is a test failure, not a
+warning.
 
 The chi^2 Monte Carlo oracles simulate likelihood ratios in log space with
 max-subtraction before exponentiating, since exp(n h^2) regimes overflow
@@ -59,15 +59,17 @@ _EXP_OVERFLOW = 700.0
 _ROUNDOFF = 1e-12
 # Draws per block of chi2_localshift_mc.
 _CHI2_CHUNK = 20_000
+# Standard errors of slack in every Monte Carlo verdict.
+_MC_SIGMAS = 4.0
 
 
 @dataclass(frozen=True)
 class IneqCheckResult:
     """Outcome of one inequality (or identity) check.
 
-    ``holds`` means lhs <= rhs + slack, with slack = 4 * mc_stderr when Monte
-    Carlo is involved and 0 otherwise; identity-style checkers apply the same
-    slack on both sides.
+    ``holds`` means lhs <= rhs + slack, with the slack of ``_mc_verdict``
+    when Monte Carlo is involved and 0 otherwise; identity-style checkers
+    apply the same slack on both sides.
     """
 
     lhs: float
@@ -75,6 +77,31 @@ class IneqCheckResult:
     holds: bool
     mc_stderr: float | None = None
     trials: int | None = None
+
+
+def _mean_se(values: np.ndarray, axis: int | None = None):
+    """Sample mean of ``values`` and its stderr std(ddof=1) / sqrt(count):
+    floats over the whole array, arrays along ``axis``."""
+    count = values.size if axis is None else values.shape[axis]
+    mean, se = values.mean(axis), values.std(axis, ddof=1) / math.sqrt(count)
+    return (float(mean), float(se)) if axis is None else (mean, se)
+
+
+def _var_se(values: np.ndarray) -> tuple[float, float]:
+    """Sample variance (ddof=1) of ``values`` and its stderr
+    sqrt(max(m4 - var^2, 0) / size), m4 the fourth central moment."""
+    var = float(values.var(ddof=1))
+    m4 = float(((values - values.mean()) ** 4).mean())
+    return var, math.sqrt(max(m4 - var * var, 0.0) / values.size)
+
+
+def _mc_verdict(lhs: float, rhs: float, se: float, trials: int, *, extra: float = 0.0,
+                floor: float = 0.0, two_sided: bool = False) -> IneqCheckResult:
+    """The Monte Carlo verdict: lhs <= rhs + tol, or |lhs - rhs| <= tol when
+    ``two_sided``, with tol = max(_MC_SIGMAS * se + extra, floor)."""
+    tol = max(_MC_SIGMAS * se + extra, floor)
+    holds = abs(lhs - rhs) <= tol if two_sided else lhs <= rhs + tol
+    return IneqCheckResult(lhs=lhs, rhs=rhs, holds=holds, mc_stderr=se, trials=trials)
 
 
 def tv_gaussian_shift(eta: float) -> float:
@@ -124,8 +151,7 @@ def chi2_products_mc(delta: float, n: int, draws: int, rng: RngStream) -> tuple[
     log_lr = delta * s - 0.5 * n * delta * delta
     if float(log_lr.max()) > _EXP_OVERFLOW:
         raise OverflowError("likelihood ratio overflows; reduce n * delta^2")
-    vals = np.expm1(log_lr) ** 2
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(draws))
+    return _mean_se(np.expm1(log_lr) ** 2)
 
 
 def _log_esp_k(w: np.ndarray, k: int) -> np.ndarray:
@@ -171,15 +197,15 @@ def chi2_localshift_mc(k: int, n: int, delta: float, draws: int,
                   - m * s - 0.5 * k * delta * delta + 0.5 * n * m * m)
         pieces.append(np.expm1(log_lr) ** 2)
         left -= t
-    vals = np.concatenate(pieces)
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(draws))
+    return _mean_se(np.concatenate(pieces))
 
 
 def gaussian_lr_identity_check(a, b, trials: int, rng: RngStream) -> IneqCheckResult:
     """Check E_{X ~ N(theta, I)}[LR_mu(X) LR_nu(X)] = exp(<a, b>) by simulation,
     where a = mu - theta and b = nu - theta.
 
-    This is an identity, so ``holds`` is |lhs - rhs| <= 4 * mc_stderr.
+    This is an identity, so the verdict is two-sided, with a roundoff
+    allowance of 1e-12 * max(1, |rhs|).
     """
     if trials < 10_000:
         raise ValueError("gaussian_lr_identity_check needs trials >= 1e4")
@@ -189,12 +215,10 @@ def gaussian_lr_identity_check(a, b, trials: int, rng: RngStream) -> IneqCheckRe
         raise ValueError("a and b must have equal length")
     g = standard_normal(rng.generator(), (trials, a.size))
     lr = np.exp(g @ (a + b) - 0.5 * (a @ a + b @ b))
-    lhs = float(lr.mean())
+    lhs, se = _mean_se(lr)
     rhs = float(math.exp(a @ b))
-    se = float(lr.std(ddof=1) / math.sqrt(trials))
-    tol = 4.0 * se + _ROUNDOFF * max(1.0, abs(rhs))
-    return IneqCheckResult(lhs=lhs, rhs=rhs, holds=abs(lhs - rhs) <= tol,
-                           mc_stderr=se, trials=trials)
+    return _mc_verdict(lhs, rhs, se, trials, extra=_ROUNDOFF * max(1.0, abs(rhs)),
+                       two_sided=True)
 
 
 def _random_k_subset_masks(gen: np.random.Generator, trials: int, n: int, k: int) -> np.ndarray:
@@ -221,12 +245,9 @@ def hypergeom_mgf_check(n: int, k: int, lam: float, trials: int,
         mask_a = _random_k_subset_masks(gen, trials, n, k)
         mask_b = _random_k_subset_masks(gen, trials, n, k)
         h = (mask_a & mask_b).sum(axis=1).astype(np.float64)
-    vals = np.exp(lam * (h - k * k / n))
-    lhs = float(vals.mean())
+    lhs, se = _mean_se(np.exp(lam * (h - k * k / n)))
     rhs = float(math.exp((k * k / n) * (math.expm1(lam) - lam)))
-    se = float(vals.std(ddof=1) / math.sqrt(trials))
-    return IneqCheckResult(lhs=lhs, rhs=rhs, holds=lhs <= rhs + 4.0 * se,
-                           mc_stderr=se, trials=trials)
+    return _mc_verdict(lhs, rhs, se, trials)
 
 
 def chernoff_tail_bound(n: int, p: float, t: float, sharp: bool = False) -> float:
@@ -281,11 +302,8 @@ def _variance_with_se(values: np.ndarray) -> tuple[float, float]:
     # Unbiased total variance of (T, dout) samples plus the stderr of the
     # per-trial squared-deviation mean.
     t = values.shape[0]
-    centered = values - values.mean(axis=0)
-    sq = (centered ** 2).sum(axis=1)
-    var = float(sq.mean() * t / (t - 1))
-    se = float(sq.std(ddof=1) / math.sqrt(t) * t / (t - 1))
-    return var, se
+    mean, se = _mean_se(((values - values.mean(axis=0)) ** 2).sum(axis=1))
+    return mean * t / (t - 1), se * t / (t - 1)
 
 
 def efron_stein_check(f: Estimator, model: GaussianModel, n: int, trials: int,
@@ -308,13 +326,8 @@ def efron_stein_check(f: Estimator, model: GaussianModel, n: int, trials: int,
         fxi = f.on_stack(x)
         x[:, i, :] = saved
         gaps += ((fx - fxi) ** 2).sum(axis=1)
-    rhs_vals = 0.5 * gaps
-    rhs = float(rhs_vals.mean())
-    se_rhs = float(rhs_vals.std(ddof=1) / math.sqrt(trials))
-
-    slack = 4.0 * math.hypot(se_lhs, se_rhs) + _ROUNDOFF
-    return IneqCheckResult(lhs=lhs, rhs=rhs, holds=lhs <= rhs + slack,
-                           mc_stderr=math.hypot(se_lhs, se_rhs), trials=trials)
+    rhs, se_rhs = _mean_se(0.5 * gaps)
+    return _mc_verdict(lhs, rhs, math.hypot(se_lhs, se_rhs), trials, extra=_ROUNDOFF)
 
 
 def hcr_check(statistic: Estimator, mu0: float, h: float, n: int, trials: int,
@@ -336,14 +349,8 @@ def hcr_check(statistic: Estimator, mu0: float, h: float, n: int, trials: int,
     se_delta = math.hypot(tp.std(ddof=1), tq.std(ddof=1)) / math.sqrt(trials)
     se_lhs = 2.0 * abs(delta) * se_delta / chi2
 
-    rhs = float(tp.var(ddof=1))
-    centered = tp - tp.mean()
-    m4 = float((centered ** 4).mean())
-    se_rhs = math.sqrt(max(m4 - rhs * rhs, 0.0) / trials)
-
-    slack = 4.0 * math.hypot(se_lhs, se_rhs) + _ROUNDOFF
-    return IneqCheckResult(lhs=lhs, rhs=rhs, holds=lhs <= rhs + slack,
-                           mc_stderr=math.hypot(se_lhs, se_rhs), trials=trials)
+    rhs, se_rhs = _var_se(tp)
+    return _mc_verdict(lhs, rhs, math.hypot(se_lhs, se_rhs), trials, extra=_ROUNDOFF)
 
 
 def cramer_rao_check(statistic: Estimator, mu0: float, n: int, trials: int,
@@ -370,14 +377,8 @@ def cramer_rao_check(statistic: Estimator, mu0: float, n: int, trials: int,
     se_slope = math.hypot(t_lo.std(ddof=1), t_hi.std(ddof=1)) / math.sqrt(trials) / (2.0 * step)
     se_lhs = 2.0 * abs(slope) * se_slope / n
 
-    rhs = float(t_mid.var(ddof=1))
-    centered = t_mid - t_mid.mean()
-    m4 = float((centered ** 4).mean())
-    se_rhs = math.sqrt(max(m4 - rhs * rhs, 0.0) / trials)
-
-    slack = 4.0 * math.hypot(se_lhs, se_rhs) + step * step / n
-    return IneqCheckResult(lhs=lhs, rhs=rhs, holds=lhs <= rhs + slack,
-                           mc_stderr=math.hypot(se_lhs, se_rhs), trials=trials)
+    rhs, se_rhs = _var_se(t_mid)
+    return _mc_verdict(lhs, rhs, math.hypot(se_lhs, se_rhs), trials, extra=step * step / n)
 
 
 def uniform_spacing_check(n: int, i: int, trials: int, rng: RngStream) -> IneqCheckResult:
@@ -386,7 +387,7 @@ def uniform_spacing_check(n: int, i: int, trials: int, rng: RngStream) -> IneqCh
 
     Two moment identities share one result record, so the check is reported
     in standardized units: lhs is the larger of the two absolute deviations
-    divided by its own Monte Carlo stderr, rhs the usual 4-sigma envelope.
+    divided by its own Monte Carlo stderr, rhs the ``_MC_SIGMAS`` envelope.
     """
     if not (1 <= i <= n + 1):
         raise ValueError(f"need 1 <= i <= n + 1, got i={i}")
@@ -397,12 +398,8 @@ def uniform_spacing_check(n: int, i: int, trials: int, rng: RngStream) -> IneqCh
 
     mean_true = 1.0 / (n + 1)
     var_true = n / ((n + 1) ** 2 * (n + 2))
-    m_hat = float(d_i.mean())
-    v_hat = float(d_i.var(ddof=1))
-    se_m = float(d_i.std(ddof=1) / math.sqrt(trials))
-    centered = d_i - d_i.mean()
-    m4 = float((centered ** 4).mean())
-    se_v = math.sqrt(max(m4 - v_hat * v_hat, 0.0) / trials)
-
+    m_hat, se_m = _mean_se(d_i)
+    v_hat, se_v = _var_se(d_i)
     z = max(abs(m_hat - mean_true) / se_m, abs(v_hat - var_true) / se_v)
-    return IneqCheckResult(lhs=z, rhs=4.0, holds=z <= 4.0, mc_stderr=se_m, trials=trials)
+    return IneqCheckResult(lhs=z, rhs=_MC_SIGMAS, holds=z <= _MC_SIGMAS, mc_stderr=se_m,
+                           trials=trials)

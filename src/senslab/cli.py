@@ -13,15 +13,14 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .bernoulli import BernoulliModel, bernoulli_expected_sensitivity
-from .core import CorruptionBudget, GaussianModel
+from .core import CorruptionBudget
 from .estimators import build_estimator
 from .harness import (
     SCHEMA,
     SensitivityReport,
     UnboundedSensitivityError,
+    _gaussian_point,
     all_pass,
     estimate_es,
     format_verify_table,
@@ -95,28 +94,12 @@ def _add_sensitivity_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta", type=float, help="shift size for local-shift")
     p.add_argument("--workers", type=int, help="thread count (does not change results)")
     p.add_argument("--out", help="write the JSON report here")
-    p.add_argument("--csv", help="write a fixed-column CSV row here")
-
-
-def _build_model_and_estimator(cfg: dict):
-    d = cfg["d"]
-    mu = cfg["mu"]
-    if len(mu) == 1 and d > 1:
-        mu = mu * d
-    if len(mu) != d:
-        raise SystemExit(f"--mu has {len(mu)} entries but --d is {d}")
-    if cfg["estimator"].startswith("projected:"):
-        # The projection lifts scalar samples into R^d internally; the clean
-        # data itself is scalar.
-        est = build_estimator(cfg["estimator"], d=d, seed=cfg["seed"])
-        return est, GaussianModel(np.array([mu[0]]))
-    return cfg["estimator"], GaussianModel(np.array(mu))
 
 
 def _cmd_sensitivity(args: argparse.Namespace) -> int:
     cfg = _merge(args, _SENS_DEFAULTS, _SENS_CONVERTERS)
-    estimator, model = _build_model_and_estimator(cfg)
     try:
+        estimator, model = _gaussian_point(cfg["estimator"], cfg["d"], cfg["mu"], cfg["seed"])
         report = estimate_es(
             estimator, cfg["adversary"], model,
             eta=cfg["eta"], n=cfg["n"], q=cfg["q"], trials=cfg["trials"],
@@ -229,6 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sens = sub.add_parser("sensitivity", help="one Monte Carlo sensitivity report")
     _add_sensitivity_flags(p_sens)
+    p_sens.add_argument("--csv", help="write a fixed-column CSV row here")
     p_sens.set_defaults(func=_cmd_sensitivity)
 
     p_scale = sub.add_parser("scaling", help="sweep eta, n, or d and fit a log-log slope")

@@ -349,6 +349,24 @@ def _resolve_estimator(estimator: Estimator | str, d: int, seed: int) -> Estimat
     return estimator
 
 
+def _gaussian_point(estimator: Estimator | str, d: int, mu: Sequence[float],
+                    seed: int) -> tuple[Estimator | str, GaussianModel]:
+    """The estimator and clean-data model of a Gaussian request at dimension d.
+
+    ``mu`` has d entries, or one that is broadcast. A ``projected:<inner>``
+    estimator lifts scalar samples into R^d itself, so it is built at d and
+    its clean data stay scalar, N(mu[0], 1).
+    """
+    mu = [float(v) for v in mu]
+    if len(mu) == 1:
+        mu = mu * d
+    if len(mu) != d:
+        raise ValueError(f"mu has {len(mu)} entries but d is {d}")
+    if isinstance(estimator, str) and estimator.startswith("projected:"):
+        return build_estimator(estimator, d=d, seed=seed), GaussianModel(mu[:1])
+    return estimator, GaussianModel(mu)
+
+
 def _validate_combo(est: Estimator, adversary: str, model, n: int, delta) -> _Adversary:
     """The table entry of ``adversary``, once the request is one it can run."""
     spec = _ADVERSARIES.get(adversary)
@@ -413,9 +431,7 @@ def estimate_es(
         for t in range(trials):
             per_trial[t] = float(np.linalg.norm(diff[t])) if feasible[t] else 0.0
 
-    powered = per_trial if q == 1 else per_trial * per_trial
-    moment = float(powered.mean())
-    stderr = float(powered.std(ddof=1) / math.sqrt(trials))
+    moment, stderr = analysis._mean_se(per_trial if q == 1 else per_trial * per_trial)
     lo = max(moment - 1.96 * stderr, 0.0)
     hi = moment + 1.96 * stderr
     root = 1.0 / q
@@ -490,7 +506,8 @@ def scaling_sweep(
     delta: float | None = None,
     workers: int = 1,
 ) -> ScalingFit:
-    """Run ``estimate_es`` over a grid of eta, n, or d and fit a log-log line."""
+    """Run ``estimate_es`` over a grid of eta, n, or d and fit a log-log line.
+    Each point builds its estimator and model by ``_gaussian_point``."""
     if variable not in ("eta", "n", "d"):
         raise ValueError(f"sweep variable must be eta, n, or d, got {variable!r}")
     values = tuple(float(v) for v in values)
@@ -506,11 +523,10 @@ def scaling_sweep(
     for v in values:
         point = {"eta": eta, "n": n, "d": d}
         point[variable] = v
-        point_n, point_d = int(point["n"]), int(point["d"])
-        model = GaussianModel(np.full(point_d, mu))
+        est, model = _gaussian_point(estimator, int(point["d"]), [mu], seed)
         reports.append(estimate_es(
-            estimator, adversary, model,
-            eta=float(point["eta"]), n=point_n, q=q, trials=trials,
+            est, adversary, model,
+            eta=float(point["eta"]), n=int(point["n"]), q=q, trials=trials,
             seed=seed, delta=delta, workers=workers,
         ))
 
@@ -599,8 +615,7 @@ def mean_obstruction_low(
         warnings.warn(f"k = {k} exceeds sqrt(n) = {math.sqrt(n):.2f}; "
                       "outside the low-corruption regime", stacklevel=2)
 
-    disps = _run_pairs(job, _local_shift_pairs, trials, seed)[0][:, 0]
-
+    avg, stderr = analysis._mean_se(_run_pairs(job, _local_shift_pairs, trials, seed)[0][:, 0])
     return MeanObstructionReport(
         eta=float(eta),
         delta=float(delta),
@@ -609,8 +624,8 @@ def mean_obstruction_low(
         trials=trials,
         seed=seed,
         prior=job.prior,
-        avg_displacement=float(disps.mean()),
-        stderr=float(disps.std(ddof=1) / math.sqrt(trials)),
+        avg_displacement=avg,
+        stderr=stderr,
         predicted=float(eta) * float(delta),
         chi2_budget=analysis.chi2_localshift_bound(k, n, delta),
         regime_ok=regime_ok,
@@ -655,7 +670,7 @@ def coupling_obstruction_high(
     job = _scalar_job(h, "coupling_obstruction_high", eta, n, seed,
                       (0.0, 1.0 - eta) if prior is None else prior)
     diff, feasible = _run_pairs(job, _coupling_pairs, trials, seed)
-    vals = np.where(feasible, diff[:, 0], 0.0)
+    avg, stderr = analysis._mean_se(np.where(feasible, diff[:, 0], 0.0))
     rate = (trials - int(np.count_nonzero(feasible))) / trials
     return CouplingObstructionReport(
         eta=float(eta),
@@ -664,8 +679,8 @@ def coupling_obstruction_high(
         trials=trials,
         seed=seed,
         prior=job.prior,
-        avg_displacement_on_feasible=float(vals.mean()),
-        stderr=float(vals.std(ddof=1) / math.sqrt(trials)),
+        avg_displacement_on_feasible=avg,
+        stderr=stderr,
         infeasible_rate=rate,
         predicted=float(eta),
         proof_floor=float(eta) / 3.0 - rate,
@@ -748,12 +763,12 @@ def variance_obstruction(
     _run_chunked(trials, seed, 1, n * model.d * 8, run_chunk)
 
     var_clean, var_se = analysis._variance_with_se(outputs)
-    block_means = gaps.mean(axis=0)
-    block_ses = gaps.std(axis=0, ddof=1) / math.sqrt(trials)
+    block_means, block_ses = analysis._mean_se(gaps, axis=0)
     top = int(np.argmax(block_means))
     max_gap = float(block_means[top])
     max_gap_se = float(block_ses[top])
-    slack = 4.0 * math.hypot(2.0 / m_blocks * var_se, max_gap_se)
+    verdict = analysis._mc_verdict((2.0 / m_blocks) * var_clean, max_gap,
+                                   math.hypot(2.0 / m_blocks * var_se, max_gap_se), trials)
     return VarianceObstructionReport(
         eta=float(eta),
         n=n,
@@ -769,7 +784,7 @@ def variance_obstruction(
         max_block_gap_stderr=max_gap_se,
         efron_stein_lhs=var_clean,
         efron_stein_rhs=float(0.5 * block_means.sum()),
-        two_over_m_holds=(2.0 / m_blocks) * var_clean <= max_gap + slack,
+        two_over_m_holds=verdict.holds,
         implied_es_lb=math.sqrt(max_gap),
     )
 
@@ -892,9 +907,8 @@ def verify_suite(
     add("chi2-products/zero-delta", _exact(analysis.chi2_gaussian_products(0.0, 100), 0.0, atol=1e-15))
     closed = analysis.chi2_gaussian_products(0.1, 100)
     mc, se = analysis.chi2_products_mc(0.1, 100, 10 * t_mc, stream())
-    add("chi2-products/e-minus-1-mc", analysis.IneqCheckResult(
-        lhs=mc, rhs=closed, holds=abs(mc - closed) <= max(4.0 * se, 0.05 * closed),
-        mc_stderr=se, trials=10 * t_mc))
+    add("chi2-products/e-minus-1-mc",
+        analysis._mc_verdict(mc, closed, se, 10 * t_mc, floor=0.05 * closed, two_sided=True))
     add("chi2-localshift/zero-delta", _exact(analysis.chi2_localshift_bound(10, 100, 0.0), 0.0, atol=1e-15))
     grid_k = [analysis.chi2_localshift_bound(k, 100, 0.5) for k in (1, 5, 20, 60, 100)]
     grid_d = [analysis.chi2_localshift_bound(10, 100, dl) for dl in (0.0, 0.3, 0.8, 1.5)]
@@ -904,8 +918,7 @@ def verify_suite(
     for label, (k_, n_, d_) in (("k3-n50", (3, 50, 0.5)), ("k5-n100", (5, 100, 0.8))):
         bound = analysis.chi2_localshift_bound(k_, n_, d_)
         mc, se = analysis.chi2_localshift_mc(k_, n_, d_, t_mc, stream())
-        add(f"chi2-localshift/mc-{label}", analysis.IneqCheckResult(
-            lhs=mc, rhs=bound, holds=mc <= bound + 4.0 * se, mc_stderr=se, trials=t_mc))
+        add(f"chi2-localshift/mc-{label}", analysis._mc_verdict(mc, bound, se, t_mc))
 
     # TV of a Gaussian mean shift: below eta, increasing, tending to 1.
     grid = [1e-3, 0.01, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0]

@@ -28,6 +28,7 @@ from senslab import (
     tv_gaussian_shift,
     tv_coupling_adversary,
 )
+from senslab.estimators import Estimator
 
 
 def outcome_digest(outcomes) -> str:
@@ -361,11 +362,31 @@ class TestHammingBallSup:
 
     def test_enumeration_guards(self):
         plugin = plugin_estimator()
-        with pytest.raises(ValueError):
-            hamming_ball_sup(plugin, Dataset(np.zeros(30)), CorruptionBudget.from_eta(0.1, 30))
+        with pytest.raises(ValueError, match="uint32"):
+            # 33 bits do not fit the flip masks, although the ball has 34 points
+            hamming_ball_sup(plugin, Dataset(np.zeros(33)), CorruptionBudget.from_eta(0.04, 33))
         with pytest.raises(ValueError):
             # ball of radius 11 on 23 bits exceeds 1e6 points
             hamming_ball_sup(plugin, Dataset(np.zeros(23)), CorruptionBudget.from_eta(0.5, 23))
+
+    def test_thirty_bits_match_single_flips(self):
+        # 30 bits fit the uint32 masks; at k = 1 the certificate is the
+        # largest single-bit flip.
+        gen = RngStream(41, 0).generator()
+        weights = gen.permutation(np.arange(1.0, 31.0))
+        # (w . b)^2 with integer weights: every value is an exact integer.
+        square = Estimator("square", 1,
+                           stack_fn=lambda s: ((s[:, :, 0] * weights).sum(axis=1) ** 2)[:, None],
+                           binary_domain=True)
+        bits = (gen.random(30) < 0.5).astype(float)
+        x = Dataset(bits)
+        out = hamming_ball_sup(square, x, CorruptionBudget.from_eta(1 / 30 + 1e-12, 30))
+        base = float(square(x)[0])
+        flips = [abs(float(square(x.replace_rows([i], [[1.0 - bits[i]]]))[0]) - base)
+                 for i in range(30)]
+        assert out.certificate == max(flips)
+        assert out.achieved_hamming == 1
+        assert abs(float(square(out.corrupted)[0]) - base) == out.certificate
 
     def test_rejects_non_binary(self):
         plugin = plugin_estimator()

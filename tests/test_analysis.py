@@ -1,5 +1,7 @@
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from scipy import integrate
 
 from senslab import (
     GaussianModel,
+    IneqCheckResult,
     RngStream,
     binomial_point_mass,
     binomial_tail,
@@ -25,7 +28,8 @@ from senslab import (
     tv_gaussian_shift,
     uniform_spacing_check,
 )
-from senslab.analysis import _log_esp_k
+from senslab import analysis
+from senslab.analysis import _MC_SIGMAS, _log_esp_k, _mc_verdict, _mean_se, _var_se
 from senslab.estimators import Estimator
 
 
@@ -320,3 +324,54 @@ class TestUniformSpacing:
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
             uniform_spacing_check(5, 7, 1_000, RngStream(0, 0))
+
+
+class TestMcVerdict:
+    """The one Monte Carlo pass rule: tol = max(4 se + extra, floor)."""
+
+    def test_one_sided_boundary(self):
+        # tol = 4 * 0.25 = 1, so lhs = rhs + tol = 2 exactly.
+        r = _mc_verdict(2.0, 1.0, 0.25, 100)
+        assert r == IneqCheckResult(lhs=2.0, rhs=1.0, holds=True, mc_stderr=0.25, trials=100)
+        assert not _mc_verdict(math.nextafter(2.0, math.inf), 1.0, 0.25, 100).holds
+        assert _mc_verdict(-5.0, 1.0, 0.25, 100).holds
+
+    def test_extra_adds_to_the_sigmas(self):
+        # tol = 4 * 0.125 + 0.5 = 1.
+        assert _mc_verdict(2.0, 1.0, 0.125, 10, extra=0.5).holds
+        assert not _mc_verdict(math.nextafter(2.0, math.inf), 1.0, 0.125, 10, extra=0.5).holds
+
+    def test_two_sided_boundary(self):
+        # tol = 4 * 0.125 = 0.5 on both sides of rhs = 1; |lhs - rhs| is exact.
+        above, below = math.nextafter(1.5, math.inf), 1.0 - math.nextafter(0.5, math.inf)
+        for lhs, outside in ((1.5, above), (0.5, below)):
+            assert _mc_verdict(lhs, 1.0, 0.125, 10, two_sided=True).holds
+            assert not _mc_verdict(outside, 1.0, 0.125, 10, two_sided=True).holds
+
+    def test_floor_boundary(self):
+        # 4 * 0.01 = 0.04 is below the floor, so tol = 0.5.
+        assert _mc_verdict(1.5, 1.0, 0.01, 10, floor=0.5, two_sided=True).holds
+        assert not _mc_verdict(math.nextafter(1.5, math.inf), 1.0, 0.01, 10, floor=0.5,
+                               two_sided=True).holds
+        assert not _mc_verdict(1.05, 1.0, 0.01, 10, two_sided=True).holds
+
+    def test_mean_se_and_var_se(self):
+        values = np.array([[1.0, 2.0], [3.0, 6.0], [5.0, 7.0]])
+        mean, se = _mean_se(values)
+        assert type(mean) is float and type(se) is float
+        assert mean == 4.0 and se == pytest.approx(math.sqrt(5.6 / 6), rel=1e-15)
+        means, ses = _mean_se(values, axis=0)
+        assert np.array_equal(means, [3.0, 5.0])
+        assert np.array_equal(ses, values.std(axis=0, ddof=1) / math.sqrt(3))
+        var, se = _var_se(np.array([0.0, 0.0, 3.0, 3.0]))
+        assert var == 3.0
+        # m4 = 81/16 and var^2 = 9: the stderr's radicand is clipped at 0.
+        assert se == 0.0
+
+    def test_the_multiplier_is_written_once(self):
+        assert _MC_SIGMAS == 4.0
+        source = Path(analysis.__file__).parent
+        literal = re.compile(r"(?<![\w.])4\.0(?![\d])")
+        hits = [(path.name, line.strip()) for path in sorted(source.glob("*.py"))
+                for line in path.read_text().splitlines() if literal.search(line)]
+        assert hits == [("analysis.py", "_MC_SIGMAS = 4.0")]

@@ -61,6 +61,12 @@ class TestSensitivityCommand:
         payload = json.loads(out)
         assert payload["kind"] == "unbounded-sensitivity"
 
+    def test_mu_of_the_wrong_length_is_an_error(self, capsys):
+        code = main(["sensitivity", "--d", "3", "--mu", "1", "2", "--n", "20",
+                     "--trials", "100"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: mu has 2 entries but d is 3\n"
+
     def test_keep_trials_is_an_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("n=50\ntrials=150\nkeep_trials=1\n")
@@ -96,6 +102,25 @@ class TestScalingCommand:
         assert payload["kind"] == "scaling-fit"
         assert 0.4 <= payload["slope"] <= 0.6
         assert len(payload["es_estimates"]) == 4
+
+    def test_projected_d_sweep(self, capsys):
+        code, out = run_cli(
+            capsys, "scaling", "--estimator", "projected:16", "--sweep", "d",
+            "--values", "2,4,8,16", "--n", "200", "--trials", "400", "--seed", "3",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["values"] == [2.0, 4.0, 8.0, 16.0]
+        assert all(payload["used"])
+
+    def test_csv_flag_is_rejected(self, capsys, tmp_path):
+        # scaling writes no CSV row, so --csv is not one of its flags.
+        with pytest.raises(SystemExit) as exc:
+            main(["scaling", "--sweep", "eta", "--values", "0.02,0.04,0.08,0.16",
+                  "--csv", str(tmp_path / "fit.csv")])
+        assert exc.value.code == 2
+        assert "--csv" in capsys.readouterr().err
+        assert not (tmp_path / "fit.csv").exists()
 
     def test_missing_values_is_an_error(self, capsys):
         code, _ = run_cli(capsys, "scaling", "--sweep", "eta")

@@ -239,6 +239,16 @@ class TestScalingSweep:
             scaling_sweep("mean", "resample", variable="k",
                           values=(1, 2, 3, 4), n=100, trials=100, seed=0)
 
+    def test_projected_d_sweep_lifts_scalar_data(self):
+        # projected:<inner> is built at each point's d and runs on scalar rows.
+        fit = scaling_sweep("projected:16", "resample", variable="d", values=(2, 4, 8, 16),
+                            n=200, mu=0.25, trials=400, seed=3)
+        assert all(fit.used)
+        for v, report in zip(fit.values, fit.reports):
+            alone = estimate_es(build_estimator("projected:16", d=int(v), seed=3), "resample",
+                                GaussianModel([0.25]), eta=0.1, n=200, trials=400, seed=3)
+            assert report.to_json(include_trials=True) == alone.to_json(include_trials=True)
+
     @pytest.mark.parametrize("variable,values,sizes", [
         ("d", (1.5, 2.5, 4.5, 8.5), {}),
         ("n", (100, 200.5, 400, 800), {}),
@@ -347,6 +357,19 @@ class TestVerifySuite:
         assert not all_pass(rows)
         table = format_verify_table(rows)
         assert "FAIL" in table and "self-test/flipped-inequality" in table
+
+    # sha256 of repr(verify_suite(trials_scale=2000, seed=s)), computed before
+    # the Monte Carlo verdicts went through analysis._mc_verdict: every row's
+    # lhs, rhs, holds, mc_stderr and trials must keep its bytes.
+    SUITE_PINS = {
+        1: "6e370f0ece8d2cb8514df75324dbe36c7c98cbd6dbad825ff1bf39f57db20d35",
+        2: "b02c50f1a053acde59442ac1940fb43bec4afad1790c34f76974647911451b9b",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(SUITE_PINS))
+    def test_suite_pins(self, seed):
+        rows = verify_suite(trials_scale=2000, seed=seed)
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == self.SUITE_PINS[seed]
 
     def test_reproducible_table(self):
         a = format_verify_table(verify_suite(trials_scale=2_000, seed=24))
