@@ -160,6 +160,8 @@ def bernoulli_expected_sensitivity(f: Estimator, n: int, p: float,
         raise ValueError(f"budget is for n={budget.n}, got n={n}")
     if n > _ENUM_GUARD_BITS:
         raise ValueError(f"enumeration guard: 2^n <= 2^{_ENUM_GUARD_BITS} required, got n={n}")
+    if budget.k == 0:
+        return 0.0
 
     size = 1 << n
     idx = np.arange(size, dtype=np.uint32)
@@ -174,9 +176,6 @@ def bernoulli_expected_sensitivity(f: Estimator, n: int, p: float,
         log_w = (np.where(weight > 0, weight * log_p, 0.0)
                  + np.where(n - weight > 0, (n - weight) * log_q, 0.0))
     probs = np.exp(log_w)
-
-    if budget.k == 0:
-        return 0.0
     fv = _cube_values(f, n)
     hi, lo = fv, fv
     for _ in range(min(budget.k, n)):

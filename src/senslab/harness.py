@@ -499,7 +499,7 @@ def scaling_sweep(
     eta: float = 0.1,
     n: int = 1000,
     d: int = 1,
-    mu: float = 0.0,
+    mu: float | Sequence[float] = 0.0,
     q: int = 2,
     trials: int = 10_000,
     seed: int = 0,
@@ -507,7 +507,11 @@ def scaling_sweep(
     workers: int = 1,
 ) -> ScalingFit:
     """Run ``estimate_es`` over a grid of eta, n, or d and fit a log-log line.
-    Each point builds its estimator and model by ``_gaussian_point``."""
+
+    ``mu`` is one value (broadcast) or a mean vector of d entries. Every
+    point's estimator and model come from ``_gaussian_point`` before the
+    first trial runs, so a bad ``mu`` fails at once.
+    """
     if variable not in ("eta", "n", "d"):
         raise ValueError(f"sweep variable must be eta, n, or d, got {variable!r}")
     values = tuple(float(v) for v in values)
@@ -519,16 +523,17 @@ def scaling_sweep(
         raise ValueError(f"n, d and their sweep values must be integers, got n={n}, d={d}, "
                          f"{variable}={values}")
 
-    reports = []
+    mu = np.atleast_1d(mu)
+    points = []
     for v in values:
         point = {"eta": eta, "n": n, "d": d}
         point[variable] = v
-        est, model = _gaussian_point(estimator, int(point["d"]), [mu], seed)
-        reports.append(estimate_es(
-            est, adversary, model,
-            eta=float(point["eta"]), n=int(point["n"]), q=q, trials=trials,
-            seed=seed, delta=delta, workers=workers,
-        ))
+        points.append((point, *_gaussian_point(estimator, int(point["d"]), mu, seed)))
+    reports = [
+        estimate_es(est, adversary, model, eta=float(point["eta"]), n=int(point["n"]), q=q,
+                    trials=trials, seed=seed, delta=delta, workers=workers)
+        for point, est, model in points
+    ]
 
     used = tuple(
         r.es_estimate > 0.0 and (r.ci_high - r.ci_low) / 2.0 < 0.1 * r.es_estimate

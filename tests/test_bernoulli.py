@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -170,6 +171,18 @@ class TestExpectedSensitivity:
         budget = CorruptionBudget.from_eta(0.01, 12)
         assert budget.k == 0
         assert bernoulli_expected_sensitivity(plugin_estimator(), 12, 0.5, budget) == 0.0
+
+    def test_zero_budget_builds_no_tables(self):
+        # The 2^20-entry weight, probability and value tables take tens of MiB.
+        plugin, budget = plugin_estimator(), CorruptionBudget.from_eta(0.01, 20)
+        assert budget.k == 0
+        tracemalloc.start()
+        try:
+            assert bernoulli_expected_sensitivity(plugin, 20, 0.5, budget) == 0.0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.9])
     def test_plugin_single_flip_is_one_over_n(self, p):

@@ -1,10 +1,14 @@
+import hashlib
 import json
+import pathlib
+import shlex
 import subprocess
 import sys
 
 import pytest
 
-from senslab.cli import main
+from senslab import GaussianModel, estimate_es
+from senslab.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -181,3 +185,147 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["k"] == 1
+
+
+def run_config(capsys, tmp_path, command, text, *argv):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(text)
+    return run_cli(capsys, command, "--config", str(cfg), *argv)
+
+
+class TestConfigGoesThroughTheParser:
+    def test_bad_choice_in_config_is_rejected(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_config(capsys, tmp_path, "bernoulli", "mode=exakt\ntrials=100\n")
+        assert exc.value.code == 2
+        assert "invalid choice: 'exakt'" in capsys.readouterr().err
+
+    def test_empty_value_in_config_is_rejected(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_config(capsys, tmp_path, "sensitivity", "delta=\n")
+        assert exc.value.code == 2
+        assert "--delta" in capsys.readouterr().err
+
+    def test_q_outside_choices_in_bernoulli_config_is_rejected(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_config(capsys, tmp_path, "bernoulli", "q=3\n")
+        assert exc.value.code == 2
+
+    def test_abbreviated_key_is_unknown(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_config(capsys, tmp_path, "sensitivity", "tri=5\n")
+        assert exc.value.code == "unknown config key 'tri'"
+
+    def test_negative_mu_list_and_flag_override(self, capsys, tmp_path):
+        def library(mu):
+            return estimate_es("mean", "resample", GaussianModel(mu), eta=0.1, n=40,
+                               trials=120, seed=6).to_json() + "\n"
+
+        text = "d=2\nmu=-1,-2\nn=40\ntrials=120\nseed=6\n"
+        code, from_file = run_config(capsys, tmp_path, "sensitivity", text)
+        assert code == 0
+        assert from_file == library([-1.0, -2.0])
+        code, overridden = run_config(capsys, tmp_path, "sensitivity", text, "--mu", "3")
+        assert code == 0
+        assert overridden == library([3.0, 3.0])
+        assert overridden != from_file
+
+    @pytest.mark.parametrize("argv", [
+        ["--mu", "1", "2"], ["--mu", "1,2"], ["--mu=1,2"], ["--mu", "1,", "2"],
+    ])
+    def test_list_flag_syntaxes_agree(self, argv):
+        args = build_parser().parse_args(["sensitivity", *argv])
+        assert args.mu == [1.0, 2.0]
+
+
+# sha256 of stdout; pinned before config files went through the parser.
+_PINNED_STDOUT = {
+    "sensitivity-resample": (
+        ["sensitivity", "--estimator", "mean", "--adversary", "resample", "--n", "400",
+         "--d", "16", "--eta", "0.1", "--q", "2", "--trials", "300", "--seed", "1"],
+        "cd35f355163ca33fa02516d4c15a435d39c1fa642ac6c6ad2a78668aa7d68b49"),
+    "sensitivity-median-exact": (
+        ["sensitivity", "--estimator", "median", "--adversary", "median-exact",
+         "--n", "1001", "--eta", "0.05", "--trials", "200", "--seed", "1"],
+        "e6dfffebfa6a9dbdfc214c456343baa266b35c81561fdf094271729a741ae545"),
+    "scaling": (
+        ["scaling", "--sweep", "eta", "--values", "0.02,0.04,0.08,0.16",
+         "--estimator", "mean", "--adversary", "resample", "--n", "1000", "--d", "4",
+         "--trials", "400", "--seed", "7"],
+        "f05ead2cc7bf72ab410670c4cc74cdba016dcbda3c9391ac985702ca29ad2a18"),
+    "bernoulli-exact": (
+        ["bernoulli", "--n", "12", "--eta", "0.09", "--p", "0.5",
+         "--estimator", "bernoulli-plugin", "--mode", "exact"],
+        "d191ae891f62dbe4e464b8681fa613c0a2255bb0d19296961be746ff7f50d3d0"),
+    "bernoulli-mc": (
+        ["bernoulli", "--n", "12", "--eta", "0.09", "--p", "0.3", "--mode", "mc",
+         "--trials", "150", "--seed", "4"],
+        "56e1bfbb9a644702a150b5d727bb510fe6dbd6f941dad5dc309ce3aa4efbd6f0"),
+    "config-mu": (
+        ["sensitivity", "--config", "{cfg}"],
+        "86a85dafc2f4abefcb458bc69ce18b4a03f98be88a7fdfa4f3a2cbdb6f153e69"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_STDOUT))
+def test_pinned_stdout(name, capsys, tmp_path):
+    cfg = tmp_path / "mu.cfg"
+    cfg.write_text("d=2\nmu=1,2\nn=50\ntrials=150\nseed=2\n")
+    argv, digest = _PINNED_STDOUT[name]
+    code, out = run_cli(capsys, *(a.format(cfg=cfg) for a in argv))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestSharedErrorPath:
+    def test_scaling_unbounded_request_is_structured_diagnostic(self, capsys):
+        code, out = run_cli(
+            capsys, "scaling", "--estimator", "mean", "--adversary", "median-exact",
+            "--values", "0.02,0.04,0.08,0.16", "--n", "101", "--trials", "100",
+        )
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["kind"] == "unbounded-sensitivity"
+        assert payload["adversary"] == "median-exact"
+
+    def test_scaling_mu_of_the_wrong_length_is_an_error(self, capsys):
+        code = main(["scaling", "--d", "3", "--mu", "1", "2", "--sweep", "eta",
+                     "--values", "0.02,0.04,0.08,0.16", "--n", "400", "--trials", "300"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: mu has 2 entries but d is 3\n"
+
+    def test_scaling_keeps_every_mu_entry(self, capsys):
+        values = [0.02, 0.04, 0.08, 0.16]
+        code, out = run_cli(
+            capsys, "scaling", "--d", "2", "--mu", "0.5", "-0.5", "--sweep", "eta",
+            "--values", *map(str, values), "--n", "400", "--trials", "200", "--seed", "2",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        for i, eta in enumerate(values):
+            report = estimate_es("mean", "resample", GaussianModel([0.5, -0.5]), eta=eta,
+                                 n=400, trials=200, seed=2)
+            got = (payload["es_estimates"][i], payload["ci_lows"][i], payload["ci_highs"][i])
+            assert got == (report.es_estimate, report.ci_low, report.ci_high)
+
+    def test_bernoulli_exact_mode_rejects_q_2(self, capsys):
+        code = main(["bernoulli", "--estimator", "median", "--n", "9", "--eta", "0.2",
+                     "--p", "0.3", "--q", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: exact mode")
+
+
+def _readme_commands() -> list[list[str]]:
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line) for line in lines if line.startswith("senslab ")]
+
+
+def test_readme_cli_commands_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 5
+    for argv in commands:
+        build_parser().parse_args(argv[1:])
