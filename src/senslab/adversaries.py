@@ -256,8 +256,9 @@ def median_worst_case(x: Dataset, budget: CorruptionBudget) -> AdversaryOutcome:
     corrupting value is x_(n) + 1 (resp. x_(1) - 1) so the dataset stays
     finite; the achieved median is the same order statistic either way.
 
-    The order statistics come from one selection (``np.partition`` with a
-    list of ranks), not a sort. The replaced rows are exactly those a stable
+    The order statistics come from one ``np.sort``: with numpy 2.4 it is
+    faster than an ``np.partition`` at the seven ranks needed, at every n
+    measured from 101 to 100001. The replaced rows are exactly those a stable
     argsort would pick, so ties resolve the same way. A zero certificate is
     always +0.0.
     """
@@ -275,7 +276,7 @@ def median_worst_case(x: Dataset, budget: CorruptionBudget) -> AdversaryOutcome:
         return _outcome(x, x, budget, certificate=0.0)
 
     vals = x.samples[:, 0]
-    svals = np.partition(vals, [0, k - 1, m - 1 - k, m - 1, m - 1 + k, n - k, n - 1])
+    svals = np.sort(vals)
     med = svals[m - 1]
     up = float(svals[m - 1 + k] - med)
     down = float(med - svals[m - 1 - k])

@@ -187,7 +187,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "verify":
         return _cmd_verify(args)
     if args.config:
-        tokens = _config_tokens(args.config, set(vars(args)) - {"command", "config", "func"})
+        try:
+            tokens = _config_tokens(args.config, set(vars(args)) - {"command", "config", "func"})
+        except (OSError, UnicodeDecodeError) as err:
+            reason = getattr(err, "strerror", None) or err
+            print(f"error: cannot read config file {args.config!r}: {reason}", file=sys.stderr)
+            return 2
         args = parser.parse_args([argv[0], *tokens, *argv[1:]])
     try:
         text = args.func(args)

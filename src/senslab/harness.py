@@ -13,9 +13,11 @@ byte-identical across reruns regardless of the worker count.
 
 Every trial runs in one chunked engine: each trial's streams fill its rows
 of (T, n, d) stacks and the estimator runs once per stack. One table maps
-each adversary name to what it accepts and to its chunk step, which draws
-with the same body as the public adversary. The values are the same, bit for
-bit, as drawing and evaluating one trial at a time.
+each adversary name to what it accepts and to its chunk step, which returns
+clean and corrupted stacks drawn with the same body as the public adversary
+(an exact one's achieving datasets). Every adversary then takes one pair
+path: finite checks, the Hamming distance recomputed, the estimator on both
+stacks. The values are the same, bit for bit, as one trial at a time.
 
 The three obstruction experiments mirror the mechanisms that force
 sensitivity onto any accurate estimator: a local mean shift that the
@@ -40,17 +42,11 @@ import numpy as np
 from scipy import integrate
 
 from . import analysis
-from .adversaries import _block_stack, _resample_stack, _shift_stack
+from .adversaries import (_block_stack, _resample_stack, _shift_stack, block_layout,
+                          couple_gaussian_pair, hamming_ball_sup, median_worst_case)
 # Names not called here stay imported: bench/tracing.py wraps these bindings.
 from .adversaries import (  # noqa: F401
-    block_layout,
-    couple_gaussian_pair,
-    hamming_ball_sup,
-    local_shift_adversary,
-    median_worst_case,
-    resampling_adversary,
-    tv_coupling_adversary,
-)
+    local_shift_adversary, resampling_adversary, tv_coupling_adversary)
 from .bernoulli import BernoulliModel, beta_binomial_layer_law
 from .core import (  # noqa: F401
     CorruptionBudget,
@@ -204,6 +200,8 @@ def _run_chunked(trials: int, seed: int, workers: int, trial_bytes: int,
     follows sees them in a fixed order.
     """
     RngStream(seed, 2 * trials - 1)  # the largest key: out-of-range seeds raise here
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     size = max(1, min(_CHUNK_TRIALS, _CHUNK_BYTES // trial_bytes))
     chunks = [(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
 
@@ -212,7 +210,7 @@ def _run_chunked(trials: int, seed: int, workers: int, trial_bytes: int,
         for lo, hi in part:
             run_chunk(streams, lo, hi)
 
-    if workers <= 1:
+    if workers == 1:
         shard(chunks)
         return
     per = -(-len(chunks) // workers)
@@ -277,6 +275,15 @@ def _coupling_pairs(job: _Job, streams: _TrialStreams, lo: int, hi: int):
     return clean, corrupted
 
 
+def _exact_pairs(outcome: Callable) -> Callable:
+    """The chunk step of an exact adversary: trial t's corrupted row is the
+    achieving dataset ``outcome(job, x).corrupted`` of its clean row x."""
+    def pairs(job: _Job, streams: _TrialStreams, lo: int, hi: int):
+        clean = _clean_stack(job, streams, lo, hi)
+        return clean, np.stack([outcome(job, Dataset(x)).corrupted.samples for x in clean])
+    return pairs
+
+
 def _run_pairs(job: _Job, pairs: Callable, trials: int, seed: int, workers: int = 1):
     """f(corrupted) - f(clean) of every trial, and whether its recomputed
     Hamming distance is at most k. Both stacks must be finite."""
@@ -296,8 +303,8 @@ def _run_pairs(job: _Job, pairs: Callable, trials: int, seed: int, workers: int 
 
 
 def _median_only(est: Estimator, n: int) -> None:
-    # The certificate is median_worst_case's, so it holds only for an
-    # estimator that computes _median_stack, whatever its name.
+    # median_worst_case's dataset attains the sup only for an estimator
+    # that computes _median_stack, whatever its name.
     if est.linear_in_data and not est.binary_domain:
         raise UnboundedSensitivityError(
             est.name, "median-exact",
@@ -314,8 +321,8 @@ def _median_only(est: Estimator, n: int) -> None:
 class _Adversary:
     """One adversary of ``estimate_es``. ``step(job, streams, lo, hi)`` returns
     the clean and corrupted stacks of trials lo..hi-1, drawn by the body the
-    public adversary also runs; an exact adversary's ``step(job, x)`` returns its
-    certificate for the clean dataset x. ``check(est, n)`` may reject."""
+    public adversary also runs. ``exact`` marks a corruption that attains the
+    sup, so the report is not ``lower_bound_only``. ``check(est, n)`` may reject."""
 
     step: Callable
     models: tuple[type, ...] = (GaussianModel, BernoulliModel)
@@ -333,13 +340,14 @@ _ADVERSARIES = {
                               nonempty=True),
     "tv-coupling": _Adversary(_coupling_pairs, (GaussianModel,), scalar_only=True),
     "block-resample": _Adversary(_block_pairs, nonempty=True),
-    "median-exact": _Adversary(lambda job, x: median_worst_case(x, job.budget).certificate,
+    # Called through this module's bindings, which bench/tracing.py wraps.
+    "median-exact": _Adversary(_exact_pairs(lambda job, x: median_worst_case(x, job.budget)),
                                exact=True, scalar_only=True, check=_median_only),
-    "hamming-ball": _Adversary(lambda job, x: hamming_ball_sup(job.est, x, job.budget).certificate,
+    "hamming-ball": _Adversary(_exact_pairs(lambda job, x: hamming_ball_sup(job.est, x, job.budget)),
                                (BernoulliModel,), exact=True, binary_only=True),
 }
 ADVERSARY_NAMES = tuple(_ADVERSARIES)
-# Adversaries whose certificate equals the exact pointwise sensitivity.
+# Adversaries whose corruption attains the exact pointwise sensitivity.
 EXACT_ADVERSARIES = frozenset(name for name, spec in _ADVERSARIES.items() if spec.exact)
 
 
@@ -403,8 +411,8 @@ def estimate_es(
 
     Per trial t: sample a clean dataset from the model with stream (seed, 2t),
     corrupt it with stream (seed, 2t + 1), and record the displacement
-    |f(Y) - f(X)| (or the adversary's exact certificate). Over-budget trials
-    contribute 0, which keeps the estimate a valid lower bound. The
+    |f(Y) - f(X)| (exact when the adversary's Y attains the sup). Over-budget
+    trials contribute 0, which keeps the estimate a valid lower bound. The
     q-th-moment CI is mean +/- 1.96 stderr mapped through x -> x^{1/q}.
     """
     if q not in (1, 2):
@@ -416,20 +424,12 @@ def estimate_es(
     budget = CorruptionBudget.from_eta(eta, n)
     if spec.nonempty:
         budget.require_nonempty()
-    job = _Job(model, budget, est, delta)
+    diff, feasible = _run_pairs(_Job(model, budget, est, delta), spec.step, trials, seed, workers)
     per_trial = np.empty(trials)
-    if spec.exact:
-        def run_chunk(streams: _TrialStreams, lo: int, hi: int) -> None:
-            clean = _clean_stack(job, streams, lo, hi)
-            per_trial[lo:hi] = [spec.step(job, Dataset(x)) for x in clean]
-
-        _run_chunked(trials, seed, workers, budget.n * model.d * 8, run_chunk)
-    else:
-        diff, feasible = _run_pairs(job, spec.step, trials, seed, workers)
-        # Row by row: np.linalg.norm of a 1-D vector can differ in the last
-        # bit from a vectorised norm(axis=1).
-        for t in range(trials):
-            per_trial[t] = float(np.linalg.norm(diff[t])) if feasible[t] else 0.0
+    # Row by row: np.linalg.norm of a 1-D vector can differ in the last bit
+    # from a vectorised norm(axis=1).
+    for t in range(trials):
+        per_trial[t] = float(np.linalg.norm(diff[t])) if feasible[t] else 0.0
 
     moment, stderr = analysis._mean_se(per_trial if q == 1 else per_trial * per_trial)
     lo = max(moment - 1.96 * stderr, 0.0)

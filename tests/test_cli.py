@@ -93,6 +93,12 @@ class TestSensitivityCommand:
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_worker_count_below_one_is_an_error(self, capsys, workers):
+        code = main(["sensitivity", "--n", "50", "--trials", "100", "--workers", workers])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: workers must be at least 1, got {workers}\n")
+
 
 class TestScalingCommand:
     def test_eta_sweep(self, capsys):
@@ -210,6 +216,12 @@ class TestConfigGoesThroughTheParser:
         with pytest.raises(SystemExit) as exc:
             run_config(capsys, tmp_path, "bernoulli", "q=3\n")
         assert exc.value.code == 2
+
+    def test_missing_config_file_is_an_error(self, capsys, tmp_path):
+        missing = tmp_path / "absent.cfg"
+        assert main(["sensitivity", "--config", str(missing)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: cannot read config file {str(missing)!r}: No such file or directory\n")
 
     def test_abbreviated_key_is_unknown(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:

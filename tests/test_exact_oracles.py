@@ -218,7 +218,7 @@ def test_cube_values_build_the_vertices_per_chunk():
     assert peak < 12 * 2 ** 20
 
 
-# -- median: one selection vs a stable argsort --
+# -- median: one sort vs a stable argsort --
 
 def median_oracle(x: Dataset, k: int):
     """(certificate, corrupted dataset) of the stable-argsort adversary."""
@@ -262,6 +262,32 @@ def test_median_selection_matches_stable_argsort(m, pool, data):
 def test_median_zero_certificate_is_positive_zero(vals):
     cert = median_worst_case(Dataset(np.array(vals)), CorruptionBudget.from_eta(0.34, 3)).certificate
     assert repr(cert) == "0.0"
+
+
+# Computed from the seven-rank np.partition selection. Both branches (push
+# up, push down) and zero gaps between tied (and signed) zeros occur.
+_TIED = "03210213120203023132323002223132003233312113320112300003100033033333331123200312103030030231022232132"
+_SIGNED_ZEROS = "-0z+0+0z0----00z--z-z++--z-000--0z-++00z0"
+_ZERO_SYMBOLS = {"0": 0.0, "z": -0.0, "+": 1.0, "-": -1.0}
+MEDIAN_PINS = {
+    "ties": ([float(c) for c in _TIED], (1, 7, 25, 50),
+             "22ab493582a69811f11a867994aa82d5f233441433dc0e1d5d5015044ac14e30"),
+    "signed-zeros": ([_ZERO_SYMBOLS[c] for c in _SIGNED_ZEROS], (1, 5, 12, 20),
+                     "ca6bc1990b5e62eb92c6fa1d1168e948619f697b132a5079a72d1c6797f7dcaa"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEDIAN_PINS))
+def test_median_worst_case_pins(name):
+    vals, ks, digest = MEDIAN_PINS[name]
+    x = Dataset(np.array(vals))
+    h = hashlib.sha256()
+    for k in ks:
+        out = median_worst_case(x, budget_for(x.n, k))
+        h.update(repr(out.certificate).encode())
+        h.update(out.corrupted.samples.tobytes())
+        h.update(str(out.achieved_hamming).encode())
+    assert h.hexdigest() == digest
 
 
 def test_median_selection_matches_argsort_on_gaussian_samples():

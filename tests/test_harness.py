@@ -140,6 +140,13 @@ class TestEstimateEs:
             estimate_es("mean", "resample", gauss(1), eta=0.1, n=50, q=3,
                         trials=100, seed=0)
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    @pytest.mark.parametrize("adversary", ["resample", "median-exact"])
+    def test_rejects_workers_below_one(self, adversary, workers):
+        with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+            estimate_es("median", adversary, gauss(1), eta=0.1, n=51, trials=100, seed=0,
+                        workers=workers)
+
     def test_unknown_adversary(self):
         with pytest.raises(ValueError):
             estimate_es("mean", "poisoning", gauss(1), eta=0.1, n=50, trials=100, seed=0)
@@ -238,6 +245,11 @@ class TestScalingSweep:
         with pytest.raises(ValueError):
             scaling_sweep("mean", "resample", variable="k",
                           values=(1, 2, 3, 4), n=100, trials=100, seed=0)
+
+    def test_rejects_workers_below_one(self):
+        with pytest.raises(ValueError, match="workers must be at least 1, got 0"):
+            scaling_sweep("mean", "resample", variable="eta", values=(0.1, 0.2, 0.3, 0.4),
+                          n=100, trials=100, seed=0, workers=0)
 
     def test_projected_d_sweep_lifts_scalar_data(self):
         # projected:<inner> is built at each point's d and runs on scalar rows.

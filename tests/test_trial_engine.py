@@ -144,6 +144,12 @@ GOLDEN = {
         lambda: estimate_es("median", "median-exact", gauss(1), eta=0.1, n=4001, trials=130,
                             seed=34, workers=3),
         "5bc1f35c668578afdd3050f0c8f7e39f3a3a49da98436befd6a76d0e79127219"),
+    # Binary rows tie at every rank: 90 of the 130 certificates are zero gaps
+    # between equal order statistics. Five 32-trial chunks over two threads.
+    "es/median/median-exact/bernoulli-ties/workers2": (
+        lambda: estimate_es("median", "median-exact", BernoulliModel(0.5), eta=0.005, n=2001,
+                            trials=130, seed=36, workers=2),
+        "093c8f9fd6bc2f7d6f449f82a49fed30da89a7784696de75b4e70746ad896581"),
     "es/bernoulli-plugin/hamming-ball/workers2": (
         lambda: estimate_es("bernoulli-plugin", "hamming-ball", BernoulliModel(0.4), eta=0.2,
                             n=10, trials=300, seed=35, workers=2),
