@@ -27,6 +27,7 @@ naive arithmetic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,7 +35,7 @@ import numpy as np
 from scipy import special
 
 from .core import GaussianModel, RngStream, standard_normal
-from .estimators import Estimator
+from .estimators import Estimator, _median_index, _median_stack
 
 __all__ = [
     "IneqCheckResult",
@@ -293,9 +294,17 @@ def binomial_point_mass(n: int, r: int) -> float:
         raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
     if r == 0 or r == n:
         return 1.0
-    log_pmf = (special.gammaln(n + 1) - special.gammaln(r + 1) - special.gammaln(n - r + 1)
+    log_pmf = (_gammaln_int(n + 1) - _gammaln_int(r + 1) - _gammaln_int(n - r + 1)
                + r * math.log(r / n) + (n - r) * math.log1p(-r / n))
     return float(math.exp(log_pmf))
+
+
+@functools.lru_cache(maxsize=1024)
+def _gammaln_int(m: int) -> float:
+    # special.gammaln(m) as a Python float: the same double, so the
+    # arithmetic of binomial_point_mass keeps its bits. A grid over n <= N
+    # asks for N + 1 distinct arguments, each many times.
+    return float(special.gammaln(m))
 
 
 def _variance_with_se(values: np.ndarray) -> tuple[float, float]:
@@ -306,10 +315,55 @@ def _variance_with_se(values: np.ndarray) -> tuple[float, float]:
     return mean * t / (t - 1), se * t / (t - 1)
 
 
+def _replaced_on_stack(f: Estimator, x: np.ndarray, fresh: np.ndarray):
+    # f on x with row i replaced by fresh's row i, for i = 0..n-1; x is
+    # restored after each row.
+    for i in range(x.shape[1]):
+        saved = x[:, i, :].copy()
+        x[:, i, :] = fresh[:, i, :]
+        fxi = f.on_stack(x)
+        x[:, i, :] = saved
+        yield fxi
+
+
+def _median_replaced(x: np.ndarray, fresh: np.ndarray):
+    # _median_stack on x with row i replaced by fresh's row i, for
+    # i = 0..n-1, from the order statistics s_{q-1}, s_q, s_{q+1} of each
+    # dataset (see efron_stein_check).
+    n = x.shape[1]
+    q = _median_index(n)
+    s = np.sort(x, axis=1)
+    mid = s[:, q].copy()
+    below = s[:, q - 1].copy() if q >= 1 else np.full_like(mid, -np.inf)
+    above = s[:, q + 1].copy() if q + 1 < n else np.full_like(mid, np.inf)
+    del s
+    for i in range(n):
+        xi = x[:, i]
+        yield np.clip(fresh[:, i], np.where(xi < mid, mid, below), np.where(xi > mid, mid, above))
+
+
 def efron_stein_check(f: Estimator, model: GaussianModel, n: int, trials: int,
                       rng: RngStream) -> IneqCheckResult:
     """Check E||f(X) - E f(X)||^2 <= (1/2) sum_i E||f(X) - f(X^(i))||^2,
     where X^(i) replaces sample i by an independent fresh copy.
+
+    An f whose ``stack_fn`` is ``_median_stack`` gets its n leave-one-out
+    medians from one sort of the stack instead of n selections over it.
+    Per dataset and coordinate, let q = (n-1)//2 and s the sorted values.
+    Removing x_i leaves the ranks q-1 and q of the rest, (r_{q-1}, r_q), at
+
+    * (s_q, s_{q+1}) if x_i < s_q,
+    * (s_{q-1}, s_{q+1}) if x_i == s_q,
+    * (s_{q-1}, s_q) if x_i > s_q,
+
+    with a rank outside 0..n-1 read as -inf or +inf (n <= 2). Inserting the
+    fresh value y puts clip(y, r_{q-1}, r_q) at rank q. That is one of its
+    three inputs, with no arithmetic, and depends on the multiset alone, so
+    it is the value the selection picks, bit for bit: with ties, per
+    coordinate for d > 1, and for even n (the lower median). Only the sign of
+    a zero tied with a zero of the other sign could differ, and
+    (f(X) - f(X^(i)))^2 is the same for either. Any other f has no such
+    shortcut and is evaluated on each of the n replaced stacks.
     """
     if trials < 1000:
         raise ValueError("efron_stein_check needs trials >= 1e3")
@@ -319,12 +373,12 @@ def efron_stein_check(f: Estimator, model: GaussianModel, n: int, trials: int,
     fx = f.on_stack(x)
     lhs, se_lhs = _variance_with_se(fx)
 
+    if f.stack_fn is _median_stack:
+        replaced = _median_replaced(x, fresh)
+    else:
+        replaced = _replaced_on_stack(f, x, fresh)
     gaps = np.zeros(trials)
-    for i in range(n):
-        saved = x[:, i, :].copy()
-        x[:, i, :] = fresh[:, i, :]
-        fxi = f.on_stack(x)
-        x[:, i, :] = saved
+    for fxi in replaced:
         gaps += ((fx - fxi) ** 2).sum(axis=1)
     rhs, se_rhs = _mean_se(0.5 * gaps)
     return _mc_verdict(lhs, rhs, math.hypot(se_lhs, se_rhs), trials, extra=_ROUNDOFF)

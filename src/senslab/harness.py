@@ -427,9 +427,12 @@ def estimate_es(
     diff, feasible = _run_pairs(_Job(model, budget, est, delta), spec.step, trials, seed, workers)
     per_trial = np.empty(trials)
     # Row by row: np.linalg.norm of a 1-D vector can differ in the last bit
-    # from a vectorised norm(axis=1).
+    # from a vectorised norm(axis=1). This is that norm's own body for a real
+    # vector (numpy/linalg/_linalg.py: "sqnorm = x.dot(x)", then
+    # "ret = sqrt(sqnorm)"), without its per-call dispatch.
     for t in range(trials):
-        per_trial[t] = float(np.linalg.norm(diff[t])) if feasible[t] else 0.0
+        row = diff[t]
+        per_trial[t] = math.sqrt(row.dot(row)) if feasible[t] else 0.0
 
     moment, stderr = analysis._mean_se(per_trial if q == 1 else per_trial * per_trial)
     lo = max(moment - 1.96 * stderr, 0.0)
