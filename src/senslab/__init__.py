@@ -55,6 +55,7 @@ from .estimators import (
     Estimator,
     build_estimator,
     clip_estimator,
+    layer_estimator,
     mean_estimator,
     median_estimator,
     plugin_estimator,

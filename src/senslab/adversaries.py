@@ -24,7 +24,8 @@ Mechanisms:
 * ``median_worst_case``      -- the exact worst-case median displacement
   under k row replacements, with an achieving dataset.
 * ``hamming_ball_sup``       -- exact sup over the radius-k Hamming ball for
-  estimators on binary data, by full enumeration in stacked chunks.
+  estimators on binary data: over the n + 1 weight layers for a layer
+  estimator, by full enumeration in stacked chunks for any other.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .core import (
     standard_normal,
     uniform_open,
 )
-from .estimators import Estimator
+from .estimators import Estimator, _LayerStack
 
 __all__ = [
     "AdversaryOutcome",
@@ -61,6 +62,13 @@ __all__ = [
 ]
 
 _BALL_GUARD = 10 ** 6
+# Bounds the memory of the layer path's (n + 1)-entry tables, its only guard,
+# at nine tables of 8-byte entries: at n = 10^5 (k = 1, 3000, 50000) the
+# expected sensitivity peaked at 66 bytes per layer and a one-trial ball at
+# 52 (tracemalloc). Its work is O(n log k) for the expected sensitivity and
+# O(n + T k) for a chunk of T trials of the ball.
+_LAYER_BYTES = 1 << 27
+_LAYER_TABLES = 9
 # Ball points per f.on_stack call in hamming_ball_sup.
 _BALL_CHUNK = 8192
 # Proposals per residual round, and in total per call, of couple_gaussian_pair.
@@ -324,15 +332,76 @@ def _flip_masks(n: int, k: int) -> np.ndarray:
     return masks
 
 
+def _layer_guard(n: int) -> None:
+    need = _LAYER_TABLES * 8 * (n + 1)
+    if need > _LAYER_BYTES:
+        raise ValueError(f"layer guard: the layer tables for n={n} take {need} bytes, "
+                         f"over {_LAYER_BYTES}")
+
+
+def _layer_ball_stack(clean: np.ndarray, layers: _LayerStack, k: int) -> np.ndarray:
+    """Copy of the binary (T, n, 1) stack ``clean`` with each trial's rows moved
+    to the enumeration's first maximiser of |f(y) - f(x)| over the radius-k ball.
+
+    For x in layer t, the ball reaches the layers t' in [t - k, t + k] ∩ [0, n].
+    Let G* be the largest gap and j the smallest |t' - t| reaching it. The
+    enumeration visits flip sets by size, then in lexicographic order, so its
+    first maximiser is the first j zeros (t' = t + j) or the first j ones
+    (t' = t - j) by index; when both reach G*, the set that holds row 0. A
+    flip writes 1.0 - x, so -0.0 rows become 1.0 and every other row keeps
+    its bytes. With G* = 0 nothing moves. The gaps are read for the chunk's
+    distinct layers only, O(T k) work.
+    """
+    n = clean.shape[1]
+    _layer_guard(n)
+    corrupted = clean.copy()
+    k = min(k, n)
+    if k == 0:
+        return corrupted
+    bits = clean[:, :, 0]
+    zero = bits == 0.0
+    layer, trial_layer = np.unique(n - np.count_nonzero(zero, axis=1), return_inverse=True)
+    # |g(t +- s) - g(t)| for s = 1 .. k, the rounded subtraction the
+    # enumeration makes; -1.0 where t +- s is off [0, n].
+    g = layers.table(n)
+    here = g[layer][:, None]
+    ups, downs = layer[:, None] + np.arange(1, k + 1), layer[:, None] - np.arange(1, k + 1)
+    gap_up = np.where(ups <= n, np.abs(g[np.minimum(ups, n)] - here), -1.0)
+    gap_down = np.where(downs >= 0, np.abs(g[np.maximum(downs, 0)] - here), -1.0)
+    best = np.maximum(gap_up, gap_down).max(axis=1)
+    hit_up, hit_down = gap_up == best[:, None], gap_down == best[:, None]
+    first = np.argmax(hit_up | hit_down, axis=1)
+    rows = np.arange(layer.size)
+    j = np.where(best > 0.0, first + 1, 0)[trial_layer]
+    up, down = hit_up[rows, first][trial_layer], hit_down[rows, first][trial_layer]
+    side = np.where((up & (~down | zero[:, 0]))[:, None], zero, ~zero)
+    flip = side & (np.cumsum(side, axis=1) <= j[:, None])
+    corrupted[:, :, 0] = np.where(flip, 1.0 - bits, bits)
+    return corrupted
+
+
 def hamming_ball_sup(f: Estimator, x: Dataset, budget: CorruptionBudget) -> AdversaryOutcome:
     """Exact sup of |f(y) - f(x)| over binary y within Hamming radius k.
 
-    Enumerates the whole ball, so it is guarded: at most 1e6 points (the
-    work and memory) and n <= 32 (the uint32 masks). The flips are a cached
-    table of integer masks per (n, k); each chunk of at most 8192 of them is
-    expanded into datasets and evaluated with one ``f.on_stack`` call.
-    Returns an argmax dataset as the corruption: the first maximiser in
-    enumeration order.
+    Returns an argmax dataset as the corruption: the first maximiser in the
+    enumeration's order, which visits the flip sets by size and, within a
+    size, in lexicographic order of their sorted row indices. Both paths
+    below return it, with the same certificate bytes.
+
+    A layer estimator (f(x) = g(|x|, n), see ``layer_estimator``) takes the
+    layer path, O(n + k) work at any n up to a memory guard on its tables.
+    For x in layer t the sup G* is the largest |g(t') - g(t)| over
+    t' in [t - k, t + k] ∩ [0, n]. With j the smallest |t' - t| at which it
+    is reached, the first maximiser flips the first j zeros (toward t + j)
+    or the first j ones (toward t - j) by index, and when both reach G*,
+    the set that holds row 0; the flips write 1.0 - x. With G* = 0 nothing
+    moves.
+
+    Any other estimator enumerates the whole ball, so it is guarded: at most
+    1e6 points (the work and memory) and n <= 32 (the uint32 masks). The
+    flips are a cached table of integer masks per (n, k); each chunk of at
+    most 8192 of them is expanded into datasets and evaluated with one
+    ``f.on_stack`` call.
     """
     _check_budget(x, budget)
     if x.d != 1:
@@ -341,6 +410,10 @@ def hamming_ball_sup(f: Estimator, x: Dataset, budget: CorruptionBudget) -> Adve
     if not np.all((bits == 0.0) | (bits == 1.0)):
         raise ValueError("hamming ball enumeration requires entries in {0, 1}")
     n, k = x.n, budget.k
+    if isinstance(f.stack_fn, _LayerStack):
+        corrupted = Dataset(_layer_ball_stack(x.samples[None], f.stack_fn, k)[0])
+        gap = abs(float(f(corrupted)[0]) - float(f(x)[0]))
+        return _outcome(x, corrupted, budget, certificate=gap)
     if n > 32:
         raise ValueError(f"flip masks are uint32: n <= 32 required, got {n}")
     if _ball_size(n, k) > _BALL_GUARD:

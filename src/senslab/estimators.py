@@ -5,10 +5,10 @@ its ``stack_fn`` and returns (T, output_dim); that stacked call is its only
 evaluation path, and one dataset is evaluated as a stack of one. It carries
 the metadata the rest of the package reads (linearity in the data, binary
 domain). The concrete estimators here are the coordinatewise mean and
-median, the interval-clipped versions of either, the plug-in mean for binary
-data, and the scalar projection lift that turns a d-dimensional estimator
-into a deterministic estimator of one coordinate along a chosen unit
-direction.
+median, the interval-clipped versions of either, the layer estimators of
+binary data (among them the plug-in mean), and the scalar projection lift
+that turns a d-dimensional estimator into a deterministic estimator of one
+coordinate along a chosen unit direction.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ __all__ = [
     "project_scalar",
     "mean_estimator",
     "median_estimator",
+    "layer_estimator",
     "plugin_estimator",
     "sample_unit_direction",
     "build_estimator",
@@ -111,19 +112,61 @@ def median_estimator(d: int = 1) -> Estimator:
     )
 
 
-def plugin_estimator() -> Estimator:
-    def _check_stack(stack: np.ndarray) -> np.ndarray:
-        if not np.all((stack == 0.0) | (stack == 1.0)):
-            raise ValueError("bernoulli-plugin requires entries in {0, 1}")
-        return stack.mean(axis=1)
+class _LayerStack:
+    """The ``stack_fn`` of a layer estimator: g(|x|, n) for each binary dataset x.
 
+    ``g(t, n)`` takes an integer array of weights t and must act elementwise,
+    so that its value at t does not depend on the other entries; it is then
+    the same float whether it is read from a dataset or from ``table(n)``.
+    Row symmetry holds by construction: f(x) depends on x only through the
+    number of ones.
+    """
+
+    def __init__(self, name: str, g: Callable):
+        self.name = name
+        self.g = g
+
+    def __call__(self, stack: np.ndarray) -> np.ndarray:
+        if not np.all((stack == 0.0) | (stack == 1.0)):
+            raise ValueError(f"{self.name} requires entries in {{0, 1}}")
+        return self.g(np.count_nonzero(stack == 1.0, axis=1), stack.shape[1])
+
+    def table(self, n: int) -> np.ndarray:
+        """g on every layer t = 0 .. n."""
+        table = np.asarray(self.g(np.arange(n + 1), n), dtype=np.float64)
+        if table.shape != (n + 1,) or not np.all(np.isfinite(table)):
+            raise ValueError(f"{self.name}: the layer function must give n + 1 finite values")
+        return table
+
+
+def layer_estimator(name: str, g: Callable, *, linear_in_data: bool = False) -> Estimator:
+    """The scalar binary estimator f(x) = g(|x|, n), with |x| the number of ones.
+
+    Exact sensitivity of such an estimator reads the n + 1 layers instead of
+    the 2^n datasets: ``hamming_ball_sup``, the ``hamming-ball`` adversary and
+    ``bernoulli_expected_sensitivity`` key on its ``stack_fn``.
+    """
     return Estimator(
-        name="bernoulli-plugin",
+        name=name,
         output_dim=1,
-        stack_fn=_check_stack,
-        linear_in_data=True,
+        stack_fn=_LayerStack(name, g),
+        linear_in_data=linear_in_data,
         binary_domain=True,
     )
+
+
+def _plugin_layer(t: np.ndarray, n: int) -> np.ndarray:
+    return t / n
+
+
+def plugin_estimator() -> Estimator:
+    """The plug-in mean of binary data, the layer estimator g(t, n) = t / n.
+
+    On {+0.0, 1.0} data it equals ``stack.mean(axis=1)`` byte for byte: the
+    sum of t ones is exactly t. A dataset whose entries are all -0.0 gives
+    +0.0 (0 / n), as the mean did with numpy 2.4, whose sum starts at +0.0.
+    """
+    return layer_estimator("bernoulli-plugin", _plugin_layer, linear_in_data=True)
 
 
 def clip_estimator(f: Estimator, interval: ClipInterval) -> Estimator:

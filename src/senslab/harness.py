@@ -42,8 +42,9 @@ import numpy as np
 from scipy import integrate
 
 from . import analysis
-from .adversaries import (_block_stack, _resample_stack, _shift_stack, block_layout,
-                          couple_gaussian_pair, hamming_ball_sup, median_worst_case)
+from .adversaries import (_block_stack, _layer_ball_stack, _resample_stack, _shift_stack,
+                          block_layout, couple_gaussian_pair, hamming_ball_sup,
+                          median_worst_case)
 # Names not called here stay imported: bench/tracing.py wraps these bindings.
 from .adversaries import (  # noqa: F401
     local_shift_adversary, resampling_adversary, tv_coupling_adversary)
@@ -58,7 +59,8 @@ from .core import (  # noqa: F401
     standard_normal,
     uniform_open,
 )
-from .estimators import Estimator, _median_stack, build_estimator, mean_estimator, median_estimator
+from .estimators import (Estimator, _LayerStack, _median_stack, build_estimator, mean_estimator,
+                         median_estimator)
 
 __all__ = [
     "SCHEMA",
@@ -284,6 +286,20 @@ def _exact_pairs(outcome: Callable) -> Callable:
     return pairs
 
 
+# Called through this module's binding, which bench/tracing.py wraps.
+_ball_enumeration_pairs = _exact_pairs(lambda job, x: hamming_ball_sup(job.est, x, job.budget))
+
+
+def _ball_pairs(job: _Job, streams: _TrialStreams, lo: int, hi: int):
+    """A layer estimator's achieving datasets come from one layer pass over
+    the chunk, the body ``hamming_ball_sup`` runs on a one-trial stack; any
+    other estimator's from the ball enumeration, trial by trial."""
+    if not isinstance(job.est.stack_fn, _LayerStack):
+        return _ball_enumeration_pairs(job, streams, lo, hi)
+    clean = _clean_stack(job, streams, lo, hi)
+    return clean, _layer_ball_stack(clean, job.est.stack_fn, job.budget.k)
+
+
 def _run_pairs(job: _Job, pairs: Callable, trials: int, seed: int, workers: int = 1):
     """f(corrupted) - f(clean) of every trial, and whether its recomputed
     Hamming distance is at most k. Both stacks must be finite."""
@@ -343,8 +359,7 @@ _ADVERSARIES = {
     # Called through this module's bindings, which bench/tracing.py wraps.
     "median-exact": _Adversary(_exact_pairs(lambda job, x: median_worst_case(x, job.budget)),
                                exact=True, scalar_only=True, check=_median_only),
-    "hamming-ball": _Adversary(_exact_pairs(lambda job, x: hamming_ball_sup(job.est, x, job.budget)),
-                               (BernoulliModel,), exact=True, binary_only=True),
+    "hamming-ball": _Adversary(_ball_pairs, (BernoulliModel,), exact=True, binary_only=True),
 }
 ADVERSARY_NAMES = tuple(_ADVERSARIES)
 # Adversaries whose corruption attains the exact pointwise sensitivity.

@@ -361,13 +361,20 @@ class TestHammingBallSup:
         assert all(a <= b for a, b in zip(certs, certs[1:]))
 
     def test_enumeration_guards(self):
+        # The plug-in is a layer estimator and passes both guards
+        # (test_layer_paths.py); the same function as a non-layer estimator
+        # enumerates, and is guarded.
         plugin = plugin_estimator()
+        enumerated = Estimator("plugin-enumerated", 1, stack_fn=lambda s: plugin.on_stack(s),
+                               binary_domain=True)
         with pytest.raises(ValueError, match="uint32"):
             # 33 bits do not fit the flip masks, although the ball has 34 points
-            hamming_ball_sup(plugin, Dataset(np.zeros(33)), CorruptionBudget.from_eta(0.04, 33))
+            hamming_ball_sup(enumerated, Dataset(np.zeros(33)),
+                             CorruptionBudget.from_eta(0.04, 33))
         with pytest.raises(ValueError):
             # ball of radius 11 on 23 bits exceeds 1e6 points
-            hamming_ball_sup(plugin, Dataset(np.zeros(23)), CorruptionBudget.from_eta(0.5, 23))
+            hamming_ball_sup(enumerated, Dataset(np.zeros(23)),
+                             CorruptionBudget.from_eta(0.5, 23))
 
     def test_thirty_bits_match_single_flips(self):
         # 30 bits fit the uint32 masks; at k = 1 the certificate is the

@@ -11,6 +11,7 @@ from senslab import (
     BernoulliModel,
     CorruptionBudget,
     Dataset,
+    Estimator,
     LayerSpec,
     RngStream,
     bernoulli_expected_sensitivity,
@@ -224,6 +225,11 @@ class TestExpectedSensitivity:
             assert got == pytest.approx(1 / 8, abs=1e-12)
 
     def test_enumeration_guard(self):
-        with pytest.raises(ValueError):
-            bernoulli_expected_sensitivity(plugin_estimator(), 21, 0.5,
+        # The plug-in is a layer estimator and runs at n = 21
+        # (test_layer_paths.py); as a non-layer estimator it enumerates.
+        plugin = plugin_estimator()
+        enumerated = Estimator("plugin-enumerated", 1, stack_fn=lambda s: plugin.on_stack(s),
+                               binary_domain=True)
+        with pytest.raises(ValueError, match="enumeration guard"):
+            bernoulli_expected_sensitivity(enumerated, 21, 0.5,
                                            CorruptionBudget.from_eta(0.1, 21))
