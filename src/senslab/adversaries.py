@@ -339,6 +339,19 @@ def _layer_guard(n: int) -> None:
                          f"over {_LAYER_BYTES}")
 
 
+def _layer_ball(f: Estimator, n: int, k: int) -> bool:
+    """Whether the radius-k ball of f on n bits takes the layer path.
+
+    A layer estimator's ball does, except a ball of radius k <= 1 that fits
+    the flip masks (n <= 32): x and its n single flips are still enumerated
+    with one ``f.on_stack`` call. ``bench/tracing.py`` counts ball points at
+    that call, and ``bench/test_bench.py`` pins the count for the plug-in at
+    n = 8, k = 1; the layer path evaluates no ball point. Both paths return
+    the same outcome byte for byte; the enumeration is the slower one.
+    """
+    return isinstance(f.stack_fn, _LayerStack) and (k > 1 or n > 32)
+
+
 def _layer_ball_stack(clean: np.ndarray, layers: _LayerStack, k: int) -> np.ndarray:
     """Copy of the binary (T, n, 1) stack ``clean`` with each trial's rows moved
     to the enumeration's first maximiser of |f(y) - f(x)| over the radius-k ball.
@@ -389,7 +402,8 @@ def hamming_ball_sup(f: Estimator, x: Dataset, budget: CorruptionBudget) -> Adve
     below return it, with the same certificate bytes.
 
     A layer estimator (f(x) = g(|x|, n), see ``layer_estimator``) takes the
-    layer path, O(n + k) work at any n up to a memory guard on its tables.
+    layer path, O(n + k) work at any n up to a memory guard on its tables,
+    unless k <= 1 and n <= 32 (see ``_layer_ball``).
     For x in layer t the sup G* is the largest |g(t') - g(t)| over
     t' in [t - k, t + k] ∩ [0, n]. With j the smallest |t' - t| at which it
     is reached, the first maximiser flips the first j zeros (toward t + j)
@@ -397,7 +411,7 @@ def hamming_ball_sup(f: Estimator, x: Dataset, budget: CorruptionBudget) -> Adve
     the set that holds row 0; the flips write 1.0 - x. With G* = 0 nothing
     moves.
 
-    Any other estimator enumerates the whole ball, so it is guarded: at most
+    Any other ball is enumerated whole, so the enumeration is guarded: at most
     1e6 points (the work and memory) and n <= 32 (the uint32 masks). The
     flips are a cached table of integer masks per (n, k); each chunk of at
     most 8192 of them is expanded into datasets and evaluated with one
@@ -410,7 +424,7 @@ def hamming_ball_sup(f: Estimator, x: Dataset, budget: CorruptionBudget) -> Adve
     if not np.all((bits == 0.0) | (bits == 1.0)):
         raise ValueError("hamming ball enumeration requires entries in {0, 1}")
     n, k = x.n, budget.k
-    if isinstance(f.stack_fn, _LayerStack):
+    if _layer_ball(f, n, k):
         corrupted = Dataset(_layer_ball_stack(x.samples[None], f.stack_fn, k)[0])
         gap = abs(float(f(corrupted)[0]) - float(f(x)[0]))
         return _outcome(x, corrupted, budget, certificate=gap)

@@ -42,8 +42,8 @@ import numpy as np
 from scipy import integrate
 
 from . import analysis
-from .adversaries import (_block_stack, _layer_ball_stack, _resample_stack, _shift_stack,
-                          block_layout, couple_gaussian_pair, hamming_ball_sup,
+from .adversaries import (_block_stack, _layer_ball, _layer_ball_stack, _resample_stack,
+                          _shift_stack, block_layout, couple_gaussian_pair, hamming_ball_sup,
                           median_worst_case)
 # Names not called here stay imported: bench/tracing.py wraps these bindings.
 from .adversaries import (  # noqa: F401
@@ -59,7 +59,7 @@ from .core import (  # noqa: F401
     standard_normal,
     uniform_open,
 )
-from .estimators import (Estimator, _LayerStack, _median_stack, build_estimator, mean_estimator,
+from .estimators import (Estimator, _median_stack, build_estimator, mean_estimator,
                          median_estimator)
 
 __all__ = [
@@ -293,8 +293,9 @@ _ball_enumeration_pairs = _exact_pairs(lambda job, x: hamming_ball_sup(job.est, 
 def _ball_pairs(job: _Job, streams: _TrialStreams, lo: int, hi: int):
     """A layer estimator's achieving datasets come from one layer pass over
     the chunk, the body ``hamming_ball_sup`` runs on a one-trial stack; any
-    other estimator's from the ball enumeration, trial by trial."""
-    if not isinstance(job.est.stack_fn, _LayerStack):
+    other ball's (see ``_layer_ball``) from ``hamming_ball_sup``, trial by
+    trial."""
+    if not _layer_ball(job.est, job.budget.n, job.budget.k):
         return _ball_enumeration_pairs(job, streams, lo, hi)
     clean = _clean_stack(job, streams, lo, hi)
     return clean, _layer_ball_stack(clean, job.est.stack_fn, job.budget.k)

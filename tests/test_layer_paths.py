@@ -35,7 +35,7 @@ from senslab import (
     plugin_estimator,
 )
 from senslab import adversaries
-from senslab.adversaries import _BALL_GUARD, _ball_size
+from senslab.adversaries import _BALL_GUARD, _ball_size, _layer_ball, _layer_ball_stack
 from senslab.bernoulli import _log_binomials
 
 PROBS = (0.0, 0.1, 0.3, 0.5, 0.9, 1.0)
@@ -130,6 +130,9 @@ def test_layer_ball_matches_enumeration(data, n):
     assert repr(got.certificate) == repr(want.certificate)
     assert got.corrupted.samples.tobytes() == want.corrupted.samples.tobytes()
     assert got.achieved_hamming == want.achieved_hamming
+    # the layer body also where hamming_ball_sup enumerates (k <= 1)
+    body = _layer_ball_stack(x.samples[None], f.stack_fn, k)[0]
+    assert body.tobytes() == want.corrupted.samples.tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(LAYER_FUNCTIONS))
@@ -144,6 +147,8 @@ def test_layer_ball_matches_enumeration_on_every_small_vector(name):
                 want = hamming_ball_sup(cube, Dataset(bits), budget_for(n, k))
                 assert repr(got.certificate) == repr(want.certificate)
                 assert got.corrupted.samples.tobytes() == want.corrupted.samples.tobytes()
+                body = _layer_ball_stack(bits[None, :, None], f.stack_fn, k)[0]
+                assert body.tobytes() == want.corrupted.samples.tobytes()
 
 
 # -- (d) the engine's layer step against the enumeration's reports --
@@ -240,7 +245,21 @@ def test_plugin_of_all_negative_zeros_is_positive_zero():
 def test_layer_function_must_be_finite():
     f = layer_estimator("inf-at-zero", lambda t, n: np.where(t == 0, np.inf, t / n))
     with pytest.raises(ValueError, match="finite"):
-        hamming_ball_sup(f, Dataset(np.ones(4)), CorruptionBudget.from_eta(0.3, 4))
+        hamming_ball_sup(f, Dataset(np.ones(4)), CorruptionBudget.from_eta(0.5, 4))
+
+
+def test_radius_one_balls_within_the_masks_are_enumerated():
+    plugin = plugin_estimator()
+    assert [_layer_ball(plugin, n, k) for n, k in ((8, 0), (8, 1), (32, 1))] == [False] * 3
+    assert [_layer_ball(plugin, n, k) for n, k in ((8, 2), (16, 3), (33, 0), (33, 1))] == [True] * 4
+    assert not _layer_ball(enumerated(plugin), 16, 3)
+    rows = []
+    counting = layer_estimator("counting", lambda t, n: rows.append(t.size) or t / n)
+    hamming_ball_sup(counting, Dataset(np.zeros(8)), budget_for(8, 1))
+    assert sum(rows) == 1 + 8  # f(x), then the 8 single flips in one call
+    rows.clear()
+    hamming_ball_sup(counting, Dataset(np.zeros(8)), budget_for(8, 2))
+    assert sum(rows) == 9 + 2  # the layer table, then f on the corrupted set and on x
 
 
 # -- import cost --
