@@ -6,9 +6,10 @@ recomputed from the data -- never trusted from the construction -- together
 with a feasibility flag against the budget and, where an exact worst case is
 known, a certificate value.
 
-The resampling, local-shift and block draws are written once, as bodies that
-corrupt a (T, n, d) stack with one generator per trial: the trial engine runs
-them on a chunk of trials, the public functions on a one-trial stack.
+The resampling, local-shift and block draws (one generator per trial), the
+median's push and a layer estimator's Hamming ball are written once, as
+bodies that corrupt a (T, n, d) stack: the trial engine runs them on a chunk
+of trials, the public functions on a one-trial stack.
 
 Mechanisms:
 
@@ -255,20 +256,59 @@ def block_resample(x: Dataset, budget: CorruptionBudget, block_index: int,
     return _outcome(x, Dataset(corrupted[0]), budget)
 
 
+def _median_push_stack(clean: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Copy of the scalar (T, n, 1) stack ``clean`` (n = 2m - 1, k <= m - 1)
+    with each trial's k rows pushed past the far end, and each trial's sup of
+    the median's displacement.
+
+    The sup is max(x_(m+k) - x_(m), x_(m) - x_(m-k)); on ``>=`` the k smallest
+    rows move to x_(n) + 1, otherwise the k largest move to x_(1) - 1, so the
+    data stay finite and the pushed median is the same order statistic either
+    way. The moved rows are exactly those a stable argsort would pick: every
+    value beyond the cut order statistic, then the ties at the cut by lowest
+    (resp. highest) index. A zero sup is +0.0: a gap between a 0.0 and a -0.0
+    order statistic would otherwise take its sign from how the ties fall.
+
+    The order statistics of the whole chunk come from one ``np.sort``: with
+    numpy 2.4 it is faster than an ``np.partition`` at the ranks needed, at
+    every n measured from 101 to 100001. Each trial then takes one compare
+    against its cut and one ``flatnonzero``, and splits the ties only when
+    more than k rows sit at or beyond the cut. Masks over the whole chunk
+    and a cumulative sum for the tie ranks were slower.
+    """
+    corrupted = clean.copy()
+    if k == 0:
+        return corrupted, np.zeros(clean.shape[0])
+    vals = clean[:, :, 0]
+    svals = np.sort(vals, axis=1)
+    n = vals.shape[1]
+    m = (n + 1) // 2
+    med = svals[:, m - 1]
+    up = svals[:, m - 1 + k] - med
+    down = med - svals[:, m - 1 - k]
+    push_up = up >= down
+    cuts = np.where(push_up, svals[:, k - 1], svals[:, n - k])
+    fills = np.where(push_up, svals[:, -1] + 1.0, svals[:, 0] - 1.0)
+    for i, (row, cut, toward_up) in enumerate(zip(vals, cuts, push_up)):
+        idx = np.flatnonzero(row <= cut if toward_up else row >= cut)
+        if idx.size > k:
+            beyond = np.flatnonzero(row < cut if toward_up else row > cut)
+            ties = np.flatnonzero(row == cut)
+            ties = ties[:k - beyond.size] if toward_up else ties[ties.size - (k - beyond.size):]
+            idx = np.concatenate([beyond, ties])
+        corrupted[i, idx, 0] = fills[i]
+    return corrupted, np.where(push_up, up, down) + 0.0
+
+
 def median_worst_case(x: Dataset, budget: CorruptionBudget) -> AdversaryOutcome:
     """Exact worst-case median displacement under k row replacements.
 
     For odd n = 2m - 1 and k <= m - 1 the sup equals
     max(x_(m+k) - x_(m), x_(m) - x_(m-k)), attained by pushing the k smallest
-    entries above the maximum (or the k largest below the minimum). The
-    corrupting value is x_(n) + 1 (resp. x_(1) - 1) so the dataset stays
-    finite; the achieved median is the same order statistic either way.
-
-    The order statistics come from one ``np.sort``: with numpy 2.4 it is
-    faster than an ``np.partition`` at the seven ranks needed, at every n
-    measured from 101 to 100001. The replaced rows are exactly those a stable
-    argsort would pick, so ties resolve the same way. A zero certificate is
-    always +0.0.
+    entries above the maximum (or the k largest below the minimum). This is
+    ``_median_push_stack`` on a one-trial stack, the body the ``median-exact``
+    adversary runs on a chunk of trials; its docstring gives the corrupting
+    values and the tie rule. A zero certificate is always +0.0.
     """
     _check_budget(x, budget)
     if x.d != 1:
@@ -280,35 +320,8 @@ def median_worst_case(x: Dataset, budget: CorruptionBudget) -> AdversaryOutcome:
     k = budget.k
     if k > m - 1:
         raise ValueError(f"need k <= m - 1 = {m - 1}, got k = {k}")
-    if k == 0:
-        return _outcome(x, x, budget, certificate=0.0)
-
-    vals = x.samples[:, 0]
-    svals = np.sort(vals)
-    med = svals[m - 1]
-    up = float(svals[m - 1 + k] - med)
-    down = float(med - svals[m - 1 - k])
-    # Replace the rows a stable argsort would put first (resp. last): every
-    # value strictly beyond the cut order statistic, then the ties at the
-    # cut by lowest (resp. highest) index.
-    if up >= down:
-        cut = svals[k - 1]
-        beyond = np.flatnonzero(vals < cut)
-        ties = np.flatnonzero(vals == cut)[:k - beyond.size]
-        fill = float(svals[-1]) + 1.0
-        cert = up
-    else:
-        cut = svals[n - k]
-        beyond = np.flatnonzero(vals > cut)
-        ties = np.flatnonzero(vals == cut)
-        ties = ties[ties.size - (k - beyond.size):]
-        fill = float(svals[0]) - 1.0
-        cert = down
-    replace_idx = np.concatenate([beyond, ties])
-    corrupted = x.replace_rows(replace_idx, np.full((k, 1), fill))
-    # A zero gap between order statistics that are 0.0 and -0.0 would take
-    # its sign from how the ties fall; report it as +0.0.
-    return _outcome(x, corrupted, budget, certificate=cert + 0.0)
+    corrupted, cert = _median_push_stack(x.samples[None], k)
+    return _outcome(x, Dataset(corrupted[0]), budget, certificate=float(cert[0]))
 
 
 def _ball_size(n: int, k: int) -> int:

@@ -174,10 +174,16 @@ def clip_estimator(f: Estimator, interval: ClipInterval) -> Estimator:
 
     Projection is 1-Lipschitz and fixes the interval, so the wrapped
     estimator's worst-case displacement under row replacements never exceeds
-    that of the raw estimator.
+    that of the raw estimator. A clipped layer estimator g is the layer
+    estimator clip∘g, so it keeps the layer paths; its values are the same
+    floats as clipping f's output.
     """
     if f.output_dim != 1:
         raise ValueError("clip_estimator applies to scalar estimators only")
+    if isinstance(f.stack_fn, _LayerStack):
+        g = f.stack_fn.g
+        return layer_estimator(f"clipped-{f.name}",
+                               lambda t, n: interval.clip(np.asarray(g(t, n), dtype=np.float64)))
     return Estimator(
         name=f"clipped-{f.name}",
         output_dim=1,

@@ -29,7 +29,7 @@ from senslab import (
     median_worst_case,
     plugin_estimator,
 )
-from senslab.adversaries import _flip_masks
+from senslab.adversaries import _flip_masks, _median_push_stack
 from senslab.bernoulli import _cube_values
 from senslab.estimators import Estimator, _LayerStack
 
@@ -320,3 +320,100 @@ def test_median_selection_matches_argsort_on_gaussian_samples():
             want_cert, want_data = median_oracle(x, k)
             assert out.certificate == want_cert
             assert out.corrupted.samples.tobytes() == want_data.samples.tobytes()
+
+
+# -- median: the stacked push body against brute force, the one-trial calls and pins --
+
+def brute_force_median_sup(vals: np.ndarray, k: int) -> float:
+    """max |med(y) - med(x)| over every k-subset of rows pushed to either end."""
+    n = vals.size
+    mid = (n - 1) // 2
+    med = np.sort(vals)[mid]
+    best = 0.0
+    for rows in itertools.combinations(range(n), k):
+        for fill in (vals.max() + 1.0, vals.min() - 1.0):
+            y = vals.copy()
+            y[list(rows)] = fill
+            best = max(best, abs(float(np.sort(y)[mid] - med)))
+    return best
+
+
+def test_median_push_matches_brute_force_for_small_n():
+    gen = np.random.default_rng(2026)
+    for n in (1, 3, 5, 7, 9):
+        m = (n + 1) // 2
+        # half-integers tie often, and rounding leaves some -0.0
+        stack = np.round(gen.normal(size=(40, n, 1)) * 2) / 2
+        for k in range(m):
+            corrupted, certs = _median_push_stack(stack, k)
+            for x, y, cert in zip(stack, corrupted, certs):
+                assert cert == brute_force_median_sup(x[:, 0], k), (n, k)
+                assert abs(np.sort(y[:, 0])[m - 1] - np.sort(x[:, 0])[m - 1]) == cert
+                assert np.count_nonzero(y != x) == k
+                out = median_worst_case(Dataset(x), budget_for(n, k))
+                assert repr(out.certificate) == repr(float(cert))
+                assert out.corrupted.samples.tobytes() == y.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.integers(1, 12),
+    trials=st.integers(1, 6),
+    pool=st.one_of(
+        st.just([0.0, 1.0]),
+        st.just([0.0, -0.0, 1.0]),
+        st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -3.0, 1e-300]),
+                 min_size=1, max_size=4),
+    ),
+    data=st.data(),
+)
+def test_median_push_stack_matches_one_trial_calls(m, trials, pool, data):
+    n = 2 * m - 1
+    vals = data.draw(st.lists(st.sampled_from(pool), min_size=trials * n, max_size=trials * n))
+    stack = np.array(vals).reshape(trials, n, 1)
+    k = data.draw(st.integers(0, m - 1))
+    corrupted, certs = _median_push_stack(stack, k)
+    outs = [median_worst_case(Dataset(x), budget_for(n, k)) for x in stack]
+    assert corrupted.tobytes() == np.stack([o.corrupted.samples for o in outs]).tobytes()
+    assert certs.tobytes() == np.array([o.certificate for o in outs]).tobytes()
+    for x, y, cert in zip(stack, corrupted, certs):
+        want_cert, want_data = median_oracle(Dataset(x), k)
+        assert y.tobytes() == want_data.samples.tobytes()
+        assert cert == want_cert and math.copysign(1.0, cert) == 1.0
+
+
+# Taken before the median-exact step became one push pass per chunk, each
+# report identical at workers=1 and workers=2: (model, n, eta, trials, seed, sha256).
+MEDIAN_EXACT_PINS = {
+    "n5/eta0.01": (GaussianModel(np.zeros(1)), 5, 0.01, 300, 105,
+        "9941b132c2e9d5b234b097b99f7a83d5976d32945ce312437d8751e43e3ed790"),
+    "n5/eta0.05": (GaussianModel(np.zeros(1)), 5, 0.05, 300, 106,
+        "925b7270a4af7a50d8610283164720aba98e715ab3e131a1efbb43e2218bffc4"),
+    "n5/eta0.3": (GaussianModel(np.zeros(1)), 5, 0.3, 300, 107,
+        "db34b1e974861ef8f506bc0aa260be29ab12f6d65f01905c3e2b9d0903512a1c"),
+    "n101/eta0.01": (GaussianModel(np.zeros(1)), 101, 0.01, 300, 104,
+        "313b8ea2440d4c05d7f54ef6c27cf2f53196ff66791d621a167d8d88a23b87a8"),
+    "n101/eta0.05": (GaussianModel(np.zeros(1)), 101, 0.05, 300, 105,
+        "4e208d07cdff51b419b6b9ba66002116ac955e2a288834567b7ee62051a22a16"),
+    "n101/eta0.3": (GaussianModel(np.zeros(1)), 101, 0.3, 300, 106,
+        "1cb4b49fe47e7c7af58ef4223df617fc251bcb6578622f9bdf5f28c287b31b84"),
+    "n10001/eta0.01": (GaussianModel(np.zeros(1)), 10001, 0.01, 100, 110,
+        "41461100dca50f83365cb10be6eb4dddec66ba7c58af8a17af80c29b3daf6710"),
+    "n10001/eta0.05": (GaussianModel(np.zeros(1)), 10001, 0.05, 100, 111,
+        "58983fd0f9602033e30ead006e2e7de234dc4f457a79f60d86e75533befb6a0b"),
+    "n10001/eta0.3": (GaussianModel(np.zeros(1)), 10001, 0.3, 100, 112,
+        "e27d1ef148e70a214b1e123ccd6b997db6e0f466a9f7d3f9b30ac20a478effa1"),
+    "bernoulli-ties/n101/eta0.3": (BernoulliModel(0.5), 101, 0.3, 300, 61,
+        "bf0a4140abe6ea3811b422dd20f9a64ac29f066ab35796d9bafffdb572fbb31a"),
+    "bernoulli-ties/n1001/eta0.05": (BernoulliModel(0.5), 1001, 0.05, 200, 62,
+        "c849f7e548f09d9c7c021c2e122c2022fcb2ac04e4a5b8a409ce66c3f0c90e74"),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", sorted(MEDIAN_EXACT_PINS))
+def test_median_exact_report_pins(name, workers):
+    model, n, eta, trials, seed, digest = MEDIAN_EXACT_PINS[name]
+    report = estimate_es("median", "median-exact", model, eta=eta, n=n, trials=trials, seed=seed,
+                         workers=workers)
+    assert sha256(report.to_json(include_trials=True)) == digest

@@ -37,6 +37,7 @@ from senslab import (
 from senslab import adversaries
 from senslab.adversaries import _BALL_GUARD, _ball_size, _layer_ball, _layer_ball_stack
 from senslab.bernoulli import _log_binomials
+from senslab.estimators import _LayerStack
 
 PROBS = (0.0, 0.1, 0.3, 0.5, 0.9, 1.0)
 
@@ -200,12 +201,42 @@ def test_layer_estimators_pass_the_enumeration_guards():
     assert abs(got - 2 / 21) <= 1e-12
 
 
-def test_a_clipped_plugin_is_not_a_layer_estimator():
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (0.2, 0.7)])
+def test_a_clipped_layer_estimator_keeps_the_layer_paths(lo, hi):
+    interval = ClipInterval(lo, hi)
+    clipped = clip_estimator(plugin_estimator(), interval)
+    assert clipped.name == "clipped-bernoulli-plugin"
+    assert isinstance(clipped.stack_fn, _LayerStack) and not clipped.linear_in_data
+    # The non-layer clip of the non-layer plug-in takes the enumerations.
+    cube = clip_estimator(enumerated(plugin_estimator()), interval)
+    assert not isinstance(cube.stack_fn, _LayerStack)
+    for n in range(1, 8):
+        for code in range(1 << n):
+            bits = np.array([float((code >> j) & 1) for j in range(n)])
+            for k in range(n):
+                got = hamming_ball_sup(clipped, Dataset(bits), budget_for(n, k))
+                want = hamming_ball_sup(cube, Dataset(bits), budget_for(n, k))
+                assert repr(got.certificate) == repr(want.certificate)
+                assert got.corrupted.samples.tobytes() == want.corrupted.samples.tobytes()
+                body = _layer_ball_stack(bits[None, :, None], clipped.stack_fn, k)[0]
+                assert body.tobytes() == want.corrupted.samples.tobytes()
+        for k in range(n):
+            for p in PROBS:
+                got = bernoulli_expected_sensitivity(clipped, n, p, budget_for(n, k))
+                want = bernoulli_expected_sensitivity(cube, n, p, budget_for(n, k))
+                assert abs(got - want) <= 1e-12, (n, k, p)
+
+
+def test_a_clipped_plugin_runs_past_the_enumeration_guards():
     clipped = clip_estimator(plugin_estimator(), ClipInterval(0.0, 1.0))
-    with pytest.raises(ValueError, match="uint32"):
-        hamming_ball_sup(clipped, Dataset(np.zeros(33)), CorruptionBudget.from_eta(0.04, 33))
-    with pytest.raises(ValueError, match="enumeration guard"):
-        bernoulli_expected_sensitivity(clipped, 21, 0.5, CorruptionBudget.from_eta(0.1, 21))
+    out = hamming_ball_sup(clipped, Dataset(np.zeros(33)), CorruptionBudget.from_eta(0.04, 33))
+    assert out.certificate == 1 / 33 and out.achieved_hamming == 1
+    budget = CorruptionBudget.from_eta(0.1, 5000)
+    got = bernoulli_expected_sensitivity(clipped, 5000, 0.5, budget)
+    assert abs(got - budget.k / 5000) <= 1e-12
+    report = estimate_es(clipped, "hamming-ball", BernoulliModel(0.5), eta=0.1, n=5000,
+                         trials=100, seed=3)
+    assert np.max(np.abs(report.per_trial - budget.k / 5000)) <= 1e-15
 
 
 def test_layer_memory_guard():

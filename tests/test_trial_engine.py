@@ -387,6 +387,34 @@ def test_rejections(case):
     assert type(info.value) is error
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 9, 12, 16, 24, 64, 72])
+def test_hamming_stack_matches_hamming_distance(d):
+    # One coordinate moved, or a 0.0 swapped for -0.0 (equal under !=), at
+    # random rows and coordinates; every word width and both code paths.
+    gen = np.random.default_rng(d)
+    clean = gen.normal(size=(7, 30, d))
+    clean[:, ::4] = 0.0
+    corrupted = clean.copy()
+    for i in range(7):
+        for row in gen.choice(30, size=i * 4, replace=False):
+            j = gen.integers(d)
+            corrupted[i, row, j] = -0.0 if clean[i, row, j] == 0.0 else clean[i, row, j] + 1.0
+    want = [sl.hamming_distance(Dataset(x), Dataset(y)) for x, y in zip(clean, corrupted)]
+    assert harness._hamming_stack(clean, corrupted).tolist() == want
+    assert harness._hamming_stack(clean, clean).tolist() == [0] * 7
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_median_exact_checks_k_before_the_first_trial(monkeypatch, workers):
+    def no_draw(*args):
+        raise AssertionError("a chunk was drawn before the budget was checked")
+
+    monkeypatch.setattr(harness, "_clean_stack", no_draw)
+    with pytest.raises(ValueError, match=r"^need k <= m - 1 = 5, got k = 6$"):
+        estimate_es("median", "median-exact", GaussianModel([0]), eta=0.6, n=11, trials=100,
+                    workers=workers)
+
+
 # --- median-exact certifies what the estimator computes, not what it is called ---
 
 def median_exact(est, **kwargs):
