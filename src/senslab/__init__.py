@@ -31,11 +31,8 @@ from .analysis import (
 )
 from .bernoulli import (
     BernoulliModel,
-    LayerSpec,
     bernoulli_expected_sensitivity,
     beta_binomial_layer_law,
-    layer_transport,
-    uniform_layer_sample,
 )
 from .core import (
     CorruptionBudget,
@@ -44,8 +41,6 @@ from .core import (
     RngStream,
     compute_k,
     hamming_distance,
-    normal_cdf,
-    normal_quantile,
     standard_normal,
     uniform_open,
 )

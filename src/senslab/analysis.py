@@ -327,9 +327,9 @@ def _replaced_on_stack(f: Estimator, x: np.ndarray, fresh: np.ndarray):
 
 
 def _median_replaced(x: np.ndarray, fresh: np.ndarray):
-    # _median_stack on x with row i replaced by fresh's row i, for
-    # i = 0..n-1, from the order statistics s_{q-1}, s_q, s_{q+1} of each
-    # dataset (see efron_stein_check).
+    # _median_stack on x, and a generator of it on x with row i replaced by
+    # fresh's row i, for i = 0..n-1, from the order statistics s_{q-1}, s_q,
+    # s_{q+1} of each dataset (see efron_stein_check).
     n = x.shape[1]
     q = _median_index(n)
     s = np.sort(x, axis=1)
@@ -337,9 +337,21 @@ def _median_replaced(x: np.ndarray, fresh: np.ndarray):
     below = s[:, q - 1].copy() if q >= 1 else np.full_like(mid, -np.inf)
     above = s[:, q + 1].copy() if q + 1 < n else np.full_like(mid, np.inf)
     del s
-    for i in range(n):
-        xi = x[:, i]
-        yield np.clip(fresh[:, i], np.where(xi < mid, mid, below), np.where(xi > mid, mid, above))
+    # Each bound picks one of two order statistics per element. The pick is
+    # made on the bit patterns, a ^ ((a ^ b) & -mask), which is a or b exactly,
+    # without the branch np.where takes on every element of a random mask.
+    below_bits, above_bits = below.view(np.int64), above.view(np.int64)
+    to_mid_lo = below_bits ^ mid.view(np.int64)
+    to_mid_hi = above_bits ^ mid.view(np.int64)
+
+    def replaced():
+        for i in range(n):
+            xi = x[:, i]
+            lo = below_bits ^ (to_mid_lo & -(xi < mid).astype(np.int64))
+            hi = above_bits ^ (to_mid_hi & -(xi > mid).astype(np.int64))
+            yield np.clip(fresh[:, i], lo.view(np.float64), hi.view(np.float64))
+
+    return mid, replaced()
 
 
 def efron_stein_check(f: Estimator, model: GaussianModel, n: int, trials: int,
@@ -360,23 +372,27 @@ def efron_stein_check(f: Estimator, model: GaussianModel, n: int, trials: int,
     fresh value y puts clip(y, r_{q-1}, r_q) at rank q. That is one of its
     three inputs, with no arithmetic, and depends on the multiset alone, so
     it is the value the selection picks, bit for bit: with ties, per
-    coordinate for d > 1, and for even n (the lower median). Only the sign of
-    a zero tied with a zero of the other sign could differ, and
-    (f(X) - f(X^(i)))^2 is the same for either. Any other f has no such
-    shortcut and is evaluated on each of the n replaced stacks.
+    coordinate for d > 1, and for even n (the lower median). f(X) itself is
+    s_q, read from the same sort instead of a selection over the stack.
+
+    Only the sign of a zero tied with a zero of the other sign could differ
+    from a selection, in f(X) or in f(X^(i)), and neither moves the result:
+    f(X) - f(X^(i)) is then ±0 or the same nonzero value, so its square is
+    the same; and a ±0 term leaves a sum over trials unchanged unless every
+    term is zero, when the mean is ±0 and each (f(X) - mean)^2 is still +0.
+    Any other f has no such shortcut and is evaluated on X and on each of the
+    n replaced stacks.
     """
     if trials < 1000:
         raise ValueError("efron_stein_check needs trials >= 1e3")
     gen = rng.generator()
     x = model.from_random(gen.random((trials, n, model.d)))
     fresh = model.from_random(gen.random((trials, n, model.d)))
-    fx = f.on_stack(x)
-    lhs, se_lhs = _variance_with_se(fx)
-
     if f.stack_fn is _median_stack:
-        replaced = _median_replaced(x, fresh)
+        fx, replaced = _median_replaced(x, fresh)
     else:
-        replaced = _replaced_on_stack(f, x, fresh)
+        fx, replaced = f.on_stack(x), _replaced_on_stack(f, x, fresh)
+    lhs, se_lhs = _variance_with_se(fx)
     gaps = np.zeros(trials)
     for fxi in replaced:
         gaps += ((fx - fxi) ** 2).sum(axis=1)

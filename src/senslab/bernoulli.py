@@ -1,12 +1,10 @@
 """Hypercube layer machinery for binary-data sensitivity.
 
 Layer(t) is the set of binary n-vectors of Hamming weight t. This module
-provides uniform sampling from a layer, the upward transport coupling that
-flips a uniform subset of zeros to ones (carrying Unif(Layer(t)) to
-Unif(Layer(t + ell)) at Hamming distance exactly ell), the uniform-mixture
-law of the weight (which is flat: 1/(n+1) per layer), and the exact expected
-pointwise sensitivity of a binary estimator: over the n + 1 layers for a
-layer estimator, by full enumeration of the cube for any other.
+provides the Bernoulli sampling model, the uniform-mixture law of the weight
+(which is flat: 1/(n+1) per layer), and the exact expected pointwise
+sensitivity of a binary estimator: over the n + 1 layers for a layer
+estimator, by full enumeration of the cube for any other.
 """
 
 from __future__ import annotations
@@ -22,10 +20,7 @@ from .core import CorruptionBudget, Dataset, RngStream, _open_unit
 from .estimators import Estimator, _LayerStack
 
 __all__ = [
-    "LayerSpec",
     "BernoulliModel",
-    "uniform_layer_sample",
-    "layer_transport",
     "beta_binomial_layer_law",
     "bernoulli_expected_sensitivity",
 ]
@@ -36,47 +31,6 @@ __all__ = [
 # numpy 2.4, 2-core Xeon). A layer estimator's tables have n + 1 entries and
 # meet the layer guard of adversaries.py instead.
 _ENUM_GUARD_BITS = 20
-
-
-@dataclass(frozen=True)
-class LayerSpec:
-    """A Hamming-weight layer: binary n-vectors with exactly t ones."""
-
-    n: int
-    t: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be a positive integer")
-        if not (0 <= self.t <= self.n):
-            raise ValueError(f"need 0 <= t <= n, got t={self.t}, n={self.n}")
-
-
-def uniform_layer_sample(spec: LayerSpec, rng: RngStream) -> np.ndarray:
-    """Uniformly random weight-t vector: a random t-subset of positions set to 1."""
-    out = np.zeros(spec.n, dtype=np.uint8)
-    if spec.t > 0:
-        gen = rng.generator()
-        out[gen.choice(spec.n, size=spec.t, replace=False)] = 1
-    return out
-
-
-def layer_transport(x: np.ndarray, ell: int, rng: RngStream) -> np.ndarray:
-    """Flip a uniformly random ell-subset of the zero coordinates of x to 1.
-
-    The output has weight |x| + ell and Hamming distance exactly ell from x.
-    """
-    x = np.asarray(x)
-    if not np.all((x == 0) | (x == 1)):
-        raise ValueError("x must be a binary vector")
-    zeros = np.flatnonzero(x == 0)
-    if ell < 0 or ell > zeros.size:
-        raise ValueError(f"need 0 <= ell <= n - |x| = {zeros.size}, got ell={ell}")
-    out = x.astype(np.uint8).copy()
-    if ell > 0:
-        gen = rng.generator()
-        out[gen.choice(zeros, size=ell, replace=False)] = 1
-    return out
 
 
 def beta_binomial_layer_law(n: int) -> np.ndarray:

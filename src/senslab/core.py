@@ -11,9 +11,8 @@ Everything else in the package is built on four values defined here:
 * ``GaussianModel`` -- the N(mu, I_d) sampling model (covariance is always
   the identity; there is deliberately no field for it).
 
-Gaussian variates are produced by the inverse-CDF transform of uniforms drawn
-strictly inside (0, 1); the normal CDF / quantile are erf-based and accurate
-to well below 1e-12 absolute error.
+Gaussian variates are produced by the inverse-CDF transform (``ndtri``) of
+uniforms drawn strictly inside (0, 1).
 """
 
 from __future__ import annotations
@@ -32,8 +31,6 @@ __all__ = [
     "GaussianModel",
     "compute_k",
     "hamming_distance",
-    "normal_cdf",
-    "normal_quantile",
     "standard_normal",
     "uniform_open",
 ]
@@ -41,16 +38,6 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 # The largest double below 1: the top of the open unit interval.
 _BELOW_ONE = float(np.nextafter(1.0, 0.0))
-
-
-def normal_cdf(x):
-    """Standard normal CDF Phi(x), via the erf-based ndtr (abs error < 1e-12)."""
-    return special.ndtr(x)
-
-
-def normal_quantile(p):
-    """Inverse standard normal CDF Phi^{-1}(p)."""
-    return special.ndtri(p)
 
 
 def _open_unit(u, out=None):

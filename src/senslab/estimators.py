@@ -59,6 +59,14 @@ class Estimator:
 
     ``stack_fn`` evaluates the estimator on a (T, n, d) stack of datasets at
     once and returns (T, output_dim); row t must depend on dataset t alone.
+
+    ``linear_in_data`` declares f affine in the stacked data: f(sum_r a_r X_r)
+    = sum_r a_r f(X_r) for datasets X_r of one shape whenever sum_r a_r = 1
+    (up to roundoff). The projection lift evaluates such an f once, on the
+    mean of its noise draws, and the exact adversaries read it as "one
+    replaced row moves f without bound" (``harness._median_only``, through
+    ``_validate_combo``). A binary-domain estimator declares it of the formula
+    it evaluates on {0, 1} data (the plug-in's is the mean).
     """
 
     name: str
@@ -205,21 +213,30 @@ def project_scalar(
     orthogonal noise V_i = lam + (I - u u^T) Z_i shared across the lift. The
     inner Z draws come from a stream fixed at construction, so g is a
     deterministic function of t. The noise block V is drawn as
-    (mc_inner, n, d) and built once per n, then kept read-only in
-    (n, d, mc_inner) layout until a call with another n replaces it (one
-    slot, shared by every thread); it holds the same bytes as a block
-    regenerated on every call, so reports do not change. ``mc_inner``
-    defaults to 1 when f is linear in the data (the noise term averages out
-    exactly) and 256 otherwise.
+    (mc_inner, n, d) and built once per n, then kept read-only until a call
+    with another n replaces it (one slot, shared by every thread). ``mc_inner``
+    defaults to 1 when f is linear in the data and 256 otherwise.
 
-    Each trial's lift is built in that (n, d, mc_inner) layout and f sees it
-    as an (mc_inner, n, d) view. A reduction over n (the mean's sum) then
-    runs n as its outer loop over contiguous (d, mc_inner) rows instead of
-    mc_inner * n inner loops of length d; the sum over n stays sequential,
-    so every element gets the same additions in the same order. On that
-    view f can return an F-ordered (mc_inner, d) array (the mean does), so
-    its result is made C-contiguous before ``@ u``: on an F-ordered operand
-    the matmul takes another BLAS path that can move the last bit.
+    When f is linear in the data (affine, see :class:`Estimator`), the slot
+    holds V's mean over the draws, V̄ = avg_r V_r, an (n, d) array: by
+    affinity avg_r f(t u + V_r) = f(t u + V̄), so g(t) = <u, f(t u + V̄)>
+    is the same function in exact arithmetic, evaluated once on the whole
+    (T, n, d) lift of a stack instead of mc_inner times per dataset. Only
+    the floating-point order of the work changes, which moves a value by a
+    few ulps of max|t| (``test_affine_lift_is_the_per_trial_formula``).
+    The lift is the call's only stack-size temporary, d times the input:
+    at most d * ``harness._CHUNK_BYTES`` per chunk of the trial engine. The
+    product with u is reduced per row (``sum(axis=1)``), never as a stacked
+    matmul, whose BLAS path can move the last bit with the stack size.
+
+    Any other f (the median) gets one trial's lift at a time, built in
+    (n, d, mc_inner) layout from the cached block and seen by f as an
+    (mc_inner, n, d) view; one lift is the call's temporary. A reduction
+    over n then runs n as its outer loop over contiguous (d, mc_inner) rows,
+    and every element gets the same operations in the same order as in the
+    (mc_inner, n, d) layout, so the bytes match. f's result is made
+    C-contiguous before ``@ u``: on an F-ordered operand the matmul takes
+    another BLAS path that can move the last bit.
 
     For an inner estimator that is linear in the data (the mean) and
     lam orthogonal to u, <u, V_i> = 0, so g(t) equals the scalar mean of t
@@ -259,10 +276,21 @@ def project_scalar(
         along = np.einsum("rij,j->ri", v, u)
         np.add(lam, v, out=v)
         v -= along[:, :, None] * u
-        v = np.ascontiguousarray(v.transpose(1, 2, 0))
+        if f.linear_in_data:
+            v = v.mean(axis=0)
+        else:
+            v = np.ascontiguousarray(v.transpose(1, 2, 0))
         v.flags.writeable = False
         noise_slot[0] = v
         return v
+
+    def affine_stack_fn(stack: np.ndarray) -> np.ndarray:
+        if stack.shape[2] != 1:
+            raise ValueError("projected estimator takes scalar (d = 1) datasets")
+        noise = _noise(stack.shape[1])  # before the lift: a first call's build sets the peak
+        lift = stack * u
+        lift += noise
+        return (f.on_stack(lift) * u).sum(axis=1, keepdims=True)
 
     def stack_fn(stack: np.ndarray) -> np.ndarray:
         if stack.shape[2] != 1:
@@ -282,7 +310,7 @@ def project_scalar(
     return Estimator(
         name=f"projected:{mc_inner}({f.name})",
         output_dim=1,
-        stack_fn=stack_fn,
+        stack_fn=affine_stack_fn if f.linear_in_data else stack_fn,
     )
 
 

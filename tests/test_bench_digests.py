@@ -20,7 +20,7 @@ import workloads  # noqa: E402
 SEED = 4242
 FIRST_CYCLE = {
     "mc-light": "d24a00bcf3be91832a24a3f397b27f37310216d517e8f7d4175e80fa77c64cff",
-    "mc-heavy": "7fc10cc73d430c8701a46bccd118b5e7444ae8bf8c6e3e6b29d4470f84749d76",
+    "mc-heavy": "be890f3cc9ccbe62b71029ba3cda8d31b06b6a5e9693348f4717f216a166e49d",
     "exact": "cf3c0c210d5320c3a35bd50e31d0934fa77c112fcd218e42c242b8678f79e54c",
     "analysis": "ad3fe9e7d0d54e42eec6d121ddb6f432c62b30757b3b0a11dcf34c4514304fd6",
 }

@@ -14,8 +14,6 @@ from senslab import (
     RngStream,
     compute_k,
     hamming_distance,
-    normal_cdf,
-    normal_quantile,
 )
 
 
@@ -174,16 +172,3 @@ class TestGaussianSampler:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             GaussianModel(np.zeros(1)).sample(0, RngStream(0, 0))
-
-
-class TestNormalCdf:
-    def test_absolute_accuracy_below_1e12(self):
-        mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 40
-        for z in np.linspace(-8, 8, 33):
-            exact = float(mpmath.ncdf(mpmath.mpf(float(z))))
-            assert abs(float(normal_cdf(z)) - exact) < 1e-12
-
-    def test_quantile_roundtrip(self):
-        grid = np.linspace(-5, 5, 21)
-        assert np.allclose(normal_quantile(normal_cdf(grid)), grid, atol=1e-9)

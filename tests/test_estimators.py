@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import senslab.estimators as est_mod
+from senslab import harness
 from senslab import (
     ClipInterval,
     CorruptionBudget,
@@ -28,6 +29,19 @@ from senslab import (
 def _closure(fn) -> dict:
     return {name: cell.cell_contents
             for name, cell in zip(fn.__code__.co_freevars, fn.__closure__)}
+
+
+def _lift_peaks(g: Estimator, stack: np.ndarray) -> list[float]:
+    # tracemalloc peak (MiB) of a first and a second on_stack call.
+    peaks = []
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            g.on_stack(stack)
+            peaks.append(tracemalloc.get_traced_memory()[1] / 2 ** 20)
+        finally:
+            tracemalloc.stop()
+    return peaks
 
 
 class TestEmpiricalMean:
@@ -114,6 +128,35 @@ def test_stack_rows_equal_single_dataset_rows(name, n, d, seed):
     rows = est.on_stack(stack)
     for i in range(5):
         assert rows[i].tobytes() == est.on_stack(stack[i:i + 1])[0].tobytes()
+
+
+LINEAR_IN_DATA = {
+    **{f"mean-d{d}": (lambda d=d: mean_estimator(d), d) for d in (1, 2, 3, 4)},
+    "scaled-mean": (lambda: harness._scaled_mean(2.0), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LINEAR_IN_DATA))
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(min_value=1, max_value=30), draws=st.integers(min_value=1, max_value=5),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_linear_in_data_is_affine_in_the_stacked_data(name, n, draws, seed):
+    # The contract of linear_in_data (see Estimator): f(sum_r a_r X_r) =
+    # sum_r a_r f(X_r) whenever sum_r a_r = 1. The projection lift evaluates
+    # f once on the draws' mean because of it. Roundoff bound: the combination
+    # and the mean over n each add at most (draws + n) eps of sum_r |a_r| max|X|,
+    # times the estimator's gain |f(1, ..., 1)|.
+    make, d = LINEAR_IN_DATA[name]
+    f = make()
+    assert f.linear_in_data and not f.binary_domain
+    gen = np.random.default_rng(seed)
+    xs = gen.normal(size=(draws, 3, n, d)) * 10.0 ** gen.integers(-3, 4)
+    a = gen.uniform(-2.0, 2.0, size=draws)
+    a[-1] = 1.0 - a[:-1].sum()
+    lhs = f.on_stack(np.tensordot(a, xs, axes=1))
+    rhs = sum(a_r * f.on_stack(x_r) for a_r, x_r in zip(a, xs))
+    scale = np.abs(a).sum() * np.abs(xs).max() * abs(float(f.on_stack(np.ones((1, 1, d)))[0, 0]))
+    assert np.all(np.abs(lhs - rhs) <= 4 * (draws + n) * np.finfo(float).eps * scale)
 
 
 class TestStrictShape:
@@ -245,8 +288,12 @@ class TestProjectScalar:
             # Reference: the lift regenerated from the frozen stream per call.
             z = standard_normal(rng.generator(), (mc_inner, n, d))
             v = lam + z - np.einsum("rij,j->ri", z, u)[:, :, None] * u
-            lifted = t.samples[:, 0][None, :, None] * u + v
-            want = np.array([float((f.on_stack(lifted) @ u).mean())])
+            if f.linear_in_data:
+                # The affine path: one lift on the draws' mean, reduced per row.
+                want = (f.on_stack(t.samples[None] * u + v.mean(axis=0)) * u).sum(axis=1)
+            else:
+                lifted = t.samples[:, 0][None, :, None] * u + v
+                want = np.array([float((f.on_stack(lifted) @ u).mean())])
             fresh = project_scalar(f, u, lam, mc_inner=mc_inner, rng=rng)
             assert cached(t).tobytes() == want.tobytes() == fresh(t).tobytes()
 
@@ -259,22 +306,27 @@ class TestProjectScalar:
             return out
 
         monkeypatch.setattr(est_mod, "standard_normal", recording_normal)
-        g = project_scalar(mean_estimator(3), np.array([0.0, 0.6, 0.8]), np.zeros(3),
-                           mc_inner=8, rng=RngStream(6, 1))
+        u = np.array([0.0, 0.6, 0.8])
         short, long = Dataset(np.arange(5.0)), Dataset(np.arange(9.0))
-        for t in (short, short, long, long, short):
-            g(t)
-        assert [b.shape for b in built] == [(8, 5, 3), (8, 9, 3), (8, 5, 3)]
-        # The cached block is the last draw, transformed in place and stored
-        # read-only as (n, d, mc_inner).
-        noise = _closure(_closure(g.stack_fn)["_noise"])["noise_slot"][0]
-        assert noise.shape == (5, 3, 8) and noise.flags.c_contiguous
-        assert noise.tobytes() == np.ascontiguousarray(built[-1].transpose(1, 2, 0)).tobytes()
-        assert not noise.flags.writeable
-        with pytest.raises(ValueError):
-            noise[0, 0, 0] = 1.0
-        g(short)  # a call at the cached n draws nothing
-        assert len(built) == 3
+        for f, layout in ((mean_estimator(3), lambda v: v.mean(axis=0)),
+                          (median_estimator(3), lambda v: v.transpose(1, 2, 0))):
+            built.clear()
+            g = project_scalar(f, u, np.zeros(3), mc_inner=8, rng=RngStream(6, 1))
+            for t in (short, short, long, long, short):
+                g(t)
+            assert [b.shape for b in built] == [(8, 5, 3), (8, 9, 3), (8, 5, 3)]
+            # The cached block comes from the last draw, transformed in place:
+            # the mean's is the draws' mean V̄ (n, d), the median's the block
+            # itself as (n, d, mc_inner). Both are read-only.
+            noise = _closure(_closure(g.stack_fn)["_noise"])["noise_slot"][0]
+            want = np.ascontiguousarray(layout(built[-1]))
+            assert noise.shape == want.shape and noise.flags.c_contiguous
+            assert noise.tobytes() == want.tobytes()
+            assert not noise.flags.writeable
+            with pytest.raises(ValueError):
+                noise[0, 0] = 1.0
+            g(short)  # a call at the cached n draws nothing
+            assert len(built) == 3
 
     @pytest.mark.parametrize("inner, u, lam", [
         ("mean", sample_unit_direction(8, RngStream(9, 0)), np.zeros(8)),
@@ -283,7 +335,8 @@ class TestProjectScalar:
     ])
     def test_lift_matches_old_layout_bytes_over_a_stack(self, inner, u, lam):
         # A full 64-trial stack at the bench's projected:256 shape, against
-        # the lift built and reduced in (mc_inner, n, d) layout.
+        # the lift built and reduced one dataset at a time: in (mc_inner, n, d)
+        # layout, or for the mean on the draws' mean.
         mc_inner, n, d = 256, 200, 8
         f = mean_estimator(d) if inner == "mean" else median_estimator(d)
         rng = RngStream(9, 1)
@@ -293,23 +346,70 @@ class TestProjectScalar:
         z = standard_normal(rng.generator(), (mc_inner, n, d))
         v = lam + z - np.einsum("rij,j->ri", z, u)[:, :, None] * u
         for i, t in enumerate(stack[:, :, 0]):
-            want = np.array([(f.on_stack(t[None, :, None] * u + v) @ u).mean()])
+            if f.linear_in_data:
+                want = (f.on_stack(t[None, :, None] * u + v.mean(axis=0)) * u).sum(axis=1)
+            else:
+                want = np.array([(f.on_stack(t[None, :, None] * u + v) @ u).mean()])
             assert got[i].tobytes() == want.tobytes(), i
 
+    @pytest.mark.parametrize("d, mc_inner, n, trials", [
+        (8, 256, 200, 16),  # the bench's projected:256 shape
+        (1, 1, 200, 16), (1, 16, 200, 16), (1, 256, 200, 16),
+        (3, 1, 200, 16), (3, 16, 200, 16), (3, 256, 200, 16),
+        (64, 1, 50, 6), (64, 16, 50, 6), (64, 256, 50, 6),
+    ])
+    def test_affine_lift_is_the_per_trial_formula(self, d, mc_inner, n, trials):
+        # Oracle: the lift as it was built before the affine path, one
+        # (mc_inner, n, d) lift per dataset, f on every draw, then <., u> and
+        # the mean over draws. The affine path is the same function in exact
+        # arithmetic, so only roundoff separates them (measured <= 0.54 ulp
+        # of max|t|).
+        seed = 100 * d + mc_inner
+        u = sample_unit_direction(d, RngStream(seed, 0))
+        f, rng = mean_estimator(d), RngStream(seed, 1)
+        g = project_scalar(f, u, np.zeros(d), mc_inner=mc_inner, rng=rng)
+        stack = standard_normal(RngStream(seed, 2).generator(), (trials, n, 1))
+        got = g.on_stack(stack)[:, 0]
+        z = standard_normal(rng.generator(), (mc_inner, n, d))
+        v = z - np.einsum("rij,j->ri", z, u)[:, :, None] * u
+        for i, t in enumerate(stack[:, :, 0]):
+            want = (f.on_stack(t[None, :, None] * u + v) @ u).mean()
+            assert abs(got[i] - want) <= 4 * np.finfo(float).eps * np.abs(t).max(), i
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 64, 128, 129])
+    def test_affine_lift_rows_do_not_depend_on_the_stack(self, d):
+        # Each row of a 37-trial stack, and each row of a sub-stack, is the
+        # one-dataset value byte for byte, past the pairwise-sum block of 128
+        # in the per-row reduction over d.
+        g = project_scalar(mean_estimator(d), sample_unit_direction(d, RngStream(d, 0)),
+                           np.zeros(d), mc_inner=16, rng=RngStream(d, 1))
+        stack = standard_normal(RngStream(d, 2).generator(), (37, 60, 1))
+        rows = g.on_stack(stack)
+        for i in range(37):
+            assert rows[i].tobytes() == g.on_stack(stack[i:i + 1])[0].tobytes(), i
+        for lo, hi in ((0, 1), (3, 20), (20, 37)):
+            assert rows[lo:hi].tobytes() == g.on_stack(stack[lo:hi]).tobytes()
+
     def test_lift_peak_memory(self):
-        # Measured before the (n, d, mc_inner) layout: 9.38 MiB on the first
-        # call (the noise build) and 3.20 MiB warm (one lift is 3.13 MiB).
+        # The per-trial lift, kept for an f not declared linear in the data
+        # (here the mean, undeclared). Measured before the (n, d, mc_inner)
+        # layout: 9.38 MiB on the first call (the noise build) and 3.20 MiB
+        # warm (one lift is 3.13 MiB).
+        f = Estimator("undeclared-mean", 8, lambda stack: stack.mean(axis=1))
+        g = project_scalar(f, sample_unit_direction(8, RngStream(41, 0)), np.zeros(8),
+                           mc_inner=256, rng=RngStream(41, 1))
+        stack = standard_normal(RngStream(9, 3).generator(), (10, 200, 1))
+        peaks = _lift_peaks(g, stack)
+        assert peaks[0] < 9.5 and peaks[1] < 3.3, peaks
+
+    def test_affine_lift_peak_memory(self):
+        # The mean's lift holds one (T, n, d) stack, 0.12 MiB at T = 10, next
+        # to the cached (n, d) mean of the draws: measured 9.38 MiB on the
+        # first call (the same noise build) and 0.25 MiB warm.
         g = build_estimator("projected:256", d=8, seed=41)
         stack = standard_normal(RngStream(9, 3).generator(), (10, 200, 1))
-        peaks = []
-        for _ in range(2):
-            tracemalloc.start()
-            try:
-                g.on_stack(stack)
-                peaks.append(tracemalloc.get_traced_memory()[1] / 2 ** 20)
-            finally:
-                tracemalloc.stop()
-        assert peaks[0] < 9.5 and peaks[1] < 3.3, peaks
+        peaks = _lift_peaks(g, stack)
+        assert peaks[0] < 9.5 and peaks[1] < 0.5, peaks
 
     def test_validation(self):
         with pytest.raises(ValueError):

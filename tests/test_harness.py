@@ -11,6 +11,7 @@ from senslab import (
     BernoulliModel,
     GaussianModel,
     IneqCheckResult,
+    RngStream,
     UnboundedSensitivityError,
     all_pass,
     build_estimator,
@@ -19,6 +20,9 @@ from senslab import (
     format_verify_table,
     mean_estimator,
     mean_obstruction_low,
+    median_estimator,
+    project_scalar,
+    sample_unit_direction,
     scaling_sweep,
     variance_obstruction,
     verify_suite,
@@ -93,6 +97,23 @@ class TestEstimateEs:
                                    gauss(1), workers=4, **kw)
         finally:
             sys.setswitchinterval(interval)
+        assert serial.to_json(include_trials=True) == threaded.to_json(include_trials=True)
+
+    @pytest.mark.parametrize("inner", ["projected:256", "median:16"])
+    def test_projected_reports_byte_identical_across_worker_counts(self, inner):
+        # n = 1000 gives chunks of 65 trials, so four threads each run a shard
+        # of their own: the mean's affine lift sees stacks of 65 and 5 rows,
+        # the median's per-trial lift one dataset at a time.
+        def make():
+            if inner == "projected:256":
+                return build_estimator(inner, d=3, seed=4)
+            u = sample_unit_direction(3, RngStream(4, 0))
+            return project_scalar(median_estimator(3), u, np.zeros(3), mc_inner=16,
+                                  rng=RngStream(4, 1))
+
+        kw = dict(eta=0.1, n=1000, q=2, trials=200, seed=13)
+        serial = estimate_es(make(), "resample", gauss(1), workers=1, **kw)
+        threaded = estimate_es(make(), "resample", gauss(1), workers=4, **kw)
         assert serial.to_json(include_trials=True) == threaded.to_json(include_trials=True)
 
     def test_local_shift_requires_delta(self):

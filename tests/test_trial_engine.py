@@ -84,21 +84,22 @@ GOLDEN = {
         lambda: estimate_es("mean", "block-resample", gauss(2), eta=0.07, n=101, trials=150,
                             seed=14),
         "139b31fe26a5942685472829ce66847b91c46074e6b2ee172ae5637201b3ca90"),
-    # The lift's stack_fn evaluates the stacked datasets one at a time.
+    # The mean's lift: one (T, n, d) stack per chunk on the draws' mean
+    # (test_projected_mean_reports_are_the_scalar_mean_reports holds its law).
     "es/projected:16/resample": (
         lambda: estimate_es(build_estimator("projected:16", d=4, seed=15), "resample", gauss(1),
                             eta=0.1, n=50, trials=100, seed=15),
-        "7a1f14baf2f32274ba5119d7ba4b3feccc21416226c8635941bd2bc1d97bc8c1"),
-    # The bench's mc-heavy job shape: one (256, 200, 8) lift per trial.
+        "2a7a23dc02dfeedbb0f2362db6e75bc8538b71d151fe251cf4016df0789ca7ab"),
+    # The bench's mc-heavy job shape: 256 noise draws at d = 8, n = 200.
     "es/projected:256/resample/d8": (
         lambda: estimate_es(build_estimator("projected:256", d=8, seed=41), "resample", gauss(1),
                             eta=0.1, n=200, trials=100, seed=41),
-        "87eb551e3aaaefc8f9e1d3c66d2cf6271d484cb789dd5b92261dfda322cc9e28"),
-    # A matmul over the whole stack's lifts moves the last bit here; one per trial does not.
+        "14ee9ab08ab12c48c64ab47fbe43f42c3daeca0abe296e7fb9410a9ed0109b05"),
+    # A matmul over the whole stack's lifts moves the last bit here; a per-row sum does not.
     "es/projected:1/resample/d3": (
         lambda: estimate_es(build_estimator("projected:1", d=3, seed=42), "resample", gauss(1),
                             eta=0.1, n=200, trials=100, seed=42),
-        "20008dd5a9960292f461d33dfee61470e79c1ef167b01bc1f4acb9f565973e61"),
+        "276c476ba3428da0e90c64a090e1b1aa5706460c8235d9d6476b11335086dfaa"),
     "efron-stein/mean-d3": (
         lambda: analysis.efron_stein_check(sl.mean_estimator(3), gauss(3, 0.5), 25, 1000,
                                            RngStream(43, 0)),
@@ -161,6 +162,19 @@ GOLDEN = {
 def test_golden_report(name):
     run, digest = GOLDEN[name]
     assert hashlib.sha256(text(run()).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("inner, d, n, seed", [(16, 4, 50, 15), (256, 8, 200, 41), (1, 3, 200, 42)])
+def test_projected_mean_reports_are_the_scalar_mean_reports(inner, d, n, seed):
+    # The golden projected reports' law: the mean's lift is the scalar mean
+    # of t in exact arithmetic, and the clean and corrupted data read the
+    # same streams, so every per-trial displacement is the scalar mean's
+    # within roundoff (measured 0.6 eps; |t| < 5 at these sizes).
+    lifted = estimate_es(build_estimator(f"projected:{inner}", d=d, seed=seed), "resample",
+                         gauss(1), eta=0.1, n=n, trials=100, seed=seed)
+    scalar = estimate_es("mean", "resample", gauss(1), eta=0.1, n=n, trials=100, seed=seed)
+    gap = np.abs(np.array(lifted.per_trial) - np.array(scalar.per_trial))
+    assert gap.max() <= 16 * np.finfo(float).eps
 
 
 # --- reference loops: one trial at a time, with their own adversary draws ---
