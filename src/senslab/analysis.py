@@ -62,6 +62,9 @@ _ROUNDOFF = 1e-12
 _CHI2_CHUNK = 20_000
 # Standard errors of slack in every Monte Carlo verdict.
 _MC_SIGMAS = 4.0
+# Fewest draws a Monte Carlo checker accepts: one draw has no sample stderr
+# (std with ddof=1 is NaN), and a handful leaves the verdict to noise.
+_MIN_DRAWS = 1000
 
 
 @dataclass(frozen=True)
@@ -103,6 +106,21 @@ def _mc_verdict(lhs: float, rhs: float, se: float, trials: int, *, extra: float 
     tol = max(_MC_SIGMAS * se + extra, floor)
     holds = abs(lhs - rhs) <= tol if two_sided else lhs <= rhs + tol
     return IneqCheckResult(lhs=lhs, rhs=rhs, holds=holds, mc_stderr=se, trials=trials)
+
+
+def _shifted_normals(gen: np.random.Generator, size, *shifts: float) -> np.ndarray:
+    """``standard_normal(gen, size) + shifts[0] + shifts[1] ...``, each shift
+    added in place and in that order, so the bits are those of the sum (a
+    subtraction is passed as its negation, which rounds the same)."""
+    x = standard_normal(gen, size)
+    for shift in shifts:
+        x += shift
+    return x
+
+
+def _require_draws(name: str, draws: int, fewest: int = _MIN_DRAWS) -> None:
+    if draws < fewest:
+        raise ValueError(f"{name} needs at least {fewest} draws, got {draws}")
 
 
 def tv_gaussian_shift(eta: float) -> float:
@@ -147,6 +165,7 @@ def chi2_products_mc(delta: float, n: int, draws: int, rng: RngStream) -> tuple[
     S ~ N(0, n), which is simulated directly: LR = exp(delta S - n delta^2/2).
     Returns (estimate, stderr) of E_P[(LR - 1)^2].
     """
+    _require_draws("chi2_products_mc", draws)
     gen = rng.generator()
     s = math.sqrt(n) * standard_normal(gen, draws)
     log_lr = delta * s - 0.5 * n * delta * delta
@@ -185,6 +204,7 @@ def chi2_localshift_mc(k: int, n: int, delta: float, draws: int,
     """
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    _require_draws("chi2_localshift_mc", draws)
     m = k * delta / n
     log_binom = special.gammaln(n + 1) - special.gammaln(k + 1) - special.gammaln(n - k + 1)
     gen = rng.generator()
@@ -192,7 +212,7 @@ def chi2_localshift_mc(k: int, n: int, delta: float, draws: int,
     left = draws
     while left > 0:
         t = min(_CHI2_CHUNK, left)
-        x = m + standard_normal(gen, (t, n))
+        x = _shifted_normals(gen, (t, n), m)
         s = x.sum(axis=1)
         log_lr = (_log_esp_k(np.exp(delta * x), k) - log_binom
                   - m * s - 0.5 * k * delta * delta + 0.5 * n * m * m)
@@ -208,8 +228,7 @@ def gaussian_lr_identity_check(a, b, trials: int, rng: RngStream) -> IneqCheckRe
     This is an identity, so the verdict is two-sided, with a roundoff
     allowance of 1e-12 * max(1, |rhs|).
     """
-    if trials < 10_000:
-        raise ValueError("gaussian_lr_identity_check needs trials >= 1e4")
+    _require_draws("gaussian_lr_identity_check", trials, 10_000)
     a = np.atleast_1d(np.asarray(a, dtype=np.float64))
     b = np.atleast_1d(np.asarray(b, dtype=np.float64))
     if a.shape != b.shape:
@@ -239,6 +258,7 @@ def hypergeom_mgf_check(n: int, k: int, lam: float, trials: int,
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if lam < 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
+    _require_draws("hypergeom_mgf_check", trials)
     gen = rng.generator()
     if k == n:
         h = np.full(trials, float(n))
@@ -383,8 +403,7 @@ def efron_stein_check(f: Estimator, model: GaussianModel, n: int, trials: int,
     Any other f has no such shortcut and is evaluated on X and on each of the
     n replaced stacks.
     """
-    if trials < 1000:
-        raise ValueError("efron_stein_check needs trials >= 1e3")
+    _require_draws("efron_stein_check", trials)
     gen = rng.generator()
     x = model.from_random(gen.random((trials, n, model.d)))
     fresh = model.from_random(gen.random((trials, n, model.d)))
@@ -409,10 +428,11 @@ def hcr_check(statistic: Estimator, mu0: float, h: float, n: int, trials: int,
         raise ValueError("h must be nonzero")
     if statistic.output_dim != 1:
         raise ValueError("hcr_check takes a scalar statistic")
+    _require_draws("hcr_check", trials)
     chi2 = chi2_gaussian_products(h, n)
     gen = rng.generator()
-    tp = statistic.on_stack(standard_normal(gen, (trials, n, 1)) + mu0)[:, 0]
-    tq = statistic.on_stack(standard_normal(gen, (trials, n, 1)) + mu0 + h)[:, 0]
+    tp = statistic.on_stack(_shifted_normals(gen, (trials, n, 1), mu0))[:, 0]
+    tq = statistic.on_stack(_shifted_normals(gen, (trials, n, 1), mu0, h))[:, 0]
 
     delta = float(tq.mean() - tp.mean())
     lhs = delta * delta / chi2
@@ -432,15 +452,14 @@ def cramer_rao_check(statistic: Estimator, mu0: float, n: int, trials: int,
     the finite-difference bias (exact for statistics with affine mean
     response, which covers the documented grid).
     """
-    if trials < 1000:
-        raise ValueError("cramer_rao_check needs trials >= 1e3")
+    _require_draws("cramer_rao_check", trials)
     if statistic.output_dim != 1:
         raise ValueError("cramer_rao_check takes a scalar statistic")
     step = 0.5 / math.sqrt(n)
     gen = rng.generator()
-    t_lo = statistic.on_stack(standard_normal(gen, (trials, n, 1)) + mu0 - step)[:, 0]
-    t_hi = statistic.on_stack(standard_normal(gen, (trials, n, 1)) + mu0 + step)[:, 0]
-    t_mid = statistic.on_stack(standard_normal(gen, (trials, n, 1)) + mu0)[:, 0]
+    t_lo = statistic.on_stack(_shifted_normals(gen, (trials, n, 1), mu0, -step))[:, 0]
+    t_hi = statistic.on_stack(_shifted_normals(gen, (trials, n, 1), mu0, step))[:, 0]
+    t_mid = statistic.on_stack(_shifted_normals(gen, (trials, n, 1), mu0))[:, 0]
 
     slope = float(t_hi.mean() - t_lo.mean()) / (2.0 * step)
     lhs = slope * slope / n
@@ -461,6 +480,7 @@ def uniform_spacing_check(n: int, i: int, trials: int, rng: RngStream) -> IneqCh
     """
     if not (1 <= i <= n + 1):
         raise ValueError(f"need 1 <= i <= n + 1, got i={i}")
+    _require_draws("uniform_spacing_check", trials)
     gen = rng.generator()
     u = np.sort(gen.random((trials, n)), axis=1)
     padded = np.concatenate([np.zeros((trials, 1)), u, np.ones((trials, 1))], axis=1)

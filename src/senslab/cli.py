@@ -185,7 +185,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "verify":
-        return _cmd_verify(args)
+        try:
+            return _cmd_verify(args)
+        except ValueError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 2
     if args.config:
         try:
             tokens = _config_tokens(args.config, set(vars(args)) - {"command", "config", "func"})

@@ -70,8 +70,10 @@ def uniform_open(gen: np.random.Generator, size) -> np.ndarray:
 
 
 def standard_normal(gen: np.random.Generator, size) -> np.ndarray:
-    """Standard normal variates by inverse-CDF transform of open uniforms."""
-    return special.ndtri(uniform_open(gen, size))
+    """Standard normal variates by inverse-CDF transform of open uniforms,
+    ``ndtri(uniform_open(gen, size))`` computed in the one array drawn."""
+    u = gen.random(size)
+    return special.ndtri(_open_unit(u, out=u), out=u)
 
 
 def _check_finite(arr: np.ndarray) -> None:

@@ -41,7 +41,6 @@ from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from . import analysis
 from .adversaries import (_block_stack, _layer_ball, _layer_ball_stack, _median_push_stack,
@@ -888,6 +887,10 @@ def _binomial_pmf_floor(max_n: int = 200) -> float:
 
 
 def _beta_binomial_quadrature(n: int) -> np.ndarray:
+    # Imported here: scipy.integrate pulls in scipy.optimize, scipy.linalg and
+    # scipy.sparse, which nothing else in the package needs.
+    from scipy import integrate
+
     out = np.empty(n + 1)
     for t in range(n + 1):
         coeff = math.comb(n, t)
@@ -902,12 +905,16 @@ def verify_suite(
 ) -> list[VerifyRow]:
     """Run every inequality checker over its documented grid.
 
-    Monte Carlo rows draw ``trials_scale`` samples (subject to each checker's
-    minimum; the chi-square product oracle uses 10x to resolve its 5%
-    tolerance). Rows are independently seeded by position, so the table is
-    reproducible for a given (trials_scale, seed). ``extra_checks`` lets the
+    Monte Carlo rows draw ``trials_scale`` samples, which must be at least
+    1000 like every checker's (the likelihood-ratio rows draw at least 1e4;
+    the chi-square product oracle 10x, to resolve its 5% tolerance). Rows
+    are independently seeded by position, so the table is reproducible for
+    a given (trials_scale, seed). ``extra_checks`` lets the
     self-test inject a deliberately failing row.
     """
+    t_mc = int(trials_scale)
+    if t_mc < analysis._MIN_DRAWS:
+        raise ValueError(f"trials_scale must be at least {analysis._MIN_DRAWS}, got {t_mc}")
     rows: list[VerifyRow] = []
     counter = 0
 
@@ -919,25 +926,23 @@ def verify_suite(
     def add(name: str, result: analysis.IneqCheckResult) -> None:
         rows.append(VerifyRow(name, result))
 
-    t_mc = int(trials_scale)
     t_lr = max(t_mc, 10_000)
-    t_small = max(t_mc, 1_000)
     gauss1 = GaussianModel(np.zeros(1))
     mean1 = mean_estimator(1)
     median1 = median_estimator(1)
 
     # Efron-Stein: linear statistic saturates the inequality, the median obeys it.
-    add("efron-stein/mean-n25", analysis.efron_stein_check(mean1, gauss1, 25, t_small, stream()))
-    add("efron-stein/median-n101", analysis.efron_stein_check(median1, gauss1, 101, t_small, stream()))
-    add("efron-stein/constant", analysis.efron_stein_check(_constant_estimator(0.7), gauss1, 10, t_small, stream()))
+    add("efron-stein/mean-n25", analysis.efron_stein_check(mean1, gauss1, 25, t_mc, stream()))
+    add("efron-stein/median-n101", analysis.efron_stein_check(median1, gauss1, 101, t_mc, stream()))
+    add("efron-stein/constant", analysis.efron_stein_check(_constant_estimator(0.7), gauss1, 10, t_mc, stream()))
 
     # Variance lower bounds via chi-square (HCR) and Fisher information.
-    add("hcr/mean-n25", analysis.hcr_check(mean1, 0.0, 1.0 / math.sqrt(25), 25, t_small, stream()))
-    add("hcr/median-n101", analysis.hcr_check(median1, 0.0, 1.0 / math.sqrt(101), 101, t_small, stream()))
-    add("hcr/constant", analysis.hcr_check(_constant_estimator(0.3), 0.0, 0.2, 25, t_small, stream()))
-    add("cramer-rao/mean-n25", analysis.cramer_rao_check(mean1, 0.0, 25, t_small, stream()))
-    add("cramer-rao/scaled-mean-n25", analysis.cramer_rao_check(_scaled_mean(2.0), 0.0, 25, t_small, stream()))
-    add("cramer-rao/constant", analysis.cramer_rao_check(_constant_estimator(0.3), 0.0, 25, t_small, stream()))
+    add("hcr/mean-n25", analysis.hcr_check(mean1, 0.0, 1.0 / math.sqrt(25), 25, t_mc, stream()))
+    add("hcr/median-n101", analysis.hcr_check(median1, 0.0, 1.0 / math.sqrt(101), 101, t_mc, stream()))
+    add("hcr/constant", analysis.hcr_check(_constant_estimator(0.3), 0.0, 0.2, 25, t_mc, stream()))
+    add("cramer-rao/mean-n25", analysis.cramer_rao_check(mean1, 0.0, 25, t_mc, stream()))
+    add("cramer-rao/scaled-mean-n25", analysis.cramer_rao_check(_scaled_mean(2.0), 0.0, 25, t_mc, stream()))
+    add("cramer-rao/constant", analysis.cramer_rao_check(_constant_estimator(0.3), 0.0, 25, t_mc, stream()))
 
     # Gaussian likelihood-ratio product identity.
     add("gaussian-lr/orthogonal", analysis.gaussian_lr_identity_check([1.0, 0.0], [0.0, 1.0], t_lr, stream()))

@@ -326,6 +326,29 @@ class TestUniformSpacing:
             uniform_spacing_check(5, 7, 1_000, RngStream(0, 0))
 
 
+class TestTooFewDraws:
+    """Every Monte Carlo checker raises below 1000 draws instead of returning a
+    NaN stderr (one draw) or a verdict left to noise."""
+
+    CHECKERS = {
+        "hcr_check": lambda t: hcr_check(mean_estimator(1), 0.0, 0.2, 25, t, RngStream(0, 0)),
+        "hypergeom_mgf_check": lambda t: hypergeom_mgf_check(100, 10, 1.0, t, RngStream(0, 0)),
+        "uniform_spacing_check": lambda t: uniform_spacing_check(9, 5, t, RngStream(0, 0)),
+        "chi2_products_mc": lambda t: chi2_products_mc(0.1, 100, t, RngStream(0, 0)),
+        "chi2_localshift_mc": lambda t: chi2_localshift_mc(3, 50, 0.5, t, RngStream(0, 0)),
+        "efron_stein_check": lambda t: efron_stein_check(
+            mean_estimator(1), GaussianModel(np.zeros(1)), 5, t, RngStream(0, 0)),
+        "cramer_rao_check": lambda t: cramer_rao_check(mean_estimator(1), 0.0, 25, t,
+                                                       RngStream(0, 0)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CHECKERS))
+    @pytest.mark.parametrize("draws", [0, 1, 999])
+    def test_rejects_fewer_than_1000(self, name, draws):
+        with pytest.raises(ValueError, match=rf"^{name} needs at least 1000 draws, got {draws}$"):
+            self.CHECKERS[name](draws)
+
+
 class TestMcVerdict:
     """The one Monte Carlo pass rule: tol = max(4 se + extra, floor)."""
 

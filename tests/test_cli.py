@@ -144,6 +144,12 @@ class TestVerifyCommand:
         assert "all checks passed" in out
         assert "FAIL" not in out
 
+    def test_scale_below_1000_is_an_error(self, capsys):
+        code = main(["verify", "--trials-scale", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: trials_scale must be at least 1000, got 1\n"
+
     def test_failing_row_gives_nonzero_exit(self, capsys, monkeypatch):
         import senslab.cli as cli_mod
         from senslab import IneqCheckResult

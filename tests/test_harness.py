@@ -404,6 +404,11 @@ class TestVerifySuite:
         rows = verify_suite(trials_scale=2000, seed=seed)
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == self.SUITE_PINS[seed]
 
+    @pytest.mark.parametrize("scale", [1, 999])
+    def test_rejects_a_scale_below_1000(self, scale):
+        with pytest.raises(ValueError, match=rf"^trials_scale must be at least 1000, got {scale}$"):
+            verify_suite(trials_scale=scale, seed=0)
+
     def test_reproducible_table(self):
         a = format_verify_table(verify_suite(trials_scale=2_000, seed=24))
         b = format_verify_table(verify_suite(trials_scale=2_000, seed=24))

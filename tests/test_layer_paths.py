@@ -295,11 +295,31 @@ def test_radius_one_balls_within_the_masks_are_enumerated():
 
 # -- import cost --
 
-def test_import_loads_no_scipy_stats_or_ndimage():
-    code = ("import sys, senslab; "
-            "print(sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.ndimage'))))")
+def _fresh_python(code: str) -> str:
+    # stdout of ``code`` run in a new interpreter that imports senslab from src/.
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120, check=True, env=env)
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_import_loads_no_scipy_stats_or_ndimage():
+    code = ("import sys, senslab; "
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.ndimage'))))")
+    assert _fresh_python(code) == "[]"
+
+
+def test_import_loads_no_scipy_integrate_optimize_sparse_or_linalg():
+    # scipy.integrate pulls in the other three; only verify's quadrature row needs it.
+    code = ("import sys, senslab, senslab.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith(("
+            "'scipy.integrate', 'scipy.optimize', 'scipy.sparse', 'scipy.linalg'))))")
+    assert _fresh_python(code) == "[]"
+
+
+def test_verify_loads_integrate_for_its_quadrature_row():
+    code = ("import sys; from senslab import verify_suite; "
+            "rows = {r.name: r.result.holds for r in verify_suite(trials_scale=1000)}; "
+            "print(rows['beta-binomial/n10-quadrature'], 'scipy.integrate' in sys.modules)")
+    assert _fresh_python(code) == "True True"
