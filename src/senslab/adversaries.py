@@ -222,10 +222,6 @@ def tv_coupling_adversary(mu: float, eta: float, n: int,
     disagreeing coordinates is Binomial(n, TV) with TV = 2 Phi(eta/2) - 1.
     Returns the clean dataset and the outcome holding X'.
     """
-    if not (0.0 < eta < 1.0):
-        raise ValueError(f"eta must lie in (0, 1), got {eta}")
-    if n < 1:
-        raise ValueError("n must be a positive integer")
     budget = CorruptionBudget.from_eta(eta, n)
     x, y = couple_gaussian_pair(rng.generator(), float(mu), float(eta), int(n))
     clean = Dataset(x)
@@ -300,6 +296,16 @@ def _median_push_stack(clean: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarra
     return corrupted, np.where(push_up, up, down) + 0.0
 
 
+def _median_push_admissible(budget: CorruptionBudget, what: str) -> None:
+    """Reject a budget the median push does not attain the sup for: it needs
+    odd n = 2m - 1 and k <= m - 1. ``what`` names the caller in the message."""
+    if budget.n % 2 == 0:
+        raise ValueError(f"{what} requires odd n")
+    m = (budget.n + 1) // 2
+    if budget.k > m - 1:
+        raise ValueError(f"need k <= m - 1 = {m - 1}, got k = {budget.k}")
+
+
 def median_worst_case(x: Dataset, budget: CorruptionBudget) -> AdversaryOutcome:
     """Exact worst-case median displacement under k row replacements.
 
@@ -313,14 +319,8 @@ def median_worst_case(x: Dataset, budget: CorruptionBudget) -> AdversaryOutcome:
     _check_budget(x, budget)
     if x.d != 1:
         raise ValueError("median worst case is defined for scalar (d = 1) datasets")
-    n = x.n
-    if n % 2 == 0:
-        raise ValueError("median worst case requires odd n")
-    m = (n + 1) // 2
-    k = budget.k
-    if k > m - 1:
-        raise ValueError(f"need k <= m - 1 = {m - 1}, got k = {k}")
-    corrupted, cert = _median_push_stack(x.samples[None], k)
+    _median_push_admissible(budget, "median worst case")
+    corrupted, cert = _median_push_stack(x.samples[None], budget.k)
     return _outcome(x, Dataset(corrupted[0]), budget, certificate=float(cert[0]))
 
 

@@ -335,15 +335,15 @@ def _variance_with_se(values: np.ndarray) -> tuple[float, float]:
     return mean * t / (t - 1), se * t / (t - 1)
 
 
-def _replaced_on_stack(f: Estimator, x: np.ndarray, fresh: np.ndarray):
-    # f on x with row i replaced by fresh's row i, for i = 0..n-1; x is
-    # restored after each row.
-    for i in range(x.shape[1]):
-        saved = x[:, i, :].copy()
-        x[:, i, :] = fresh[:, i, :]
-        fxi = f.on_stack(x)
-        x[:, i, :] = saved
-        yield fxi
+def _replaced_on_stack(f: Estimator, x: np.ndarray, fresh: np.ndarray, blocks):
+    # f on the (T, n, d) stack x with rows start..stop-1 replaced, in place, by
+    # fresh's, for each block [start, stop); x is restored after each block,
+    # once the caller has taken its value.
+    for start, stop in blocks:
+        saved = x[:, start:stop].copy()
+        x[:, start:stop] = fresh[:, start:stop]
+        yield f.on_stack(x)
+        x[:, start:stop] = saved
 
 
 def _median_replaced(x: np.ndarray, fresh: np.ndarray):
@@ -410,7 +410,8 @@ def efron_stein_check(f: Estimator, model: GaussianModel, n: int, trials: int,
     if f.stack_fn is _median_stack:
         fx, replaced = _median_replaced(x, fresh)
     else:
-        fx, replaced = f.on_stack(x), _replaced_on_stack(f, x, fresh)
+        fx = f.on_stack(x)
+        replaced = _replaced_on_stack(f, x, fresh, [(i, i + 1) for i in range(n)])
     lhs, se_lhs = _variance_with_se(fx)
     gaps = np.zeros(trials)
     for fxi in replaced:

@@ -212,10 +212,10 @@ def project_scalar(
     Each scalar sample t_i is lifted to R^d along the unit direction u, with
     orthogonal noise V_i = lam + (I - u u^T) Z_i shared across the lift. The
     inner Z draws come from a stream fixed at construction, so g is a
-    deterministic function of t. The noise block V is drawn as
-    (mc_inner, n, d) and built once per n, then kept read-only until a call
-    with another n replaces it (one slot, shared by every thread). ``mc_inner``
-    defaults to 1 when f is linear in the data and 256 otherwise.
+    deterministic function of t. The noise block V is (mc_inner, n, d),
+    built once per n and kept read-only until a call with another n replaces
+    it (one slot, shared by every thread). ``mc_inner`` defaults to 1 when f
+    is linear in the data and 256 otherwise.
 
     When f is linear in the data (affine, see :class:`Estimator`), the slot
     holds V's mean over the draws, V̄ = avg_r V_r, an (n, d) array: by
@@ -229,14 +229,9 @@ def project_scalar(
     product with u is reduced per row (``sum(axis=1)``), never as a stacked
     matmul, whose BLAS path can move the last bit with the stack size.
 
-    Any other f (the median) gets one trial's lift at a time, built in
-    (n, d, mc_inner) layout from the cached block and seen by f as an
-    (mc_inner, n, d) view; one lift is the call's temporary. A reduction
-    over n then runs n as its outer loop over contiguous (d, mc_inner) rows,
-    and every element gets the same operations in the same order as in the
-    (mc_inner, n, d) layout, so the bytes match. f's result is made
-    C-contiguous before ``@ u``: on an F-ordered operand the matmul takes
-    another BLAS path that can move the last bit.
+    Any other f (the median) sees one trial's lift t ⊗ u + V at a time, in
+    the block's own (mc_inner, n, d) layout: one lift buffer is the call's
+    temporary, and <u, f(.)> is averaged over the mc_inner draws.
 
     For an inner estimator that is linear in the data (the mean) and
     lam orthogonal to u, <u, V_i> = 0, so g(t) equals the scalar mean of t
@@ -266,8 +261,9 @@ def project_scalar(
     def _noise(n: int) -> np.ndarray:
         # Readers take the slot's block in one step; two threads that miss
         # together build the same bytes, so either may win the slot.
+        # V̄ is (n, d) and the block (mc_inner, n, d): both hold n second-last.
         cached = noise_slot[0]
-        if cached is not None and cached.shape[0] == n:
+        if cached is not None and cached.shape[-2] == n:
             return cached
         # In place, so the build holds one block and one temporary (peak
         # memory); the operation order matches lam + z - <z, u> u, so the
@@ -278,8 +274,6 @@ def project_scalar(
         v -= along[:, :, None] * u
         if f.linear_in_data:
             v = v.mean(axis=0)
-        else:
-            v = np.ascontiguousarray(v.transpose(1, 2, 0))
         v.flags.writeable = False
         noise_slot[0] = v
         return v
@@ -302,9 +296,8 @@ def project_scalar(
         lift = np.empty_like(noise)
         out = np.empty((stack.shape[0], 1))
         for i, t in enumerate(stack[:, :, 0]):
-            np.add(np.multiply.outer(t, u)[:, :, None], noise, out=lift)
-            inner = np.ascontiguousarray(f.on_stack(lift.transpose(2, 0, 1)))
-            out[i] = (inner @ u).mean()
+            np.add(np.multiply.outer(t, u), noise, out=lift)
+            out[i] = (f.on_stack(lift) @ u).mean()
         return out
 
     return Estimator(

@@ -43,9 +43,9 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import analysis
-from .adversaries import (_block_stack, _layer_ball, _layer_ball_stack, _median_push_stack,
-                          _resample_stack, _shift_stack, block_layout, couple_gaussian_pair,
-                          hamming_ball_sup)
+from .adversaries import (_block_stack, _layer_ball, _layer_ball_stack, _median_push_admissible,
+                          _median_push_stack, _resample_stack, _shift_stack, block_layout,
+                          couple_gaussian_pair, hamming_ball_sup)
 # Names not called here stay imported: bench/tracing.py wraps these bindings.
 from .adversaries import (  # noqa: F401
     local_shift_adversary, median_worst_case, resampling_adversary, tv_coupling_adversary)
@@ -321,6 +321,12 @@ def _hamming_stack(clean: np.ndarray, corrupted: np.ndarray) -> np.ndarray:
     return np.count_nonzero(changed, axis=1)
 
 
+def _require_trials(trials: int, fewest: int = 2) -> None:
+    # Two trials at least: a stderr is std(ddof=1), NaN for one value.
+    if trials < fewest:
+        raise ValueError(f"need trials >= {fewest}, got {trials}")
+
+
 def _run_pairs(job: _Job, pairs: Callable, trials: int, seed: int, workers: int = 1):
     """f(corrupted) - f(clean) of every trial, and whether its recomputed
     Hamming distance is at most k. Both stacks must be finite."""
@@ -349,11 +355,7 @@ def _median_only(est: Estimator, budget: CorruptionBudget) -> None:
         )
     if est.stack_fn is not _median_stack:
         raise ValueError("median-exact certificates apply to the median only")
-    if budget.n % 2 == 0:
-        raise ValueError("median-exact requires odd n")
-    m = (budget.n + 1) // 2
-    if budget.k > m - 1:
-        raise ValueError(f"need k <= m - 1 = {m - 1}, got k = {budget.k}")
+    _median_push_admissible(budget, "median-exact")
 
 
 @dataclass(frozen=True)
@@ -454,8 +456,7 @@ def estimate_es(
     """
     if q not in (1, 2):
         raise ValueError(f"q must be 1 or 2, got {q}")
-    if trials < 100:
-        raise ValueError(f"need trials >= 100, got {trials}")
+    _require_trials(trials, 100)
     est = _resolve_estimator(estimator, model.d, seed)
     budget = CorruptionBudget.from_eta(eta, n)
     spec = _validate_combo(est, adversary, model, budget, delta)
@@ -653,6 +654,7 @@ def mean_obstruction_low(
     reported alongside. Requires the low-corruption regime k <= sqrt(n)
     (violations warn rather than fail).
     """
+    _require_trials(trials)
     job = _scalar_job(h, "mean_obstruction_low", eta, n, seed, prior, delta)
     k = job.budget.k
     regime_ok = k <= math.sqrt(n)
@@ -710,6 +712,7 @@ def coupling_obstruction_high(
     two parameters, and the endpoint-average argument guarantees the measured
     value is at least eta/3 minus the infeasibility rate (``proof_floor``).
     """
+    _require_trials(trials)
     if not (0.0 < eta <= 0.1):
         raise ValueError(f"coupling obstruction requires eta in (0, 1/10], got {eta}")
     job = _scalar_job(h, "coupling_obstruction_high", eta, n, seed,
@@ -773,6 +776,7 @@ def variance_obstruction(
     """
     if not isinstance(model, GaussianModel):
         raise ValueError("variance_obstruction requires a GaussianModel")
+    _require_trials(trials)
     est = _resolve_estimator(f, model.d, seed)
     budget = CorruptionBudget.from_eta(eta, n)
     budget.require_nonempty()
@@ -783,9 +787,6 @@ def variance_obstruction(
 
     # The blocks are consecutive, so the per-block draws of stream
     # (seed, 2t + 1) fill one (n, d) array of fresh rows in row order.
-    in_block = np.zeros((m_blocks, n, 1), dtype=bool)
-    for i, (start, stop) in enumerate(layout):
-        in_block[i, start:stop] = True
     outputs = np.empty((trials, est.output_dim))
     gaps = np.empty((trials, m_blocks))
 
@@ -797,13 +798,8 @@ def variance_obstruction(
         model.from_random(fresh)
         fx = est.on_stack(clean)
         outputs[lo:hi] = fx
-        # Stack i is the clean sample with block i resampled; one stack is
-        # reused for every trial of the chunk.
-        stack = np.empty((m_blocks, n, model.d))
-        for i in range(hi - lo):
-            np.copyto(stack, clean[i])
-            np.copyto(stack, fresh[i], where=in_block)
-            gaps[lo + i] = ((est.on_stack(stack) - fx[i]) ** 2).sum(axis=1)
+        for b, fxb in enumerate(analysis._replaced_on_stack(est, clean, fresh, layout)):
+            gaps[lo:hi, b] = ((fxb - fx) ** 2).sum(axis=1)
 
     _run_chunked(trials, seed, 1, n * model.d * 8, run_chunk)
 

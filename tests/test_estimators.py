@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -13,6 +14,7 @@ from senslab import (
     CorruptionBudget,
     Dataset,
     Estimator,
+    GaussianModel,
     RngStream,
     build_estimator,
     clip_estimator,
@@ -309,15 +311,15 @@ class TestProjectScalar:
         u = np.array([0.0, 0.6, 0.8])
         short, long = Dataset(np.arange(5.0)), Dataset(np.arange(9.0))
         for f, layout in ((mean_estimator(3), lambda v: v.mean(axis=0)),
-                          (median_estimator(3), lambda v: v.transpose(1, 2, 0))):
+                          (median_estimator(3), lambda v: v)):
             built.clear()
             g = project_scalar(f, u, np.zeros(3), mc_inner=8, rng=RngStream(6, 1))
             for t in (short, short, long, long, short):
                 g(t)
             assert [b.shape for b in built] == [(8, 5, 3), (8, 9, 3), (8, 5, 3)]
             # The cached block comes from the last draw, transformed in place:
-            # the mean's is the draws' mean V̄ (n, d), the median's the block
-            # itself as (n, d, mc_inner). Both are read-only.
+            # the mean's is the draws' mean V̄ (n, d), the median's the
+            # (mc_inner, n, d) block itself. Both are read-only.
             noise = _closure(_closure(g.stack_fn)["_noise"])["noise_slot"][0]
             want = np.ascontiguousarray(layout(built[-1]))
             assert noise.shape == want.shape and noise.flags.c_contiguous
@@ -392,15 +394,40 @@ class TestProjectScalar:
 
     def test_lift_peak_memory(self):
         # The per-trial lift, kept for an f not declared linear in the data
-        # (here the mean, undeclared). Measured before the (n, d, mc_inner)
-        # layout: 9.38 MiB on the first call (the noise build) and 3.20 MiB
-        # warm (one lift is 3.13 MiB).
+        # (here the mean, undeclared), in the (mc_inner, n, d) layout the
+        # block is drawn in: measured 6.77 MiB on the first call (the noise
+        # build) and 3.20 MiB warm (one lift is 3.13 MiB).
         f = Estimator("undeclared-mean", 8, lambda stack: stack.mean(axis=1))
         g = project_scalar(f, sample_unit_direction(8, RngStream(41, 0)), np.zeros(8),
                            mc_inner=256, rng=RngStream(41, 1))
         stack = standard_normal(RngStream(9, 3).generator(), (10, 200, 1))
         peaks = _lift_peaks(g, stack)
         assert peaks[0] < 9.5 and peaks[1] < 3.3, peaks
+
+    # sha256 of the newline-joined to_json(include_trials=True) of resample
+    # reports (eta 0.1, 100 trials) of one median lift per row, u drawn from
+    # RngStream(seed, 0), lam = 0, noise from RngStream(seed, 1), run at each
+    # n in turn. Taken before the lift was built in the (mc_inner, n, d)
+    # layout. The last row's n = mc_inner then follows another n, so a slot
+    # keyed on the wrong axis would hand out the n = 201 block.
+    MEDIAN_LIFT_PINS = {
+        "d4-r64-n201": (4, 64, (201,), 81,
+                        "47376d4a48e6ad1a71afcc544a5813c9f814b8b57ec8e4cef3a67cf71120493d"),
+        "d16-r64-n201": (16, 64, (201,), 82,
+                         "a81f6851173622817607ba5f43512df3b4151ed9490d10f040f91dfbc445545d"),
+        "d3-r64-n-equals-r": (3, 64, (201, 64, 201), 83,
+                              "d7aa8aa79c3a310ecc1708a97d11f2cd143e7d49cdfee0bfe6df446ca0439690"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MEDIAN_LIFT_PINS))
+    def test_median_lift_report_pins(self, name):
+        d, mc_inner, ns, seed, digest = self.MEDIAN_LIFT_PINS[name]
+        g = project_scalar(median_estimator(d), sample_unit_direction(d, RngStream(seed, 0)),
+                           np.zeros(d), mc_inner=mc_inner, rng=RngStream(seed, 1))
+        reports = [harness.estimate_es(g, "resample", GaussianModel(np.zeros(1)), eta=0.1, n=n,
+                                       trials=100, seed=seed).to_json(include_trials=True)
+                   for n in ns]
+        assert hashlib.sha256("\n".join(reports).encode()).hexdigest() == digest
 
     def test_affine_lift_peak_memory(self):
         # The mean's lift holds one (T, n, d) stack, 0.12 MiB at T = 10, next

@@ -356,6 +356,50 @@ def test_variance_matches_per_trial_loop(name, d, n, eta, trials):
     assert (report.var_clean, report.var_clean_stderr) == analysis._variance_with_se(outputs)
 
 
+# sha256 of repr(report), taken before the block gaps ran through
+# analysis._replaced_on_stack: an uneven last block, 51 and 101 blocks,
+# trial counts that leave a short last chunk (and chunks of one trial at
+# n = 4001, d = 16), the median at d = 1 and d = 3, and the clipped mean.
+VARIANCE_PINS = {
+    "mean-d2-uneven": (
+        lambda: variance_obstruction("mean", gauss(2, 0.3), eta=0.07, n=101, trials=300, seed=71),
+        "ce58136a657b33e109c61706d995368a256266276c540e6f2ad66d5906517744"),
+    "median-d1-m51": (
+        lambda: variance_obstruction("median", gauss(1), eta=0.02, n=503, trials=300, seed=72),
+        "c53fcd387e4180bba6315fd429de6d99fda57e118b859184e6f81257312022f8"),
+    "median-d3": (
+        lambda: variance_obstruction("median", gauss(3, -0.2), eta=0.1, n=95, trials=70, seed=73),
+        "4b8df0b7b13a68c096f538f527e55ec77dfe5bdd080f59c9ef3be3fe5bd0a0c9"),
+    "clipped-mean": (
+        lambda: variance_obstruction("clipped-mean", gauss(1, 0.5), eta=0.05, n=213, trials=260,
+                                     seed=74),
+        "aaabf7940dadee3ecc189e35f0bc71e4062cf6c7f7fdaa50a6e2c21d1bf04304"),
+    "mean-d16-m101": (
+        lambda: variance_obstruction("mean", gauss(16), eta=0.01, n=4001, trials=5, seed=75),
+        "4d7f5fe8ed888981116f9e83d498037b979e8c722ea36bc7ab7166acf39d36fe"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VARIANCE_PINS))
+def test_variance_report_pins(name):
+    run, digest = VARIANCE_PINS[name]
+    assert hashlib.sha256(repr(run()).encode()).hexdigest() == digest
+
+
+# A stderr needs two trials; the bench warms each experiment up at ten.
+@pytest.mark.parametrize("run", [
+    lambda trials: mean_obstruction_low("clipped-mean", eta=0.05, delta=0.5, n=400,
+                                        trials=trials),
+    lambda trials: coupling_obstruction_high("clipped-mean", eta=0.1, n=500, trials=trials),
+    lambda trials: variance_obstruction("mean", gauss(1), eta=0.1, n=50, trials=trials),
+], ids=["mean-low", "coupling-high", "variance"])
+def test_obstructions_need_two_trials(run):
+    for trials in (-1, 0, 1):
+        with pytest.raises(ValueError, match=rf"^need trials >= 2, got {trials}$"):
+            run(trials)
+    assert run(2).trials == 2
+
+
 # --- validation: every rejection estimate_es makes, with its type and message ---
 
 REJECTIONS = {
