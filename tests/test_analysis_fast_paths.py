@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 from scipy import special
 
-from senslab import GaussianModel, RngStream, binomial_point_mass, efron_stein_check, median_estimator
+from senslab import (GaussianModel, RngStream, binomial_point_mass, efron_stein_check,
+                     mean_estimator, median_estimator)
 from senslab import analysis
 from senslab.estimators import Estimator, _median_stack
 
@@ -90,6 +91,61 @@ def test_median_results_keep_their_bytes():
                 out.append(repr(efron_stein_check(median_estimator(d), GaussianModel(np.zeros(d)),
                                                   n, 1000, RngStream(seed, n))))
     assert sha256("\n".join(out)) == ES_MEDIAN_PIN
+
+
+def constant(d: int) -> Estimator:
+    return Estimator(name="const", output_dim=d, stack_fn=lambda s: np.full((s.shape[0], d), 0.7))
+
+
+def gauss(d: int, mu: float = 0.0) -> GaussianModel:
+    return GaussianModel(np.full(d, mu))
+
+
+# sha256 of repr(result), taken while the check drew X and its fresh copy as
+# two whole (trials, n, d) stacks. With 2 MiB per chunk stack the trial counts
+# leave a short last chunk (one trial for T2596, n10-T8739 and T1142), and
+# trials * n * d mod 4 is 0, 1, 2 or 3 (T2596..T2599): the fresh rows' offset
+# in the stream falls inside a four-double Philox block.
+ES_CHUNK_PINS = {
+    "median-d1-n101-T2596": (
+        lambda: efron_stein_check(median_estimator(1), gauss(1), 101, 2596, RngStream(81, 0)),
+        "934f82704b07bc5c66250fd4ce77e4a7dc4a845a3337d9d62992e6e955c70d83"),
+    "median-d1-n101-T2597": (
+        lambda: efron_stein_check(median_estimator(1), gauss(1, 0.3), 101, 2597,
+                                  RngStream(82, 1)),
+        "0f2a01e0c56e2044f65bc3a05bc3063322d93e75bb9e50de84bd49cd1b6193d4"),
+    "median-d1-n101-T2598": (
+        lambda: efron_stein_check(median_estimator(1), gauss(1), 101, 2598, RngStream(83, 2)),
+        "906229097dbf706b01b062fb1af6b1f1e55d9283dc2a3cc5fe2d4901c958e8c8"),
+    "median-d1-n101-T2599": (
+        lambda: efron_stein_check(median_estimator(1), gauss(1), 101, 2599, RngStream(84, 3)),
+        "ed0c2c5e0edee0eba6ccdc5445d677536f6fe990d856f2b536c0d15b212ac673"),
+    "median-d3-n25-T3497": (
+        lambda: efron_stein_check(median_estimator(3), gauss(3, -0.2), 25, 3497,
+                                  RngStream(85, 0)),
+        "c7a9636c0e9a9e3d9f9c53d02f7e57b3aed325ab2a9f231cd8d8aa4e1a59b16d"),
+    "generic-median-d1-n21-T12485": (
+        lambda: efron_stein_check(generic_median(1), gauss(1), 21, 12485, RngStream(86, 0)),
+        "0ee6a27407714c8f063d1e7501211eab1c49ecc16999f6257d557e3ed75cd511"),
+    "generic-median-d3-n10-T8739": (
+        lambda: efron_stein_check(generic_median(3), gauss(3), 10, 8739, RngStream(87, 0)),
+        "95f938017f33ccd541d6c50d4f404dc2f99f29c647cb862ebdbe424236be0249"),
+    "mean-d16-n100-T1142": (
+        lambda: efron_stein_check(mean_estimator(16), gauss(16), 100, 1142, RngStream(88, 0)),
+        "f71e7a018710392ff3b80fc6045b1fe2d89fd36292b8079307d8e2f0825f0863"),
+    "mean-d3-n25-T3497": (
+        lambda: efron_stein_check(mean_estimator(3), gauss(3, 0.5), 25, 3497, RngStream(89, 0)),
+        "43ab6c8c1dfcf0cca5d573873b8ed206c0810f6e48f04776367d8cd821379912"),
+    "constant-d3-n7-T1001": (
+        lambda: efron_stein_check(constant(3), gauss(3), 7, 1001, RngStream(90, 0)),
+        "6ca998120e5c19067eba83a584c42d77af7be31933881297a0001c4444e93e58"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ES_CHUNK_PINS))
+def test_chunked_check_keeps_its_bytes(name):
+    run, digest = ES_CHUNK_PINS[name]
+    assert sha256(repr(run())) == digest
 
 
 # tracemalloc peak of the call below with n selections per check: 77.4 MiB

@@ -377,6 +377,15 @@ VARIANCE_PINS = {
     "mean-d16-m101": (
         lambda: variance_obstruction("mean", gauss(16), eta=0.01, n=4001, trials=5, seed=75),
         "4d7f5fe8ed888981116f9e83d498037b979e8c722ea36bc7ab7166acf39d36fe"),
+    # k = 1: one-row blocks, taken before the median's leave-one-out values
+    # came from three order statistics here too.
+    "median-d1-k1": (
+        lambda: variance_obstruction("median", gauss(1), eta=0.01, n=101, trials=300, seed=91),
+        "9869f82463fd7e5325066eee181578ac755fc4087d7e5f868142c21e29f3de3d"),
+    "median-d3-k1": (
+        lambda: variance_obstruction("median", gauss(3, 0.2), eta=0.02, n=51, trials=257,
+                                     seed=92),
+        "1e11ce7259e162dc6efbb058e1e637f5beb3e9583ce5a4ffaf2bb2090c64e867"),
 }
 
 
