@@ -65,6 +65,8 @@ _MC_SIGMAS = 4.0
 # Fewest draws a Monte Carlo checker accepts: one draw has no sample stderr
 # (std with ddof=1 is NaN), and a handful leaves the verdict to noise.
 _MIN_DRAWS = 1000
+# Bytes per (chunk, n, d) stack of efron_stein_check.
+_ES_CHUNK_BYTES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -374,10 +376,38 @@ def _median_replaced(x: np.ndarray, fresh: np.ndarray):
     return mid, replaced()
 
 
+def _leave_out_gaps(f: Estimator, x: np.ndarray, fresh: np.ndarray, blocks):
+    """f(X) on the (T, n, d) stack x, and a generator that yields, for each
+    block b in turn, ||f(X) - f(X^(b))||^2 per dataset, X^(b) being x with
+    the rows of block b replaced by fresh's.
+
+    ``blocks`` are consecutive half-open row ranges that partition [0, n).
+    When each is one row and f's ``stack_fn`` is ``_median_stack``, the
+    values come from one sort of x (``_median_replaced``); otherwise f is
+    evaluated on x and on each replaced stack, with x restored after each.
+    """
+    if f.stack_fn is _median_stack and len(blocks) == x.shape[1]:
+        fx, replaced = _median_replaced(x, fresh)
+    else:
+        fx = f.on_stack(x)
+        replaced = _replaced_on_stack(f, x, fresh, blocks)
+    return fx, (((fx - fxb) ** 2).sum(axis=1) for fxb in replaced)
+
+
 def efron_stein_check(f: Estimator, model: GaussianModel, n: int, trials: int,
                       rng: RngStream) -> IneqCheckResult:
     """Check E||f(X) - E f(X)||^2 <= (1/2) sum_i E||f(X) - f(X^(i))||^2,
     where X^(i) replaces sample i by an independent fresh copy.
+
+    The draws are one stream: the trials' X takes its first trials·n·d
+    ``random`` doubles, in (trials, n, d) order, and their fresh copies the
+    next trials·n·d. The check runs over chunks of trials with at most
+    ``_ES_CHUNK_BYTES`` per (chunk, n, d) stack. One generator reads X in
+    order; a second one of the same stream reads the fresh rows, first
+    positioned at double trials·n·d (the Philox counter advanced by a
+    quarter of it, then the remainder drawn and dropped). f(X) and the
+    per-trial gap sums are stored by trial and reduced once at the end, so
+    the result does not depend on the chunk size.
 
     An f whose ``stack_fn`` is ``_median_stack`` gets its n leave-one-out
     medians from one sort of the stack instead of n selections over it.
@@ -404,18 +434,24 @@ def efron_stein_check(f: Estimator, model: GaussianModel, n: int, trials: int,
     n replaced stacks.
     """
     _require_draws("efron_stein_check", trials)
-    gen = rng.generator()
-    x = model.from_random(gen.random((trials, n, model.d)))
-    fresh = model.from_random(gen.random((trials, n, model.d)))
-    if f.stack_fn is _median_stack:
-        fx, replaced = _median_replaced(x, fresh)
-    else:
-        fx = f.on_stack(x)
-        replaced = _replaced_on_stack(f, x, fresh, [(i, i + 1) for i in range(n)])
-    lhs, se_lhs = _variance_with_se(fx)
+    d = model.d
+    size = trials * n * d
+    draws, fresh_draws = rng.generator(), rng.generator()
+    fresh_draws.bit_generator.advance(size // 4)
+    fresh_draws.random(size % 4)
+    rows = [(i, i + 1) for i in range(n)]
+    chunk = min(trials, max(1, _ES_CHUNK_BYTES // (n * d * 8)))
+    x_buf, fresh_buf = np.empty((chunk, n, d)), np.empty((chunk, n, d))
+    fx = np.empty((trials, f.output_dim))
     gaps = np.zeros(trials)
-    for fxi in replaced:
-        gaps += ((fx - fxi) ** 2).sum(axis=1)
+    for lo in range(0, trials, chunk):
+        hi = min(lo + chunk, trials)
+        x = model.from_random(draws.random(out=x_buf[:hi - lo]))
+        fresh = model.from_random(fresh_draws.random(out=fresh_buf[:hi - lo]))
+        fx[lo:hi], row_gaps = _leave_out_gaps(f, x, fresh, rows)
+        for g in row_gaps:
+            gaps[lo:hi] += g
+    lhs, se_lhs = _variance_with_se(fx)
     rhs, se_rhs = _mean_se(0.5 * gaps)
     return _mc_verdict(lhs, rhs, math.hypot(se_lhs, se_rhs), trials, extra=_ROUNDOFF)
 

@@ -796,10 +796,9 @@ def variance_obstruction(
         for i, t in enumerate(range(lo, hi)):
             streams.adversary(t).random(out=fresh[i])
         model.from_random(fresh)
-        fx = est.on_stack(clean)
-        outputs[lo:hi] = fx
-        for b, fxb in enumerate(analysis._replaced_on_stack(est, clean, fresh, layout)):
-            gaps[lo:hi, b] = ((fxb - fx) ** 2).sum(axis=1)
+        outputs[lo:hi], block_gaps = analysis._leave_out_gaps(est, clean, fresh, layout)
+        for b, g in enumerate(block_gaps):
+            gaps[lo:hi, b] = g
 
     _run_chunked(trials, seed, 1, n * model.d * 8, run_chunk)
 

@@ -2,10 +2,10 @@
 
 ``efron_stein_check`` takes the leave-one-out medians of an estimator that
 computes ``_median_stack`` from three order statistics per dataset; every
-other estimator is evaluated on the n replaced stacks. ``binomial_point_mass``
-reads log-gamma at integer arguments through a memo. Both must give the
-bytes of the code they replace: the pins below were computed before either
-fast path existed.
+other estimator is evaluated on the n replaced stacks. It draws and
+evaluates its trials chunk by chunk. ``binomial_point_mass`` reads log-gamma
+at integer arguments through a memo. Each must give the bytes of the code it
+replaces: the pins below were computed before it existed.
 """
 
 import hashlib
@@ -148,20 +148,48 @@ def test_chunked_check_keeps_its_bytes(name):
     assert sha256(repr(run())) == digest
 
 
-# tracemalloc peak of the call below with n selections per check: 77.4 MiB
-# (numpy 2.4.6, Python 3.11.7).
-ES_MEDIAN_PEAK_BYTES = 81_125_505
+# The chunk size only moves the boundaries: one-trial chunks, short ones, and
+# one chunk for every trial give the pinned bytes.
+@pytest.mark.parametrize("budget", [1, 3000, 1 << 16, 1 << 23])
+@pytest.mark.parametrize("name", ["median-d3-n25-T3497", "mean-d3-n25-T3497",
+                                  "constant-d3-n7-T1001"])
+def test_chunk_size_moves_no_byte(monkeypatch, name, budget):
+    monkeypatch.setattr(analysis, "_ES_CHUNK_BYTES", budget)
+    run, digest = ES_CHUNK_PINS[name]
+    assert sha256(repr(run())) == digest
+
+
+def traced_peak(f: Estimator, d: int, n: int, trials: int) -> int:
+    tracemalloc.start()
+    try:
+        efron_stein_check(f, gauss(d), n, trials, RngStream(15, 1))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# tracemalloc peaks of the calls below with 2 MiB chunk stacks (numpy 2.4.6,
+# Python 3.11.7), each bound 1 MiB above its measurement for allocator and
+# library drift. Whole (trials, n, d) stacks peaked at 46.7 and 25.9 MiB.
+ES_MEDIAN_PEAK_BYTES = 6_700_074 + (1 << 20)
+ES_MEAN_PEAK_BYTES = 4_576_211 + (1 << 20)
 
 
 def test_median_path_peak_memory():
-    tracemalloc.start()
-    try:
-        efron_stein_check(median_estimator(1), GaussianModel(np.zeros(1)), 101, 20_000,
-                          RngStream(15, 1))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= ES_MEDIAN_PEAK_BYTES
+    assert traced_peak(median_estimator(1), 1, 101, 20_000) <= ES_MEDIAN_PEAK_BYTES
+
+
+def test_general_path_peak_memory():
+    assert traced_peak(mean_estimator(16), 16, 100, 1000) <= ES_MEAN_PEAK_BYTES
+
+
+def test_peak_memory_is_flat_in_trials():
+    # Past one chunk, a trial adds only its f(X) and gap sum (16 bytes,
+    # measured); whole stacks of X and its fresh copy would add 2 n d 8.
+    small, large = 10_000, 40_000
+    grown = traced_peak(median_estimator(1), 1, 101, large) - \
+        traced_peak(median_estimator(1), 1, 101, small)
+    assert grown <= 32 * (large - small)
 
 
 # sha256 of repr of [binomial_point_mass(n, r) for n in 1..200 for r in 0..n],

@@ -346,6 +346,8 @@ def test_coupling_high_matches_per_trial_loop(name, eta, n, prior, trials, seed)
     ("mean", 16, 400, 0.1, 23),
     ("median", 3, 101, 0.07, 30),
     ("mean", 1, 2000, 0.3, 70),
+    ("median", 1, 101, 0.01, 40),  # k = 1: the median's sort shortcut
+    ("median", 3, 51, 0.02, 30),
 ])
 def test_variance_matches_per_trial_loop(name, d, n, eta, trials):
     model = gauss(d, 0.4)
