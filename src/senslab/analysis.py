@@ -23,6 +23,14 @@ warning.
 The chi^2 Monte Carlo oracles simulate likelihood ratios in log space with
 max-subtraction before exponentiating, since exp(n h^2) regimes overflow
 naive arithmetic.
+
+Every Monte Carlo checker but ``gaussian_lr_identity_check`` draws through
+``_draw_chunks``: its stream's ``random`` doubles form ``parts`` consecutive
+(trials, *row) blocks, read chunk by chunk at up to ``_ES_CHUNK_BYTES`` per
+block, so a check's memory does not grow with its draws beyond the values it
+stores per trial. Each chunk is transformed in place, the statistic is
+evaluated per chunk, and the per-trial values are reduced once at the end,
+so no result depends on the chunk size.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .core import GaussianModel, RngStream, standard_normal
+from .core import GaussianModel, RngStream, _open_unit, standard_normal
 from .estimators import Estimator, _median_index, _median_stack
 
 __all__ = [
@@ -58,14 +66,12 @@ __all__ = [
 _EXP_OVERFLOW = 700.0
 # Absolute allowance so zero-variance (degenerate) checks survive float roundoff.
 _ROUNDOFF = 1e-12
-# Draws per block of chi2_localshift_mc.
-_CHI2_CHUNK = 20_000
 # Standard errors of slack in every Monte Carlo verdict.
 _MC_SIGMAS = 4.0
 # Fewest draws a Monte Carlo checker accepts: one draw has no sample stderr
 # (std with ddof=1 is NaN), and a handful leaves the verdict to noise.
 _MIN_DRAWS = 1000
-# Bytes per (chunk, n, d) stack of efron_stein_check.
+# Bytes per chunk of each block a checker draws through _draw_chunks.
 _ES_CHUNK_BYTES = 1 << 21
 
 
@@ -110,14 +116,55 @@ def _mc_verdict(lhs: float, rhs: float, se: float, trials: int, *, extra: float 
     return IneqCheckResult(lhs=lhs, rhs=rhs, holds=holds, mc_stderr=se, trials=trials)
 
 
-def _shifted_normals(gen: np.random.Generator, size, *shifts: float) -> np.ndarray:
-    """``standard_normal(gen, size) + shifts[0] + shifts[1] ...``, each shift
+def _draw_chunks(rng: RngStream, trials: int, row_shape: tuple[int, ...], parts: int = 1):
+    """Yield (lo, hi, raws) for consecutive chunks [lo, hi) of the trials,
+    raws[j] being the (hi - lo, *row_shape) raw ``random`` doubles of part j.
+
+    Part j is doubles [j·T·row, (j+1)·T·row) of ``rng``'s stream, T = trials
+    and row = prod(row_shape), in (trials, *row_shape) order: the bytes of
+    ``parts`` whole stacks drawn one after another from one generator. Each
+    part reads through its own generator, first positioned at double j·T·row
+    (the Philox counter advanced by a quarter of it, then the remainder drawn
+    and dropped). A chunk holds at most ``_ES_CHUNK_BYTES`` per part, and at
+    least one trial; its arrays are reused by the next chunk, so a caller
+    transforms them in place and keeps only what it computes from them.
+    """
+    row = math.prod(row_shape)
+    chunk = min(trials, max(1, _ES_CHUNK_BYTES // (row * 8)))
+    gens = []
+    for j in range(parts):
+        gen = rng.generator()
+        skip = j * trials * row
+        gen.bit_generator.advance(skip // 4)
+        gen.random(skip % 4)
+        gens.append(gen)
+    bufs = [np.empty((chunk, *row_shape)) for _ in gens]
+    for lo in range(0, trials, chunk):
+        hi = min(lo + chunk, trials)
+        yield lo, hi, [gen.random(out=buf[:hi - lo]) for gen, buf in zip(gens, bufs)]
+
+
+def _shifted_normals(raw: np.ndarray, *shifts: float) -> np.ndarray:
+    """Raw ``random`` doubles turned in place into ``standard_normal`` variates
+    (``ndtri`` of ``_open_unit``), then ``+ shifts[0] + shifts[1] ...``, each
     added in place and in that order, so the bits are those of the sum (a
     subtraction is passed as its negation, which rounds the same)."""
-    x = standard_normal(gen, size)
+    x = special.ndtri(_open_unit(raw, out=raw), out=raw)
     for shift in shifts:
         x += shift
     return x
+
+
+def _scalar_statistic(statistic: Estimator, n: int, trials: int, rng: RngStream,
+                      *shifts: tuple[float, ...]) -> np.ndarray:
+    """(len(shifts), trials) values of a scalar statistic: row j on
+    N(0, 1)^{x n} datasets shifted by ``shifts[j]`` (see ``_shifted_normals``),
+    drawn as part j of ``_draw_chunks`` with (n, 1) rows."""
+    values = np.empty((len(shifts), trials))
+    for lo, hi, raws in _draw_chunks(rng, trials, (n, 1), len(shifts)):
+        for out, raw, shift in zip(values, raws, shifts):
+            out[lo:hi] = statistic.on_stack(_shifted_normals(raw, *shift))[:, 0]
+    return values
 
 
 def _require_draws(name: str, draws: int, fewest: int = _MIN_DRAWS) -> None:
@@ -166,30 +213,36 @@ def chi2_products_mc(delta: float, n: int, draws: int, rng: RngStream) -> tuple[
     Under P the likelihood ratio depends on the data only through the sum
     S ~ N(0, n), which is simulated directly: LR = exp(delta S - n delta^2/2).
     Returns (estimate, stderr) of E_P[(LR - 1)^2].
+
+    S/sqrt(n) of draw t is double t of ``rng``'s stream (``_draw_chunks``
+    with scalar rows).
     """
     _require_draws("chi2_products_mc", draws)
-    gen = rng.generator()
-    s = math.sqrt(n) * standard_normal(gen, draws)
-    log_lr = delta * s - 0.5 * n * delta * delta
-    if float(log_lr.max()) > _EXP_OVERFLOW:
-        raise OverflowError("likelihood ratio overflows; reduce n * delta^2")
-    return _mean_se(np.expm1(log_lr) ** 2)
+    values = np.empty(draws)
+    for lo, hi, (z,) in _draw_chunks(rng, draws, ()):
+        log_lr = delta * (math.sqrt(n) * _shifted_normals(z)) - 0.5 * n * delta * delta
+        if float(log_lr.max()) > _EXP_OVERFLOW:
+            raise OverflowError("likelihood ratio overflows; reduce n * delta^2")
+        values[lo:hi] = np.expm1(log_lr) ** 2
+    return _mean_se(values)
 
 
 def _log_esp_k(w: np.ndarray, k: int) -> np.ndarray:
     """log of the k-th elementary symmetric polynomial of each row of w.
 
     Rows are rescaled by their maximum first (the log-space max-subtraction),
-    so the DP accumulates values bounded by C(n, k).
+    so the DP accumulates values bounded by C(n, k). Column i updates
+    e_j += w_i e_{j-1} for j = 1..min(i + 1, k) in one step, each from the
+    e_{j-1} before the step, as a descending loop over j would.
     """
     mx = w.max(axis=1)
-    wn = w / mx[:, None]
+    wn = w.T.copy()  # (n, T) in C order: each column of w is one contiguous row
+    wn /= mx
     e = np.zeros((k + 1, w.shape[0]))
     e[0] = 1.0
-    for i in range(w.shape[1]):
-        wi = wn[:, i]
-        for j in range(min(i + 1, k), 0, -1):
-            e[j] += wi * e[j - 1]
+    for i, wi in enumerate(wn):
+        top = min(i + 1, k)
+        e[1:top + 1] += wi * e[:top]
     return np.log(e[k]) + k * np.log(mx)
 
 
@@ -203,24 +256,23 @@ def chi2_localshift_mc(k: int, n: int, delta: float, draws: int,
     where e_k is the k-th elementary symmetric polynomial (computed by a
     rescaled DP). Returns (estimate, stderr) of E_P[(LR - 1)^2] under
     P = N(m, 1)^{x n}.
+
+    Draw t reads doubles [t·n, (t+1)·n) of ``rng``'s stream (``_draw_chunks``
+    with (n,) rows).
     """
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     _require_draws("chi2_localshift_mc", draws)
     m = k * delta / n
     log_binom = special.gammaln(n + 1) - special.gammaln(k + 1) - special.gammaln(n - k + 1)
-    gen = rng.generator()
-    pieces = []
-    left = draws
-    while left > 0:
-        t = min(_CHI2_CHUNK, left)
-        x = _shifted_normals(gen, (t, n), m)
+    values = np.empty(draws)
+    for lo, hi, (x,) in _draw_chunks(rng, draws, (n,)):
+        x = _shifted_normals(x, m)
         s = x.sum(axis=1)
         log_lr = (_log_esp_k(np.exp(delta * x), k) - log_binom
                   - m * s - 0.5 * k * delta * delta + 0.5 * n * m * m)
-        pieces.append(np.expm1(log_lr) ** 2)
-        left -= t
-    return _mean_se(np.concatenate(pieces))
+        values[lo:hi] = np.expm1(log_lr) ** 2
+    return _mean_se(values)
 
 
 def gaussian_lr_identity_check(a, b, trials: int, rng: RngStream) -> IneqCheckResult:
@@ -243,10 +295,11 @@ def gaussian_lr_identity_check(a, b, trials: int, rng: RngStream) -> IneqCheckRe
                        two_sided=True)
 
 
-def _random_k_subset_masks(gen: np.random.Generator, trials: int, n: int, k: int) -> np.ndarray:
-    u = gen.random((trials, n))
+def _random_k_subset_masks(u: np.ndarray, k: int) -> np.ndarray:
+    # Per row of the (T, n) uniforms u, the positions of its k smallest
+    # entries: a uniformly random k-subset of [n].
     idx = np.argpartition(u, k - 1, axis=1)[:, :k]
-    mask = np.zeros((trials, n), dtype=bool)
+    mask = np.zeros(u.shape, dtype=bool)
     np.put_along_axis(mask, idx, True, axis=1)
     return mask
 
@@ -255,19 +308,23 @@ def hypergeom_mgf_check(n: int, k: int, lam: float, trials: int,
                         rng: RngStream) -> IneqCheckResult:
     """Check E exp(lambda (H - k^2/n)) <= exp((k^2/n)(e^lambda - 1 - lambda)),
     H = |A cap B| for independent uniformly random k-subsets A, B of [n].
+
+    A is drawn from part 0 and B from part 1 of ``_draw_chunks`` with (n,)
+    rows: trial t's A reads doubles [t·n, (t+1)·n) of ``rng``'s stream and
+    its B doubles [(T + t)·n, (T + t + 1)·n), T = trials. With k = n, H = n
+    and nothing is drawn.
     """
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if lam < 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
     _require_draws("hypergeom_mgf_check", trials)
-    gen = rng.generator()
     if k == n:
         h = np.full(trials, float(n))
     else:
-        mask_a = _random_k_subset_masks(gen, trials, n, k)
-        mask_b = _random_k_subset_masks(gen, trials, n, k)
-        h = (mask_a & mask_b).sum(axis=1).astype(np.float64)
+        h = np.empty(trials)
+        for lo, hi, (u_a, u_b) in _draw_chunks(rng, trials, (n,), 2):
+            h[lo:hi] = (_random_k_subset_masks(u_a, k) & _random_k_subset_masks(u_b, k)).sum(axis=1)
     lhs, se = _mean_se(np.exp(lam * (h - k * k / n)))
     rhs = float(math.exp((k * k / n) * (math.expm1(lam) - lam)))
     return _mc_verdict(lhs, rhs, se, trials)
@@ -399,15 +456,11 @@ def efron_stein_check(f: Estimator, model: GaussianModel, n: int, trials: int,
     """Check E||f(X) - E f(X)||^2 <= (1/2) sum_i E||f(X) - f(X^(i))||^2,
     where X^(i) replaces sample i by an independent fresh copy.
 
-    The draws are one stream: the trials' X takes its first trials·n·d
-    ``random`` doubles, in (trials, n, d) order, and their fresh copies the
-    next trials·n·d. The check runs over chunks of trials with at most
-    ``_ES_CHUNK_BYTES`` per (chunk, n, d) stack. One generator reads X in
-    order; a second one of the same stream reads the fresh rows, first
-    positioned at double trials·n·d (the Philox counter advanced by a
-    quarter of it, then the remainder drawn and dropped). f(X) and the
-    per-trial gap sums are stored by trial and reduced once at the end, so
-    the result does not depend on the chunk size.
+    The draws are one stream, read by ``_draw_chunks`` with (n, d) rows:
+    the trials' X is part 0, its first trials·n·d ``random`` doubles in
+    (trials, n, d) order, and their fresh copies part 1, the next
+    trials·n·d. f(X) and the per-trial gap sums are stored by trial and
+    reduced once at the end, so the result does not depend on the chunk size.
 
     An f whose ``stack_fn`` is ``_median_stack`` gets its n leave-one-out
     medians from one sort of the stack instead of n selections over it.
@@ -434,21 +487,12 @@ def efron_stein_check(f: Estimator, model: GaussianModel, n: int, trials: int,
     n replaced stacks.
     """
     _require_draws("efron_stein_check", trials)
-    d = model.d
-    size = trials * n * d
-    draws, fresh_draws = rng.generator(), rng.generator()
-    fresh_draws.bit_generator.advance(size // 4)
-    fresh_draws.random(size % 4)
     rows = [(i, i + 1) for i in range(n)]
-    chunk = min(trials, max(1, _ES_CHUNK_BYTES // (n * d * 8)))
-    x_buf, fresh_buf = np.empty((chunk, n, d)), np.empty((chunk, n, d))
     fx = np.empty((trials, f.output_dim))
     gaps = np.zeros(trials)
-    for lo in range(0, trials, chunk):
-        hi = min(lo + chunk, trials)
-        x = model.from_random(draws.random(out=x_buf[:hi - lo]))
-        fresh = model.from_random(fresh_draws.random(out=fresh_buf[:hi - lo]))
-        fx[lo:hi], row_gaps = _leave_out_gaps(f, x, fresh, rows)
+    for lo, hi, (x, fresh) in _draw_chunks(rng, trials, (n, model.d), 2):
+        fx[lo:hi], row_gaps = _leave_out_gaps(f, model.from_random(x), model.from_random(fresh),
+                                              rows)
         for g in row_gaps:
             gaps[lo:hi] += g
     lhs, se_lhs = _variance_with_se(fx)
@@ -460,6 +504,10 @@ def hcr_check(statistic: Estimator, mu0: float, h: float, n: int, trials: int,
               rng: RngStream) -> IneqCheckResult:
     """Check the variance lower bound (E_Q T - E_P T)^2 / chi^2(Q || P) <= Var_P(T)
     for P = N(mu0, 1)^{x n} and Q = N(mu0 + h, 1)^{x n}.
+
+    The P datasets are part 0 and the Q datasets part 1 of ``_draw_chunks``
+    with (n, 1) rows: trial t's P dataset reads doubles [t·n, (t+1)·n) of
+    ``rng``'s stream and its Q dataset [(T + t)·n, (T + t + 1)·n), T = trials.
     """
     if h == 0:
         raise ValueError("h must be nonzero")
@@ -467,9 +515,7 @@ def hcr_check(statistic: Estimator, mu0: float, h: float, n: int, trials: int,
         raise ValueError("hcr_check takes a scalar statistic")
     _require_draws("hcr_check", trials)
     chi2 = chi2_gaussian_products(h, n)
-    gen = rng.generator()
-    tp = statistic.on_stack(_shifted_normals(gen, (trials, n, 1), mu0))[:, 0]
-    tq = statistic.on_stack(_shifted_normals(gen, (trials, n, 1), mu0, h))[:, 0]
+    tp, tq = _scalar_statistic(statistic, n, trials, rng, (mu0,), (mu0, h))
 
     delta = float(tq.mean() - tp.mean())
     lhs = delta * delta / chi2
@@ -488,15 +534,17 @@ def cramer_rao_check(statistic: Estimator, mu0: float, n: int, trials: int,
     The slack covers the Monte Carlo error plus a step^2 / n allowance for
     the finite-difference bias (exact for statistics with affine mean
     response, which covers the documented grid).
+
+    The datasets at mu0 - step, mu0 + step and mu0 are parts 0, 1 and 2 of
+    ``_draw_chunks`` with (n, 1) rows: part j of trial t reads doubles
+    [(j T + t)·n, (j T + t + 1)·n) of ``rng``'s stream, T = trials.
     """
     _require_draws("cramer_rao_check", trials)
     if statistic.output_dim != 1:
         raise ValueError("cramer_rao_check takes a scalar statistic")
     step = 0.5 / math.sqrt(n)
-    gen = rng.generator()
-    t_lo = statistic.on_stack(_shifted_normals(gen, (trials, n, 1), mu0, -step))[:, 0]
-    t_hi = statistic.on_stack(_shifted_normals(gen, (trials, n, 1), mu0, step))[:, 0]
-    t_mid = statistic.on_stack(_shifted_normals(gen, (trials, n, 1), mu0))[:, 0]
+    t_lo, t_hi, t_mid = _scalar_statistic(statistic, n, trials, rng,
+                                          (mu0, -step), (mu0, step), (mu0,))
 
     slope = float(t_hi.mean() - t_lo.mean()) / (2.0 * step)
     lhs = slope * slope / n
@@ -514,14 +562,19 @@ def uniform_spacing_check(n: int, i: int, trials: int, rng: RngStream) -> IneqCh
     Two moment identities share one result record, so the check is reported
     in standardized units: lhs is the larger of the two absolute deviations
     divided by its own Monte Carlo stderr, rhs the ``_MC_SIGMAS`` envelope.
+
+    Trial t's uniforms are doubles [t·n, (t+1)·n) of ``rng``'s stream
+    (``_draw_chunks`` with (n,) rows).
     """
     if not (1 <= i <= n + 1):
         raise ValueError(f"need 1 <= i <= n + 1, got i={i}")
     _require_draws("uniform_spacing_check", trials)
-    gen = rng.generator()
-    u = np.sort(gen.random((trials, n)), axis=1)
-    padded = np.concatenate([np.zeros((trials, 1)), u, np.ones((trials, 1))], axis=1)
-    d_i = padded[:, i] - padded[:, i - 1]
+    d_i = np.empty(trials)
+    for lo, hi, (u,) in _draw_chunks(rng, trials, (n,)):
+        u.sort(axis=1)
+        # u_(i) - u_(i-1) with u_(0) = 0.0 and u_(n+1) = 1.0.
+        np.subtract(u[:, i - 1] if i <= n else 1.0, u[:, i - 2] if i >= 2 else 0.0,
+                    out=d_i[lo:hi])
 
     mean_true = 1.0 / (n + 1)
     var_true = n / ((n + 1) ** 2 * (n + 2))

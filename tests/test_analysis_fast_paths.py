@@ -2,21 +2,26 @@
 
 ``efron_stein_check`` takes the leave-one-out medians of an estimator that
 computes ``_median_stack`` from three order statistics per dataset; every
-other estimator is evaluated on the n replaced stacks. It draws and
-evaluates its trials chunk by chunk. ``binomial_point_mass`` reads log-gamma
-at integer arguments through a memo. Each must give the bytes of the code it
-replaces: the pins below were computed before it existed.
+other estimator is evaluated on the n replaced stacks. Every Monte Carlo
+checker but the likelihood-ratio identity draws and evaluates its trials
+chunk by chunk, and ``_log_esp_k`` updates a whole column of its DP in one
+step. ``binomial_point_mass`` reads log-gamma at integer arguments through a
+memo. Each must give the bytes of the code it replaces: the pins below were
+computed before it existed.
 """
 
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import special
 
-from senslab import (GaussianModel, RngStream, binomial_point_mass, efron_stein_check,
-                     mean_estimator, median_estimator)
+from senslab import (GaussianModel, RngStream, binomial_point_mass, chi2_localshift_mc,
+                     chi2_products_mc, cramer_rao_check, efron_stein_check, hcr_check,
+                     hypergeom_mgf_check, mean_estimator, median_estimator,
+                     uniform_spacing_check)
 from senslab import analysis
 from senslab.estimators import Estimator, _median_stack
 
@@ -142,20 +147,131 @@ ES_CHUNK_PINS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(ES_CHUNK_PINS))
+def scaled_mean(factor: float) -> Estimator:
+    return Estimator(name="2x-mean", output_dim=1, stack_fn=lambda s: factor * s.mean(axis=1))
+
+
+H101 = 1 / math.sqrt(101)
+
+# sha256 of repr(result) of the other chunked checkers, taken while each drew
+# its parts as whole stacks from one generator (and chi2_localshift_mc in
+# blocks of 20,000 draws). With 2 MiB per chunk, T2596, T2622, T10486,
+# T20001 (of the old blocks), T29128 and T262145 leave a one-trial last
+# chunk, the other trial counts a short one or a single chunk; at n = 101,
+# trials * n mod 4 is 0, 1, 2 and 3 for T2596..T2599, so a later part starts
+# inside a four-double Philox block.
+CHECKER_CHUNK_PINS = {
+    "hcr-median-n101-T2596": (
+        lambda: hcr_check(median_estimator(1), 0.0, H101, 101, 2596, RngStream(91, 0)),
+        "2995624f8fc41ff3be81eb474d61c56c61a179a6b3166902e119efed407d6ec6"),
+    "hcr-median-n101-T2597": (
+        lambda: hcr_check(median_estimator(1), 0.3, H101, 101, 2597, RngStream(91, 1)),
+        "b16c9b717e6190d09860222f77bef73de80406e413224cb279575d248d363922"),
+    "hcr-median-n101-T2598": (
+        lambda: hcr_check(median_estimator(1), 0.0, H101, 101, 2598, RngStream(91, 2)),
+        "f4fc7c70b29c8ca2e54688d8938a698fefd95714182f292af38bf62df755efd7"),
+    "hcr-median-n101-T2599": (
+        lambda: hcr_check(median_estimator(1), 0.0, -H101, 101, 2599, RngStream(91, 3)),
+        "4bb11afd3017bc22ac12b7377b15d533360651caf1846858a9174ac1e010f802"),
+    "hcr-mean-n25-T10486": (
+        lambda: hcr_check(mean_estimator(1), 0.0, 0.2, 25, 10486, RngStream(92, 0)),
+        "49e80b5942f60a488780bd6cd5d53d5331ad93a6e163013a437d4e24bc441ba3"),
+    "hcr-constant-n25-T1001": (
+        lambda: hcr_check(constant(1), 0.0, 0.2, 25, 1001, RngStream(92, 1)),
+        "ef546387dd2edde8d7363c058293869230770d7f2a92d6922eb14e7379fe139b"),
+    "cramer-rao-median-n101-T2597": (
+        lambda: cramer_rao_check(median_estimator(1), 0.0, 101, 2597, RngStream(93, 0)),
+        "e0b5b5359023d56d1a804b2bc858beb42ae98f985f7fd9932c1a95b5e05fa691"),
+    "cramer-rao-median-n101-T2599": (
+        lambda: cramer_rao_check(median_estimator(1), -0.4, 101, 2599, RngStream(93, 1)),
+        "34b55c300eb5b9188fb98f2ce35a08c3d2bc58f9b25f72c93addf01f874b630a"),
+    "cramer-rao-mean-n25-T10486": (
+        lambda: cramer_rao_check(mean_estimator(1), 0.0, 25, 10486, RngStream(93, 2)),
+        "9d136dd44ad384b5ce3690707687222cf753aa06fa114086364ad81089f6b223"),
+    "cramer-rao-scaled-mean-n25-T2598": (
+        lambda: cramer_rao_check(scaled_mean(2.0), 0.0, 25, 2598, RngStream(93, 3)),
+        "e8afc039c3bb069d533af6dfb7d40647a4799b216cbaf77092853ac33782e994"),
+    "cramer-rao-constant-n25-T1001": (
+        lambda: cramer_rao_check(constant(1), 0.0, 25, 1001, RngStream(93, 4)),
+        "ef546387dd2edde8d7363c058293869230770d7f2a92d6922eb14e7379fe139b"),
+    "hypergeom-n101-k7-T2596": (
+        lambda: hypergeom_mgf_check(101, 7, 0.5, 2596, RngStream(94, 0)),
+        "df680ccf531c2319144a92f71389849836aa5e742ed44e4e210d67af543cefb3"),
+    "hypergeom-n101-k7-T2597": (
+        lambda: hypergeom_mgf_check(101, 7, 0.5, 2597, RngStream(94, 1)),
+        "bc1ad7de8c839e5902ddfd74405ef471400bf6f54b27a1d2d27034001f4af9da"),
+    "hypergeom-n101-k50-T2598": (
+        lambda: hypergeom_mgf_check(101, 50, 0.1, 2598, RngStream(94, 2)),
+        "65e5be77d1f9edd856da594a23dc1f0b23f735037e854a2dfd6d2a864306d44b"),
+    "hypergeom-n101-k1-T2599": (
+        lambda: hypergeom_mgf_check(101, 1, 1.0, 2599, RngStream(94, 3)),
+        "d27ecdc219669c0497ba371a8016d6fb7da9bf917b15a60d50dede3bd110fafb"),
+    "hypergeom-n100-k10-T2622": (
+        lambda: hypergeom_mgf_check(100, 10, 1.0, 2622, RngStream(94, 4)),
+        "59f9b50bb1f32e580665cf548b1682dc311809e4a84d02695d6abf28b1b8b541"),
+    "hypergeom-n100-k10-lam0-T1000": (
+        lambda: hypergeom_mgf_check(100, 10, 0.0, 1000, RngStream(94, 5)),
+        "da3291bc9ef9c20fa334e7f976598b7600d8fe7caee1ee7946d28fb3130d72e0"),
+    "hypergeom-n10-k10-T1000": (
+        lambda: hypergeom_mgf_check(10, 10, 1.0, 1000, RngStream(94, 6)),
+        "c53d703bd1f5792ddbb452203bdacc147e8a850f6e1b1b1edf6da06862f9ce13"),
+    "chi2-localshift-k5-n100-T2622": (
+        lambda: chi2_localshift_mc(5, 100, 0.8, 2622, RngStream(95, 0)),
+        "0310f101e829cae059516ed44a313dd128c3df56ff2842dffd711e50eef0713f"),
+    "chi2-localshift-k1-n101-T2599": (
+        lambda: chi2_localshift_mc(1, 101, 0.5, 2599, RngStream(95, 1)),
+        "4a40b6a3826cab3e0c600cad858924f50c114831d44cf1ed8b307b0fbdb37788"),
+    "chi2-localshift-k7-n7-T1001": (
+        lambda: chi2_localshift_mc(7, 7, 0.3, 1001, RngStream(95, 2)),
+        "95f25f19061c156459fab167be8d5ca98edebfe3d20a3e8694c26d46a48d1f48"),
+    "chi2-localshift-k3-n50-T20001": (
+        lambda: chi2_localshift_mc(3, 50, 0.5, 20001, RngStream(95, 3)),
+        "ba463221f9f621504d43e1cc4ca271c18a33ca450428258d31fc9d21aaf7c51c"),
+    "chi2-products-n100-T1001": (
+        lambda: chi2_products_mc(0.1, 100, 1001, RngStream(96, 0)),
+        "41c3e8502022a8f07fbd10eeddfd502ded138b1df6613c4394a0fd4fd290a09a"),
+    "chi2-products-n100-T262145": (
+        lambda: chi2_products_mc(0.1, 100, 262145, RngStream(96, 1)),
+        "c5b86f24a0e8b1a5944921779e5d32c5810f82e0bdde717e7ac02dc5eb09f5b7"),
+    "spacing-n9-i5-T29128": (
+        lambda: uniform_spacing_check(9, 5, 29128, RngStream(97, 0)),
+        "84188fb84845a8c0b9509b6218afc4f40f6f4711e26513b3d9d86ecdce48dc02"),
+    "spacing-n9-i1-T2599": (
+        lambda: uniform_spacing_check(9, 1, 2599, RngStream(97, 1)),
+        "620064c43489e241901e5d9441bd9f605b3008b8f90bfb7d2b9bb79156ff7037"),
+    "spacing-n9-i10-T2598": (
+        lambda: uniform_spacing_check(9, 10, 2598, RngStream(97, 2)),
+        "2b14896bb3edbda923520988c9c8c499b7f5678f9c8d6f177a9376788587da3a"),
+    "spacing-n1-i1-T1001": (
+        lambda: uniform_spacing_check(1, 1, 1001, RngStream(97, 3)),
+        "3682d28fe2424125a825b53208f3e35e643501afb7345beccc9aae1cdd456551"),
+    "spacing-n1-i2-T1002": (
+        lambda: uniform_spacing_check(1, 2, 1002, RngStream(97, 4)),
+        "4d0ba5991913756ca8aad569c46f80a44694900c7b5aa1366df3775e7c37af96"),
+}
+
+CHUNK_PINS = {**ES_CHUNK_PINS, **CHECKER_CHUNK_PINS}
+
+
+@pytest.mark.parametrize("name", sorted(CHUNK_PINS))
 def test_chunked_check_keeps_its_bytes(name):
-    run, digest = ES_CHUNK_PINS[name]
+    run, digest = CHUNK_PINS[name]
     assert sha256(repr(run())) == digest
 
 
 # The chunk size only moves the boundaries: one-trial chunks, short ones, and
-# one chunk for every trial give the pinned bytes.
+# one chunk for every trial give the pinned bytes. The checkers' pins run
+# here up to a few thousand trials (one chi2_localshift_mc pin of each
+# shape), as a one-byte budget makes every trial a chunk of its own.
 @pytest.mark.parametrize("budget", [1, 3000, 1 << 16, 1 << 23])
 @pytest.mark.parametrize("name", ["median-d3-n25-T3497", "mean-d3-n25-T3497",
-                                  "constant-d3-n7-T1001"])
+                                  "constant-d3-n7-T1001"]
+                         + [name for name in CHECKER_CHUNK_PINS
+                            if int(name.rsplit("-T", 1)[1]) < 10_000
+                            and name != "chi2-localshift-k1-n101-T2599"])
 def test_chunk_size_moves_no_byte(monkeypatch, name, budget):
     monkeypatch.setattr(analysis, "_ES_CHUNK_BYTES", budget)
-    run, digest = ES_CHUNK_PINS[name]
+    run, digest = CHUNK_PINS[name]
     assert sha256(repr(run())) == digest
 
 
@@ -190,6 +306,60 @@ def test_peak_memory_is_flat_in_trials():
     grown = traced_peak(median_estimator(1), 1, 101, large) - \
         traced_peak(median_estimator(1), 1, 101, small)
     assert grown <= 32 * (large - small)
+
+
+# Each checker that draws (T, n) or (T, n, 1) rows; with 64 KiB chunks, one
+# chunk holds 81 to 910 trials.
+FLAT_CHECKERS = {
+    "hcr_check": lambda t: hcr_check(median_estimator(1), 0.0, H101, 101, t, RngStream(16, 0)),
+    "cramer_rao_check": lambda t: cramer_rao_check(mean_estimator(1), 0.0, 25, t,
+                                                   RngStream(16, 1)),
+    "hypergeom_mgf_check": lambda t: hypergeom_mgf_check(100, 10, 1.0, t, RngStream(16, 2)),
+    "chi2_localshift_mc": lambda t: chi2_localshift_mc(5, 100, 0.8, t, RngStream(16, 3)),
+    "uniform_spacing_check": lambda t: uniform_spacing_check(9, 5, t, RngStream(16, 4)),
+}
+
+
+def traced_checker_peak(name: str, trials: int) -> int:
+    tracemalloc.start()
+    try:
+        FLAT_CHECKERS[name](trials)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", sorted(FLAT_CHECKERS))
+def test_checker_peak_memory_is_flat_in_trials(monkeypatch, name):
+    # Past one chunk, a trial adds only its stored values and their reduction's
+    # temporaries (8 to 24 bytes, measured); whole stacks of its parts would add at
+    # least parts * n * 8.
+    monkeypatch.setattr(analysis, "_ES_CHUNK_BYTES", 1 << 16)
+    small, large = 3000, 12_000
+    grown = traced_checker_peak(name, large) - traced_checker_peak(name, small)
+    assert grown < 64 * (large - small)
+
+
+def log_esp_k_loop(w: np.ndarray, k: int) -> np.ndarray:
+    # _log_esp_k as first written: the DP over e_j, j descending, per column.
+    mx = w.max(axis=1)
+    wn = w / mx[:, None]
+    e = np.zeros((k + 1, w.shape[0]))
+    e[0] = 1.0
+    for i in range(w.shape[1]):
+        wi = wn[:, i]
+        for j in range(min(i + 1, k), 0, -1):
+            e[j] += wi * e[j - 1]
+    return np.log(e[k]) + k * np.log(mx)
+
+
+@pytest.mark.parametrize("n", [1, 7, 100])
+def test_log_esp_k_matches_the_loop(n):
+    gen = np.random.default_rng(n)
+    w = np.exp(0.8 * gen.standard_normal((500, n)))
+    for k in sorted({1, min(5, n), n}):
+        got, want = analysis._log_esp_k(w, k), log_esp_k_loop(w, k)
+        assert got.tobytes() == want.tobytes(), k
 
 
 # sha256 of repr of [binomial_point_mass(n, r) for n in 1..200 for r in 0..n],
