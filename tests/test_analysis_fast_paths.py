@@ -260,9 +260,10 @@ def test_chunked_check_keeps_its_bytes(name):
 
 
 # The chunk size only moves the boundaries: one-trial chunks, short ones, and
-# one chunk for every trial give the pinned bytes. The checkers' pins run
-# here up to a few thousand trials (one chi2_localshift_mc pin of each
-# shape), as a one-byte budget makes every trial a chunk of its own.
+# one chunk for every trial give the pinned bytes. The checkers' pins below
+# 10,000 trials run here, as a one-byte budget makes every trial a chunk of
+# its own; of the two n ~ 100 chi2_localshift_mc pins only one, as its DP
+# takes about 1 s in one-trial chunks.
 @pytest.mark.parametrize("budget", [1, 3000, 1 << 16, 1 << 23])
 @pytest.mark.parametrize("name", ["median-d3-n25-T3497", "mean-d3-n25-T3497",
                                   "constant-d3-n7-T1001"]
