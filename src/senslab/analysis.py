@@ -172,6 +172,11 @@ def _require_draws(name: str, draws: int, fewest: int = _MIN_DRAWS) -> None:
         raise ValueError(f"{name} needs at least {fewest} draws, got {draws}")
 
 
+def _require_samples(name: str, n: int) -> None:
+    if n < 1:
+        raise ValueError(f"{name} needs n >= 1 samples per dataset, got n={n}")
+
+
 def tv_gaussian_shift(eta: float) -> float:
     """TV(N(0,1), N(eta,1)) = 2 Phi(eta/2) - 1 = erf(eta / (2 sqrt 2)).
 
@@ -217,6 +222,7 @@ def chi2_products_mc(delta: float, n: int, draws: int, rng: RngStream) -> tuple[
     S/sqrt(n) of draw t is double t of ``rng``'s stream (``_draw_chunks``
     with scalar rows).
     """
+    _require_samples("chi2_products_mc", n)
     _require_draws("chi2_products_mc", draws)
     values = np.empty(draws)
     for lo, hi, (z,) in _draw_chunks(rng, draws, ()):
@@ -486,6 +492,7 @@ def efron_stein_check(f: Estimator, model: GaussianModel, n: int, trials: int,
     Any other f has no such shortcut and is evaluated on X and on each of the
     n replaced stacks.
     """
+    _require_samples("efron_stein_check", n)
     _require_draws("efron_stein_check", trials)
     rows = [(i, i + 1) for i in range(n)]
     fx = np.empty((trials, f.output_dim))
@@ -513,6 +520,7 @@ def hcr_check(statistic: Estimator, mu0: float, h: float, n: int, trials: int,
         raise ValueError("h must be nonzero")
     if statistic.output_dim != 1:
         raise ValueError("hcr_check takes a scalar statistic")
+    _require_samples("hcr_check", n)
     _require_draws("hcr_check", trials)
     chi2 = chi2_gaussian_products(h, n)
     tp, tq = _scalar_statistic(statistic, n, trials, rng, (mu0,), (mu0, h))
@@ -539,6 +547,7 @@ def cramer_rao_check(statistic: Estimator, mu0: float, n: int, trials: int,
     ``_draw_chunks`` with (n, 1) rows: part j of trial t reads doubles
     [(j T + t)·n, (j T + t + 1)·n) of ``rng``'s stream, T = trials.
     """
+    _require_samples("cramer_rao_check", n)
     _require_draws("cramer_rao_check", trials)
     if statistic.output_dim != 1:
         raise ValueError("cramer_rao_check takes a scalar statistic")
@@ -566,6 +575,7 @@ def uniform_spacing_check(n: int, i: int, trials: int, rng: RngStream) -> IneqCh
     Trial t's uniforms are doubles [t·n, (t+1)·n) of ``rng``'s stream
     (``_draw_chunks`` with (n,) rows).
     """
+    _require_samples("uniform_spacing_check", n)
     if not (1 <= i <= n + 1):
         raise ValueError(f"need 1 <= i <= n + 1, got i={i}")
     _require_draws("uniform_spacing_check", trials)

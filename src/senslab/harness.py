@@ -55,10 +55,10 @@ from .core import (  # noqa: F401
     Dataset,
     GaussianModel,
     RngStream,
+    _BELOW_ONE,
     _check_finite,
     _rekey,
     standard_normal,
-    uniform_open,
 )
 from .estimators import (Estimator, _median_stack, build_estimator, mean_estimator,
                          median_estimator)
@@ -344,6 +344,22 @@ def _run_pairs(job: _Job, pairs: Callable, trials: int, seed: int, workers: int 
     return diff, feasible
 
 
+def _row_norms(diff: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of the (T, d) array ``diff``.
+
+    Each is np.linalg.norm's body for a real vector (numpy/linalg/_linalg.py:
+    "sqnorm = x.dot(x)", then "ret = sqrt(sqnorm)"), since a vectorised
+    norm(axis=1) can differ from it in the last bit. For d = 1 the dot is the
+    one rounded product x * x, so the squares are taken in one pass
+    (``test_one_column_norms_are_the_row_dot``); wider rows keep the dot.
+    """
+    if diff.shape[1] == 1:
+        sq = diff[:, 0] * diff[:, 0]
+    else:
+        sq = np.array([row.dot(row) for row in diff])
+    return np.sqrt(sq, out=sq)
+
+
 def _median_only(est: Estimator, budget: CorruptionBudget) -> None:
     # The pushed dataset attains the sup only for an estimator that computes
     # _median_stack, whatever its name, and only while k <= m - 1.
@@ -463,14 +479,8 @@ def estimate_es(
     if spec.nonempty:
         budget.require_nonempty()
     diff, feasible = _run_pairs(_Job(model, budget, est, delta), spec.step, trials, seed, workers)
-    per_trial = np.empty(trials)
-    # Row by row: np.linalg.norm of a 1-D vector can differ in the last bit
-    # from a vectorised norm(axis=1). This is that norm's own body for a real
-    # vector (numpy/linalg/_linalg.py: "sqnorm = x.dot(x)", then
-    # "ret = sqrt(sqnorm)"), without its per-call dispatch.
-    for t in range(trials):
-        row = diff[t]
-        per_trial[t] = math.sqrt(row.dot(row)) if feasible[t] else 0.0
+    per_trial = _row_norms(diff)
+    per_trial[~feasible] = 0.0
 
     moment, stderr = analysis._mean_se(per_trial if q == 1 else per_trial * per_trial)
     lo = max(moment - 1.96 * stderr, 0.0)
@@ -600,7 +610,9 @@ def scaling_sweep(
 
 
 def _uniform_scalar(gen: np.random.Generator, lo: float, hi: float) -> float:
-    return lo + (hi - lo) * float(uniform_open(gen, ()))
+    """lo + (hi - lo) u for one ``uniform_open`` variate u, whose add and clamp
+    (``core._open_unit``) run here as the same two float operations."""
+    return lo + (hi - lo) * min(gen.random() + 2.0 ** -54, _BELOW_ONE)
 
 
 def _scalar_job(h: Estimator | str, experiment: str, eta: float, n: int, seed: int,

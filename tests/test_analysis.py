@@ -349,6 +349,27 @@ class TestTooFewDraws:
             self.CHECKERS[name](draws)
 
 
+class TestTooFewSamples:
+    """Every Monte Carlo checker that takes a free n raises below n = 1,
+    before drawing, instead of dividing by zero or taking sqrt(n < 0)."""
+
+    CHECKERS = {
+        "hcr_check": lambda n: hcr_check(mean_estimator(1), 0.0, 0.2, n, 1000, RngStream(0, 0)),
+        "uniform_spacing_check": lambda n: uniform_spacing_check(n, 1, 1000, RngStream(0, 0)),
+        "chi2_products_mc": lambda n: chi2_products_mc(0.1, n, 1000, RngStream(0, 0)),
+        "efron_stein_check": lambda n: efron_stein_check(
+            mean_estimator(1), GaussianModel(np.zeros(1)), n, 1000, RngStream(0, 0)),
+        "cramer_rao_check": lambda n: cramer_rao_check(mean_estimator(1), 0.0, n, 1000,
+                                                       RngStream(0, 0)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CHECKERS))
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_rejects_n_below_1(self, name, n):
+        with pytest.raises(ValueError, match=rf"^{name} needs n >= 1 samples per dataset, got n={n}$"):
+            self.CHECKERS[name](n)
+
+
 class TestMcVerdict:
     """The one Monte Carlo pass rule: tol = max(4 se + extra, floor)."""
 

@@ -550,6 +550,33 @@ def test_rekey_draws_the_stream_bytes():
         assert draws(_rekey(gen, seed, stream_id)) == draws(RngStream(seed, stream_id).generator())
 
 
+def test_rekey_accepts_numpy_key_words():
+    # RngStream accepts np.integer keys; the list-valued state takes them too.
+    gen = np.random.Generator(np.random.Philox(0))
+    for seed, stream_id in KEYS + [(0, 0), (2 ** 64 - 1, 2 ** 64 - 1)]:
+        want = draws(_rekey(gen, seed, stream_id))
+        assert draws(_rekey(gen, np.uint64(seed), np.uint64(stream_id))) == want
+        assert draws(_rekey(gen, np.uint64(seed), stream_id)) == want
+
+
+def test_one_column_norms_are_the_row_dot():
+    rng = np.random.default_rng(77)
+    bits = rng.integers(0, 2 ** 64, size=100_000, dtype=np.uint64, endpoint=False)
+    magnitudes = bits.view(np.float64)
+    edges = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-160, -1e-160, 1e200, -1e200])
+    diff = np.concatenate([edges, magnitudes[np.isfinite(magnitudes)]])[:, None]
+    # The squares of 1e200 and of about half the random magnitudes overflow;
+    # dot and the product both warn.
+    with np.errstate(over="ignore"):
+        want = np.array([math.sqrt(row.dot(row)) for row in diff])
+        got = harness._row_norms(diff)
+    assert got.tobytes() == want.tobytes()
+    # 5e-324^2 rounds to 0; 1e-160^2 is subnormal, and its root is near 1e-160.
+    assert got[:4].tobytes() == np.zeros(4).tobytes()
+    assert 0.99e-160 < got[4] == got[5] < 1.01e-160
+    assert got[6] == got[7] == math.inf
+
+
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])
 def test_out_of_range_seed_raises(seed):
     with pytest.raises(ValueError, match="unsigned 64-bit"):
@@ -643,6 +670,30 @@ def test_open_unit_extremes():
     assert np.all(np.isfinite(special.ndtri(u)))
     buf = np.array([top, 0.5])
     assert _open_unit(buf, out=buf) is buf and buf[0] < 1.0
+
+
+def test_uniform_scalar_is_the_open_uniform_draw():
+    priors = [(-0.5, 0.5), (0.0, 1.0), (2.0, 3.7), (-1e3, -1e-3)]
+    for t in range(10_000):
+        a, b = RngStream(2024, t).generator(), RngStream(2024, t).generator()
+        if t % 2:
+            # Leave a half-used 32-bit draw before the double.
+            a.integers(0, 7, size=3)
+            b.integers(0, 7, size=3)
+        lo, hi = priors[t % len(priors)]
+        got = harness._uniform_scalar(a, lo, hi)
+        assert got == lo + (hi - lo) * float(uniform_open(b, ()))
+        assert stream_position(a) == stream_position(b)
+
+
+@pytest.mark.parametrize("j", [0, 1, 2 ** 52 - 1, 2 ** 52, 2 ** 53 - 1])
+def test_uniform_scalar_add_and_clamp_is_open_unit(j):
+    class Fixed:
+        def random(self):
+            return j * 2.0 ** -53
+
+    want = float(_open_unit(np.array([j * 2.0 ** -53]))[0])
+    assert harness._uniform_scalar(Fixed(), 0.0, 1.0) == want < 1.0
 
 
 def test_uniform_open_never_returns_one():
