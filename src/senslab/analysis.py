@@ -190,6 +190,7 @@ def tv_gaussian_shift(eta: float) -> float:
 
 def chi2_gaussian_products(delta: float, n: int) -> float:
     """chi^2(N(delta,1)^{x n} || N(0,1)^{x n}) = exp(n delta^2) - 1."""
+    _require_samples("chi2_gaussian_products", n)
     arg = n * float(delta) ** 2
     if arg > _EXP_OVERFLOW:
         raise OverflowError(f"n * delta^2 = {arg:.3g} exceeds {_EXP_OVERFLOW}; result overflows")
@@ -303,7 +304,18 @@ def gaussian_lr_identity_check(a, b, trials: int, rng: RngStream) -> IneqCheckRe
 
 def _random_k_subset_masks(u: np.ndarray, k: int) -> np.ndarray:
     # Per row of the (T, n) uniforms u, the positions of its k smallest
-    # entries: a uniformly random k-subset of [n].
+    # entries: a uniformly random k-subset of [n]. They are the entries at or
+    # below the row's k-th smallest value, unless another entry ties with
+    # it; such a row holds more than k and takes argpartition's k positions.
+    kth = np.partition(u, k - 1, axis=1)[:, k - 1:k]
+    mask = u <= kth
+    tied = np.flatnonzero(np.count_nonzero(mask, axis=1) != k)
+    if tied.size:
+        mask[tied] = _argpartition_masks(u[tied], k)
+    return mask
+
+
+def _argpartition_masks(u: np.ndarray, k: int) -> np.ndarray:
     idx = np.argpartition(u, k - 1, axis=1)[:, :k]
     mask = np.zeros(u.shape, dtype=bool)
     np.put_along_axis(mask, idx, True, axis=1)
@@ -343,6 +355,7 @@ def chernoff_tail_bound(n: int, p: float, t: float, sharp: bool = False) -> floa
     (e^d / (1+d)^{1+d})^lambda with 1 + d = t/lambda, which multiplies the
     default by e^{-lambda}. Vacuous (returns 1) when t <= lambda.
     """
+    _require_samples("chernoff_tail_bound", n)
     if t <= 0:
         raise ValueError(f"t must be positive, got {t}")
     if not (0.0 < p < 1.0):
@@ -358,6 +371,7 @@ def chernoff_tail_bound(n: int, p: float, t: float, sharp: bool = False) -> floa
 
 def binomial_tail(n: int, p: float, t: int) -> float:
     """Exact P(Bin(n, p) >= t) by log-space summation of the pmf."""
+    _require_samples("binomial_tail", n)
     if t <= 0:
         return 1.0
     if t > n:

@@ -370,6 +370,27 @@ class TestTooFewSamples:
             self.CHECKERS[name](n)
 
 
+class TestClosedFormsRejectNBelow1:
+    """The closed forms raise below n = 1 instead of a negative chi-square,
+    a ZeroDivisionError or a tail of 0."""
+
+    FORMS = {
+        "chi2_gaussian_products": lambda n: chi2_gaussian_products(0.1, n),
+        "chernoff_tail_bound": lambda n: chernoff_tail_bound(n, 0.5, 1.0),
+        "binomial_tail": lambda n: binomial_tail(n, 0.5, 1),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FORMS))
+    @pytest.mark.parametrize("n", [0, -1, -3])
+    def test_rejects_n_below_1(self, name, n):
+        with pytest.raises(ValueError, match=rf"^{name} needs n >= 1 samples per dataset, got n={n}$"):
+            self.FORMS[name](n)
+
+    @pytest.mark.parametrize("name", sorted(FORMS))
+    def test_n_equal_1_is_accepted(self, name):
+        assert 0.0 <= self.FORMS[name](1) <= 1.0
+
+
 class TestMcVerdict:
     """The one Monte Carlo pass rule: tol = max(4 se + extra, floor)."""
 
