@@ -304,18 +304,7 @@ def gaussian_lr_identity_check(a, b, trials: int, rng: RngStream) -> IneqCheckRe
 
 def _random_k_subset_masks(u: np.ndarray, k: int) -> np.ndarray:
     # Per row of the (T, n) uniforms u, the positions of its k smallest
-    # entries: a uniformly random k-subset of [n]. They are the entries at or
-    # below the row's k-th smallest value, unless another entry ties with
-    # it; such a row holds more than k and takes argpartition's k positions.
-    kth = np.partition(u, k - 1, axis=1)[:, k - 1:k]
-    mask = u <= kth
-    tied = np.flatnonzero(np.count_nonzero(mask, axis=1) != k)
-    if tied.size:
-        mask[tied] = _argpartition_masks(u[tied], k)
-    return mask
-
-
-def _argpartition_masks(u: np.ndarray, k: int) -> np.ndarray:
+    # entries: a uniformly random k-subset of [n].
     idx = np.argpartition(u, k - 1, axis=1)[:, :k]
     mask = np.zeros(u.shape, dtype=bool)
     np.put_along_axis(mask, idx, True, axis=1)

@@ -129,14 +129,12 @@ def mean_estimator(d: int = 1) -> Estimator:
 
 def _median_stack(stack: np.ndarray) -> np.ndarray:
     # Per-coordinate selection (introselect), not a full sort: the middle
-    # order statistic for odd n, the lower median x_(n/2) for even n. At
-    # d >= 2 a selection along axis 1 copies each strided lane in and out of
-    # a buffer; one contiguous (T, d, n) copy hands introselect the same
+    # order statistic for odd n, the lower median x_(n/2) for even n. A
+    # selection along axis 1 copies each strided lane in and out of a buffer
+    # when d >= 2; one contiguous (T, d, n) copy hands introselect the same
     # lane values in the same order, so it picks the same bits, and the
-    # result is a compact (T, d) array. At d = 1 the lanes are contiguous.
+    # result is a compact (T, d) array rather than a view of the copy.
     idx = _median_index(stack.shape[1])
-    if stack.shape[2] < 2:
-        return np.partition(stack, idx, axis=1)[:, idx, :]
     lanes = stack.transpose(0, 2, 1).copy()
     lanes.partition(idx, axis=2)
     return lanes[:, :, idx].copy()

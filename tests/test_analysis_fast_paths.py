@@ -341,34 +341,6 @@ def test_checker_peak_memory_is_flat_in_trials(monkeypatch, name):
     assert grown < 64 * (large - small)
 
 
-@pytest.mark.parametrize("n, k", [(2, 1), (10, 3), (10, 9), (100, 10), (101, 50)])
-def test_subset_masks_with_planted_ties_are_argpartitions(n, k):
-    # Rows whose k-th smallest value is shared by another entry hold more
-    # than k entries at or below it; they must fall back to argpartition's
-    # k positions, and every other row must be the same set.
-    gen = np.random.default_rng(1000 * n + k)
-    u = gen.random((400, n))
-    u[::7] = np.floor(u[::7] * 4) / 4  # heavy ties at every rank
-    kth = np.sort(u, axis=1)[:, k - 1]
-    planted = np.arange(0, 400, 3)
-    for r in planted:
-        above = np.flatnonzero(u[r] > kth[r])
-        u[r, gen.choice(above, size=min(2, above.size), replace=False)] = kth[r]
-    got = analysis._random_k_subset_masks(u, k)
-    assert np.array_equal(got, analysis._argpartition_masks(u, k))
-    assert (got.sum(axis=1) == k).all()
-    if k < n:
-        assert ((u <= kth[:, None]).sum(axis=1)[planted] > k).all()
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_hypergeom_masks_match_argpartition_results(seed, monkeypatch):
-    n, k = (100, 10) if seed % 2 else (37, 36)
-    fast = hypergeom_mgf_check(n, k, 0.7, 3000, RngStream(seed, 9))
-    monkeypatch.setattr(analysis, "_random_k_subset_masks", analysis._argpartition_masks)
-    assert repr(fast) == repr(hypergeom_mgf_check(n, k, 0.7, 3000, RngStream(seed, 9)))
-
-
 def log_esp_k_loop(w: np.ndarray, k: int) -> np.ndarray:
     # _log_esp_k as first written: the DP over e_j, j descending, per column.
     mx = w.max(axis=1)

@@ -129,7 +129,8 @@ def test_median_lanes_are_the_partition_bit_for_bit(t):
                 assert np.array_equal(bits(got), bits(median_reference(s))), (shape, layout)
 
 
-def test_median_lanes_are_compact_and_own_their_data():
-    stack = tied_stack(np.random.default_rng(5), (10, 101, 3))
+@pytest.mark.parametrize("d", [1, 3])
+def test_median_lanes_are_compact_and_own_their_data(d):
+    stack = tied_stack(np.random.default_rng(5), (10, 101, d))
     got = _median_stack(stack)
     assert got.flags.c_contiguous and got.base is None
