@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .core import GaussianModel, RngStream, _open_unit, standard_normal
+from .core import GaussianModel, RngStream, _normal_in_place, standard_normal
 from .estimators import Estimator, _median_index, _median_stack
 
 __all__ = [
@@ -146,10 +146,10 @@ def _draw_chunks(rng: RngStream, trials: int, row_shape: tuple[int, ...], parts:
 
 def _shifted_normals(raw: np.ndarray, *shifts: float) -> np.ndarray:
     """Raw ``random`` doubles turned in place into ``standard_normal`` variates
-    (``ndtri`` of ``_open_unit``), then ``+ shifts[0] + shifts[1] ...``, each
+    (``core._normal_in_place``), then ``+ shifts[0] + shifts[1] ...``, each
     added in place and in that order, so the bits are those of the sum (a
     subtraction is passed as its negation, which rounds the same)."""
-    x = special.ndtri(_open_unit(raw, out=raw), out=raw)
+    x = _normal_in_place(raw)
     for shift in shifts:
         x += shift
     return x
@@ -177,6 +177,11 @@ def _require_samples(name: str, n: int) -> None:
         raise ValueError(f"{name} needs n >= 1 samples per dataset, got n={n}")
 
 
+def _require_subset(k: int, n: int) -> None:
+    if not (1 <= k <= n):
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+
+
 def tv_gaussian_shift(eta: float) -> float:
     """TV(N(0,1), N(eta,1)) = 2 Phi(eta/2) - 1 = erf(eta / (2 sqrt 2)).
 
@@ -202,8 +207,7 @@ def chi2_localshift_bound(k: int, n: int, delta: float) -> float:
 
     Zero at delta = 0 and nondecreasing in both k and delta.
     """
-    if not (1 <= k <= n):
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    _require_subset(k, n)
     if delta < 0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
     d2 = float(delta) ** 2
@@ -267,8 +271,7 @@ def chi2_localshift_mc(k: int, n: int, delta: float, draws: int,
     Draw t reads doubles [t·n, (t+1)·n) of ``rng``'s stream (``_draw_chunks``
     with (n,) rows).
     """
-    if not (1 <= k <= n):
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    _require_subset(k, n)
     _require_draws("chi2_localshift_mc", draws)
     m = k * delta / n
     log_binom = special.gammaln(n + 1) - special.gammaln(k + 1) - special.gammaln(n - k + 1)
@@ -321,8 +324,7 @@ def hypergeom_mgf_check(n: int, k: int, lam: float, trials: int,
     its B doubles [(T + t)·n, (T + t + 1)·n), T = trials. With k = n, H = n
     and nothing is drawn.
     """
-    if not (1 <= k <= n):
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    _require_subset(k, n)
     if lam < 0:
         raise ValueError(f"lambda must be nonnegative, got {lam}")
     _require_draws("hypergeom_mgf_check", trials)

@@ -16,7 +16,7 @@ import numpy as np
 from scipy import special
 
 from .adversaries import _layer_guard
-from .core import CorruptionBudget, Dataset, RngStream, _open_unit
+from .core import CorruptionBudget, _open_unit, _positive_n, _RowModel
 from .estimators import Estimator, _LayerStack
 
 __all__ = [
@@ -36,15 +36,14 @@ _ENUM_GUARD_BITS = 20
 def beta_binomial_layer_law(n: int) -> np.ndarray:
     """Law of |X| under P ~ Unif[0,1], X ~ Bern(P)^{x n}, via the beta integral
     C(n,t) B(t+1, n-t+1). Every entry equals 1/(n+1)."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    n = _positive_n(n)
     t = np.arange(n + 1)
     log_choose = special.gammaln(n + 1) - special.gammaln(t + 1) - special.gammaln(n - t + 1)
     return np.exp(log_choose + special.betaln(t + 1, n - t + 1))
 
 
 @dataclass(frozen=True)
-class BernoulliModel:
+class BernoulliModel(_RowModel):
     """Sampling model Bern(p)^{x n}, producing binary d = 1 datasets."""
 
     p: float
@@ -61,11 +60,6 @@ class BernoulliModel:
         """Turn raw ``Generator.random`` draws (..., 1) into 0/1 rows in place."""
         raw[...] = _open_unit(raw, out=raw) < self.p
         return raw
-
-    def sample(self, n: int, rng: RngStream) -> Dataset:
-        if int(n) != n or int(n) < 1:
-            raise ValueError(f"n must be a positive integer, got {n}")
-        return Dataset(self.from_random(rng.generator().random((int(n), 1))))
 
 
 def _cube_values(f: Estimator, n: int) -> np.ndarray:

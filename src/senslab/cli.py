@@ -12,7 +12,6 @@ override them.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .bernoulli import BernoulliModel, bernoulli_expected_sensitivity
@@ -22,6 +21,7 @@ from .harness import (
     SCHEMA,
     SensitivityReport,
     UnboundedSensitivityError,
+    _dump_json,
     _gaussian_point,
     all_pass,
     estimate_es,
@@ -136,7 +136,7 @@ def _cmd_bernoulli(args: argparse.Namespace) -> str:
         raise ValueError(f"exact mode computes the q = 1 sensitivity only, got --q {args.q}")
     est = build_estimator(args.estimator)
     budget = CorruptionBudget.from_eta(args.eta, args.n)
-    return json.dumps({
+    return _dump_json({
         "schema": SCHEMA,
         "kind": "bernoulli-exact",
         "estimator": est.name,
@@ -145,7 +145,7 @@ def _cmd_bernoulli(args: argparse.Namespace) -> str:
         "k": budget.k,
         "p": args.p,
         "expected_sensitivity": bernoulli_expected_sensitivity(est, args.n, args.p, budget),
-    }, indent=2, sort_keys=True)
+    })
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,7 +201,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         text = args.func(args)
     except UnboundedSensitivityError as err:
-        print(json.dumps(err.to_json_dict(), indent=2, sort_keys=True))
+        print(_dump_json(err.to_json_dict()))
         return 2
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)

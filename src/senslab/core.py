@@ -12,7 +12,8 @@ Everything else in the package is built on four values defined here:
   the identity; there is deliberately no field for it).
 
 Gaussian variates are produced by the inverse-CDF transform (``ndtri``) of
-uniforms drawn strictly inside (0, 1).
+uniforms drawn strictly inside (0, 1). The stream key, that transform and
+the Hamming count are each written once, here.
 """
 
 from __future__ import annotations
@@ -69,11 +70,16 @@ def uniform_open(gen: np.random.Generator, size) -> np.ndarray:
     return _open_unit(gen.random(size))
 
 
+def _normal_in_place(raw: np.ndarray) -> np.ndarray:
+    """Raw ``Generator.random`` draws turned in place into standard normals,
+    ``ndtri`` of their ``_open_unit`` values: every normal of the package."""
+    return special.ndtri(_open_unit(raw, out=raw), out=raw)
+
+
 def standard_normal(gen: np.random.Generator, size) -> np.ndarray:
     """Standard normal variates by inverse-CDF transform of open uniforms,
     ``ndtri(uniform_open(gen, size))`` computed in the one array drawn."""
-    u = gen.random(size)
-    return special.ndtri(_open_unit(u, out=u), out=u)
+    return _normal_in_place(gen.random(size))
 
 
 def _check_finite(arr: np.ndarray) -> None:
@@ -85,10 +91,10 @@ def _check_finite(arr: np.ndarray) -> None:
 class RngStream:
     """A named, reproducible random stream.
 
-    (seed, stream_id) keys a Philox counter-based generator. Distinct
-    stream_ids give statistically independent streams, and the byte sequence
-    of a given stream does not depend on execution order, platform, or
-    thread schedule.
+    (seed, stream_id) keys a Philox counter-based generator: key words
+    [seed, stream_id], counter 0 (see ``_rekey``). Distinct stream_ids give
+    statistically independent streams, and the byte sequence of a given
+    stream does not depend on execution order, platform, or thread schedule.
     """
 
     seed: int
@@ -101,18 +107,17 @@ class RngStream:
                 raise ValueError(f"{field} must be an unsigned 64-bit integer, got {value!r}")
 
     def generator(self) -> np.random.Generator:
-        key = (int(self.seed) & _MASK64) | ((int(self.stream_id) & _MASK64) << 64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return _rekey(np.random.Generator(np.random.Philox(0)), self.seed, self.stream_id)
 
 
 def _rekey(gen: np.random.Generator, seed: int, stream_id: int) -> np.random.Generator:
-    """Reset ``gen``'s Philox to the start of stream (seed, stream_id).
+    """Reset ``gen``'s Philox to the start of stream (seed, stream_id): key
+    words [seed, stream_id], counter 0, empty output buffer.
 
-    The generator then draws the same bytes as
-    ``RngStream(seed, stream_id).generator()`` (key words [seed, stream_id],
-    counter 0, empty output buffer), at a fraction of the cost of building a
-    new generator. The caller validates the key, for example by building the
-    ``RngStream`` once.
+    This is the one spelling of the stream key. ``RngStream.generator``
+    applies it to a new generator; the trial engine re-keys one generator
+    per stream role, at a fraction of the cost of building a new one. The
+    caller validates the key, for example by building the ``RngStream`` once.
 
     The state holds plain lists: the setter converts each entry to a uint64
     by itself, and entries read out of uint64 arrays, as numpy scalars, make
@@ -169,6 +174,14 @@ class Dataset:
         return Dataset(out)
 
 
+def _positive_n(n) -> int:
+    """``n`` as an int, once it is a positive integer; truncating it would
+    size the sample for rows that a report still labels n."""
+    if int(n) != n or int(n) < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
+    return int(n)
+
+
 def compute_k(eta: float, n: int) -> int:
     """Number of corruptible points k = floor(eta * n).
 
@@ -178,9 +191,7 @@ def compute_k(eta: float, n: int) -> int:
     """
     if not (0.0 < float(eta) < 1.0):
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
-    if int(n) != n or int(n) < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    return math.floor(Fraction(float(eta)) * int(n))
+    return math.floor(Fraction(float(eta)) * _positive_n(n))
 
 
 @dataclass(frozen=True)
@@ -206,8 +217,32 @@ class CorruptionBudget:
             raise ValueError(f"budget allows no corruption: eta={self.eta}, n={self.n} gives k=0")
 
 
+def _hamming_stack(clean: np.ndarray, corrupted: np.ndarray) -> np.ndarray:
+    """The Hamming distance of each trial of two (T, n, d) stacks: the number
+    of rows that differ under ``!=`` (so 0.0 equals -0.0) in some coordinate.
+
+    Every entry of both stacks is compared. A row's d comparison bytes are
+    read as the widest unsigned words that tile them; when that takes at most
+    8 words (every d <= 8, d = 16, 64, ...), the word columns are OR-ed
+    together in at most 7 passes over the chunk, because an ``any`` over a
+    short innermost axis costs about 30 ns per row (at d = 16 and 4000 rows,
+    145 µs against 38 µs). Other rows keep ``any``.
+    """
+    unequal = np.not_equal(corrupted, clean, order="C")
+    d = unequal.shape[2]
+    size = math.gcd(d, 8)
+    if d // size > 8:
+        return np.count_nonzero(unequal.any(axis=2), axis=1)
+    words = unequal.view(bool if size == 1 else f"u{size}")
+    changed = words[:, :, 0]
+    for j in range(1, words.shape[2]):
+        changed = changed | words[:, :, j]
+    return np.count_nonzero(changed, axis=1)
+
+
 def hamming_distance(x: Dataset, y: Dataset) -> int:
-    """Number of rows where x and y differ in at least one coordinate.
+    """Number of rows where x and y differ in at least one coordinate:
+    ``_hamming_stack`` on a one-trial stack.
 
     Comparison is exact on the stored values, not tolerance-based:
     adversaries build corrupted datasets by copying unchanged rows, so
@@ -215,11 +250,20 @@ def hamming_distance(x: Dataset, y: Dataset) -> int:
     """
     if x.samples.shape != y.samples.shape:
         raise ValueError(f"shape mismatch: {x.samples.shape} vs {y.samples.shape}")
-    return int(np.count_nonzero(np.any(x.samples != y.samples, axis=1)))
+    return int(_hamming_stack(x.samples[None], y.samples[None])[0])
+
+
+class _RowModel:
+    """The sampler of a model with a row width ``d`` and an in-place
+    ``from_random`` that turns raw ``Generator.random`` draws into rows."""
+
+    def sample(self, n: int, rng: RngStream) -> Dataset:
+        n = _positive_n(n)
+        return Dataset(self.from_random(rng.generator().random((n, self.d))))
 
 
 @dataclass(frozen=True, eq=False)
-class GaussianModel:
+class GaussianModel(_RowModel):
     """Sampling model N(mu, I_d). The covariance is fixed to the identity."""
 
     mu: np.ndarray
@@ -240,13 +284,7 @@ class GaussianModel:
         """Turn raw ``Generator.random`` draws (..., d) into model rows in place:
         ``standard_normal(gen, raw.shape) + mu`` from the generator that drew
         them, without temporaries, checked finite as a ``Dataset`` would be."""
-        special.ndtri(_open_unit(raw, out=raw), out=raw)
+        _normal_in_place(raw)
         raw += self.mu
         _check_finite(raw)
         return raw
-
-    def sample(self, n: int, rng: RngStream) -> Dataset:
-        if int(n) != n or int(n) < 1:
-            raise ValueError(f"n must be a positive integer, got {n}")
-        return Dataset(self.from_random(rng.generator().random((int(n), self.d))))
-

@@ -13,6 +13,7 @@ coordinate along a chosen unit direction.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -284,15 +285,11 @@ def project_scalar(
         rng = RngStream(seed=0, stream_id=_PROJECTION_STREAM_TAG)
     u = u.copy()
     lam = lam.copy()
-    noise_slot: list[np.ndarray | None] = [None]
 
+    @functools.lru_cache(maxsize=1)
     def _noise(n: int) -> np.ndarray:
-        # Readers take the slot's block in one step; two threads that miss
+        # One slot: a call with another n replaces it. Two threads that miss
         # together build the same bytes, so either may win the slot.
-        # V̄ is (n, d) and the block (mc_inner, n, d): both hold n second-last.
-        cached = noise_slot[0]
-        if cached is not None and cached.shape[-2] == n:
-            return cached
         # In place, so the build holds one block and one temporary (peak
         # memory); the operation order matches lam + z - <z, u> u, so the
         # bytes do too.
@@ -303,7 +300,6 @@ def project_scalar(
         if f.linear_in_data:
             v = v.mean(axis=0)
         v.flags.writeable = False
-        noise_slot[0] = v
         return v
 
     def affine_stack_fn(stack: np.ndarray) -> np.ndarray:

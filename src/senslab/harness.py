@@ -57,6 +57,7 @@ from .core import (  # noqa: F401
     RngStream,
     _BELOW_ONE,
     _check_finite,
+    _hamming_stack,
     _rekey,
     standard_normal,
 )
@@ -298,29 +299,6 @@ def _ball_pairs(job: _Job, streams: _TrialStreams, lo: int, hi: int):
                             for x in clean])
 
 
-def _hamming_stack(clean: np.ndarray, corrupted: np.ndarray) -> np.ndarray:
-    """The Hamming distance of each trial of two (T, n, d) stacks: the number
-    of rows that differ under ``!=`` (so 0.0 equals -0.0) in some coordinate.
-
-    Every entry of both stacks is compared. A row's d comparison bytes are
-    read as the widest unsigned words that tile them; when that takes at most
-    8 words (every d <= 8, d = 16, 64, ...), the word columns are OR-ed
-    together in at most 7 passes over the chunk, because an ``any`` over a
-    short innermost axis costs about 30 ns per row (at d = 16 and 4000 rows,
-    145 µs against 38 µs). Other rows keep ``any``.
-    """
-    unequal = np.not_equal(corrupted, clean, order="C")
-    d = unequal.shape[2]
-    size = math.gcd(d, 8)
-    if d // size > 8:
-        return np.count_nonzero(unequal.any(axis=2), axis=1)
-    words = unequal.view(bool if size == 1 else f"u{size}")
-    changed = words[:, :, 0]
-    for j in range(1, words.shape[2]):
-        changed = changed | words[:, :, j]
-    return np.count_nonzero(changed, axis=1)
-
-
 def _require_trials(trials: int, fewest: int = 2) -> None:
     # Two trials at least: a stderr is std(ddof=1), NaN for one value.
     if trials < fewest:
@@ -417,15 +395,18 @@ def _gaussian_point(estimator: Estimator | str, d: int, mu: Sequence[float],
 
     ``mu`` has d entries, or one that is broadcast. A ``projected:<inner>``
     estimator lifts scalar samples into R^d itself, so it is built at d and
-    its clean data stay scalar, N(mu[0], 1).
+    its clean data stay scalar, N(mu, 1): its ``mu`` has one entry.
     """
     mu = [float(v) for v in mu]
+    if isinstance(estimator, str) and estimator.startswith("projected:"):
+        if len(mu) != 1:
+            raise ValueError(f"{estimator} takes scalar clean data, so mu needs one entry, "
+                             f"got {len(mu)}")
+        return build_estimator(estimator, d=d, seed=seed), GaussianModel(mu)
     if len(mu) == 1:
         mu = mu * d
     if len(mu) != d:
         raise ValueError(f"mu has {len(mu)} entries but d is {d}")
-    if isinstance(estimator, str) and estimator.startswith("projected:"):
-        return build_estimator(estimator, d=d, seed=seed), GaussianModel(mu[:1])
     return estimator, GaussianModel(mu)
 
 
@@ -444,6 +425,8 @@ def _validate_combo(est: Estimator, adversary: str, model, budget: CorruptionBud
         raise ValueError(f"{adversary} requires a {names} for the clean data")
     if spec.needs_delta and delta is None:
         raise ValueError(f"{adversary} requires delta")
+    if not spec.needs_delta and delta is not None:
+        raise ValueError(f"{adversary} takes no delta, got delta={delta}")
     if spec.scalar_only and model.d != 1:
         raise ValueError(f"{adversary} requires scalar (d = 1) data")
     return spec
@@ -669,6 +652,7 @@ def mean_obstruction_low(
     _require_trials(trials)
     job = _scalar_job(h, "mean_obstruction_low", eta, n, seed, prior, delta)
     k = job.budget.k
+    chi2_budget = analysis.chi2_localshift_bound(k, n, delta)  # checks delta before any trial
     regime_ok = k <= math.sqrt(n)
     if not regime_ok:
         warnings.warn(f"k = {k} exceeds sqrt(n) = {math.sqrt(n):.2f}; "
@@ -686,7 +670,7 @@ def mean_obstruction_low(
         avg_displacement=avg,
         stderr=stderr,
         predicted=float(eta) * float(delta),
-        chi2_budget=analysis.chi2_localshift_bound(k, n, delta),
+        chi2_budget=chi2_budget,
         regime_ok=regime_ok,
     )
 

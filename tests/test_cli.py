@@ -71,6 +71,23 @@ class TestSensitivityCommand:
         assert code == 2
         assert capsys.readouterr().err == "error: mu has 2 entries but d is 3\n"
 
+    def test_projected_estimator_rejects_a_mu_vector(self, capsys):
+        code = main(["sensitivity", "--estimator", "projected:16", "--d", "4",
+                     "--mu", "1,2,3,4", "--n", "20", "--trials", "100"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == ("error: projected:16 takes scalar clean data, so mu needs "
+                                "one entry, got 4\n")
+
+    def test_delta_without_local_shift_is_an_error(self, capsys):
+        for command in (["sensitivity"], ["scaling", "--values", "0.02,0.04,0.08,0.16"]):
+            code = main([*command, "--delta", "0.5", "--n", "20", "--trials", "100"])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err == "error: resample takes no delta, got delta=0.5\n"
+
     def test_keep_trials_is_an_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("n=50\ntrials=150\nkeep_trials=1\n")
@@ -347,3 +364,19 @@ def test_readme_cli_commands_parse():
     assert len(commands) >= 5
     for argv in commands:
         build_parser().parse_args(argv[1:])
+
+
+def test_readme_cli_commands_run(capsys, tmp_path, monkeypatch):
+    # Each README line at a token size: later flags override earlier ones.
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert commands[0][-2:] == ["--out", "report.json"]
+    for argv in commands:
+        small = ["--trials-scale", "1000"] if argv[1] == "verify" else ["--trials", "100"]
+        assert main([*argv[1:], *small]) == 0, argv
+        out = capsys.readouterr().out
+        if argv[1] == "verify":
+            assert out.startswith("check ") and "all checks passed" in out
+        else:
+            assert json.loads(out)["schema"] == "senslab/v1"
+    assert json.loads((tmp_path / "report.json").read_text())["adversary"] == "resample"

@@ -319,8 +319,11 @@ class TestProjectScalar:
             assert [b.shape for b in built] == [(8, 5, 3), (8, 9, 3), (8, 5, 3)]
             # The cached block comes from the last draw, transformed in place:
             # the mean's is the draws' mean V̄ (n, d), the median's the
-            # (mc_inner, n, d) block itself. Both are read-only.
-            noise = _closure(_closure(g.stack_fn)["_noise"])["noise_slot"][0]
+            # (mc_inner, n, d) block itself. Both are read-only. Reading the
+            # one-slot cache at the last n is a hit and draws nothing.
+            noise_cache = _closure(g.stack_fn)["_noise"]
+            noise = noise_cache(5)
+            assert len(built) == 3 and noise_cache.cache_info().currsize == 1
             want = np.ascontiguousarray(layout(built[-1]))
             assert noise.shape == want.shape and noise.flags.c_contiguous
             assert noise.tobytes() == want.tobytes()

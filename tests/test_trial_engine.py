@@ -44,7 +44,7 @@ from senslab import (
     uniform_open,
     variance_obstruction,
 )
-from senslab import harness
+from senslab import core, harness
 from senslab.core import _open_unit, _rekey
 
 
@@ -456,6 +456,38 @@ def test_rejections(case):
     assert type(info.value) is error
 
 
+def no_trials(*args, **kwargs):
+    raise AssertionError("a trial ran before the request was checked")
+
+
+@pytest.mark.parametrize("estimator,adversary,model,n", [
+    ("mean", "resample", gauss(1), 50),
+    ("clipped-mean", "tv-coupling", gauss(1), 50),
+    ("mean", "block-resample", gauss(2), 50),
+    ("median", "median-exact", gauss(1), 21),
+    ("bernoulli-plugin", "hamming-ball", BernoulliModel(0.5), 10),
+])
+def test_delta_is_rejected_where_no_trial_reads_it(monkeypatch, estimator, adversary, model, n):
+    # Only local-shift reads delta; a report must not record one that nothing used.
+    monkeypatch.setattr(harness, "_run_pairs", no_trials)
+    with pytest.raises(ValueError, match=rf"^{adversary} takes no delta, got delta=0.5$"):
+        estimate_es(estimator, adversary, model, eta=0.1, n=n, trials=100, seed=1, delta=0.5)
+
+
+def test_mean_obstruction_checks_delta_before_the_first_trial(monkeypatch):
+    monkeypatch.setattr(harness, "_run_pairs", no_trials)
+    with pytest.raises(ValueError, match=r"^delta must be nonnegative, got -0.5$"):
+        mean_obstruction_low("clipped-mean", eta=0.05, delta=-0.5, n=400, trials=20000)
+
+
+def test_projected_request_rejects_a_mu_vector():
+    # The lift's clean data are scalar, so a second mu entry has nowhere to go.
+    with pytest.raises(ValueError, match=r"mu needs one entry, got 4$"):
+        harness._gaussian_point("projected:16", 4, [1, 2, 3, 4], 0)
+    est, model = harness._gaussian_point("projected:16", 4, [1.5], 0)
+    assert est.name == "projected:16(mean)" and model.mu.tolist() == [1.5]
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 9, 12, 16, 24, 64, 72])
 def test_hamming_stack_matches_hamming_distance(d):
     # One coordinate moved, or a 0.0 swapped for -0.0 (equal under !=), at
@@ -468,9 +500,10 @@ def test_hamming_stack_matches_hamming_distance(d):
         for row in gen.choice(30, size=i * 4, replace=False):
             j = gen.integers(d)
             corrupted[i, row, j] = -0.0 if clean[i, row, j] == 0.0 else clean[i, row, j] + 1.0
-    want = [sl.hamming_distance(Dataset(x), Dataset(y)) for x, y in zip(clean, corrupted)]
-    assert harness._hamming_stack(clean, corrupted).tolist() == want
-    assert harness._hamming_stack(clean, clean).tolist() == [0] * 7
+    want = np.count_nonzero(np.any(clean != corrupted, axis=2), axis=1).tolist()
+    assert core._hamming_stack(clean, corrupted).tolist() == want
+    assert [sl.hamming_distance(Dataset(x), Dataset(y)) for x, y in zip(clean, corrupted)] == want
+    assert core._hamming_stack(clean, clean).tolist() == [0] * 7
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -547,7 +580,10 @@ def test_rekey_draws_the_stream_bytes():
         # Leave a half-used 32-bit draw and a partly used Philox output block.
         gen.integers(0, 7, size=3)
         gen.random(3)
-        assert draws(_rekey(gen, seed, stream_id)) == draws(RngStream(seed, stream_id).generator())
+        # The stream key packed into numpy's 128-bit Philox key.
+        want = draws(np.random.Generator(np.random.Philox(key=seed | stream_id << 64)))
+        assert draws(_rekey(gen, seed, stream_id)) == want
+        assert draws(RngStream(seed, stream_id).generator()) == want
 
 
 def test_rekey_accepts_numpy_key_words():
@@ -592,7 +628,8 @@ def test_non_finite_rows_raise(adversary):
     model = gauss(1)
     object.__setattr__(model, "mu", np.array([np.inf]))
     with pytest.raises(ValueError, match="finite"):
-        estimate_es("mean", adversary, model, eta=0.1, n=30, trials=100, seed=0, delta=0.5)
+        estimate_es("mean", adversary, model, eta=0.1, n=30, trials=100, seed=0,
+                    delta=0.5 if adversary == "local-shift" else None)
     with pytest.raises(ValueError, match="finite"):
         variance_obstruction("mean", model, eta=0.1, n=30, trials=10, seed=0)
 
