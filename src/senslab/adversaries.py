@@ -102,9 +102,11 @@ def _outcome(original: Dataset, corrupted: Dataset, budget: CorruptionBudget,
     )
 
 
-def _check_budget(x: Dataset, budget: CorruptionBudget) -> None:
+def _check_budget(x: Dataset, budget: CorruptionBudget, scalar: str | None = None) -> None:
     if budget.n != x.n:
         raise ValueError(f"budget is for n={budget.n} but dataset has n={x.n}")
+    if scalar is not None and x.d != 1:
+        raise ValueError(f"{scalar} is defined for scalar (d = 1) datasets")
 
 
 def _chosen_rows(clean: np.ndarray, k: int, gens, fresh: np.ndarray | None = None):
@@ -166,9 +168,7 @@ def local_shift_adversary(x: Dataset, budget: CorruptionBudget, delta: float,
     All other entries are returned bit-identical. The shift is one-sided by
     construction; use a negative delta for the other direction explicitly.
     """
-    _check_budget(x, budget)
-    if x.d != 1:
-        raise ValueError("local shift is defined for scalar (d = 1) datasets")
+    _check_budget(x, budget, scalar="local_shift_adversary")
     budget.require_nonempty()
     corrupted = _shift_stack(x.samples[None], budget, delta, [rng.generator()])
     return _outcome(x, Dataset(corrupted[0]), budget)
@@ -316,9 +316,7 @@ def median_worst_case(x: Dataset, budget: CorruptionBudget) -> AdversaryOutcome:
     adversary runs on a chunk of trials; its docstring gives the corrupting
     values and the tie rule. A zero certificate is always +0.0.
     """
-    _check_budget(x, budget)
-    if x.d != 1:
-        raise ValueError("median worst case is defined for scalar (d = 1) datasets")
+    _check_budget(x, budget, scalar="median_worst_case")
     _median_push_admissible(budget, "median worst case")
     corrupted, cert = _median_push_stack(x.samples[None], budget.k)
     return _outcome(x, Dataset(corrupted[0]), budget, certificate=float(cert[0]))
@@ -430,9 +428,7 @@ def hamming_ball_sup(f: Estimator, x: Dataset, budget: CorruptionBudget) -> Adve
     most 8192 of them is expanded into datasets and evaluated with one
     ``f.on_stack`` call.
     """
-    _check_budget(x, budget)
-    if x.d != 1:
-        raise ValueError("hamming ball enumeration is defined for binary vectors (d = 1)")
+    _check_budget(x, budget, scalar="hamming_ball_sup")
     bits = x.samples[:, 0]
     if not np.all((bits == 0.0) | (bits == 1.0)):
         raise ValueError("hamming ball enumeration requires entries in {0, 1}")

@@ -182,20 +182,36 @@ def _require_subset(k: int, n: int) -> None:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
 
 
+def _require_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _require_nonnegative(name: str, value: float) -> None:
+    _require_finite(name, value)
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
+
+
+def _require_probability(p: float) -> None:
+    if not (0.0 < p < 1.0):
+        raise ValueError(f"p must lie in (0, 1), got {p}")
+
+
 def tv_gaussian_shift(eta: float) -> float:
     """TV(N(0,1), N(eta,1)) = 2 Phi(eta/2) - 1 = erf(eta / (2 sqrt 2)).
 
     Strictly increasing in eta, strictly below eta for eta > 0, and tends
     to 1 as eta grows.
     """
-    if eta < 0:
-        raise ValueError(f"eta must be nonnegative, got {eta}")
+    _require_nonnegative("eta", eta)
     return math.erf(eta / (2.0 * math.sqrt(2.0)))
 
 
 def chi2_gaussian_products(delta: float, n: int) -> float:
     """chi^2(N(delta,1)^{x n} || N(0,1)^{x n}) = exp(n delta^2) - 1."""
     _require_samples("chi2_gaussian_products", n)
+    _require_finite("delta", delta)
     arg = n * float(delta) ** 2
     if arg > _EXP_OVERFLOW:
         raise OverflowError(f"n * delta^2 = {arg:.3g} exceeds {_EXP_OVERFLOW}; result overflows")
@@ -208,8 +224,7 @@ def chi2_localshift_bound(k: int, n: int, delta: float) -> float:
     Zero at delta = 0 and nondecreasing in both k and delta.
     """
     _require_subset(k, n)
-    if delta < 0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
+    _require_nonnegative("delta", delta)
     d2 = float(delta) ** 2
     arg = (k * k / n) * (math.expm1(d2) - d2)
     if arg > _EXP_OVERFLOW:
@@ -228,6 +243,7 @@ def chi2_products_mc(delta: float, n: int, draws: int, rng: RngStream) -> tuple[
     with scalar rows).
     """
     _require_samples("chi2_products_mc", n)
+    _require_finite("delta", delta)
     _require_draws("chi2_products_mc", draws)
     values = np.empty(draws)
     for lo, hi, (z,) in _draw_chunks(rng, draws, ()):
@@ -272,6 +288,7 @@ def chi2_localshift_mc(k: int, n: int, delta: float, draws: int,
     with (n,) rows).
     """
     _require_subset(k, n)
+    _require_finite("delta", delta)
     _require_draws("chi2_localshift_mc", draws)
     m = k * delta / n
     log_binom = special.gammaln(n + 1) - special.gammaln(k + 1) - special.gammaln(n - k + 1)
@@ -325,8 +342,7 @@ def hypergeom_mgf_check(n: int, k: int, lam: float, trials: int,
     and nothing is drawn.
     """
     _require_subset(k, n)
-    if lam < 0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
+    _require_nonnegative("lambda", lam)
     _require_draws("hypergeom_mgf_check", trials)
     if k == n:
         h = np.full(trials, float(n))
@@ -347,10 +363,10 @@ def chernoff_tail_bound(n: int, p: float, t: float, sharp: bool = False) -> floa
     default by e^{-lambda}. Vacuous (returns 1) when t <= lambda.
     """
     _require_samples("chernoff_tail_bound", n)
+    _require_finite("t", t)
     if t <= 0:
         raise ValueError(f"t must be positive, got {t}")
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"p must lie in (0, 1), got {p}")
+    _require_probability(p)
     lam = n * p
     if t <= lam:
         return 1.0
@@ -361,8 +377,9 @@ def chernoff_tail_bound(n: int, p: float, t: float, sharp: bool = False) -> floa
 
 
 def binomial_tail(n: int, p: float, t: int) -> float:
-    """Exact P(Bin(n, p) >= t) by log-space summation of the pmf."""
+    """Exact P(Bin(n, p) >= t) for p in (0, 1), by log-space summation of the pmf."""
     _require_samples("binomial_tail", n)
+    _require_probability(p)
     if t <= 0:
         return 1.0
     if t > n:

@@ -18,11 +18,11 @@ from .bernoulli import BernoulliModel, bernoulli_expected_sensitivity
 from .core import CorruptionBudget
 from .estimators import build_estimator
 from .harness import (
-    SCHEMA,
     SensitivityReport,
     UnboundedSensitivityError,
     _dump_json,
     _gaussian_point,
+    _record,
     all_pass,
     estimate_es,
     format_verify_table,
@@ -94,7 +94,7 @@ def _add_gaussian_flags(p: argparse.ArgumentParser) -> None:
                    help="thread count (does not change results)")
 
 
-def _cmd_sensitivity(args: argparse.Namespace) -> str:
+def _cmd_sensitivity(args: argparse.Namespace) -> tuple[str, int]:
     estimator, model = _gaussian_point(args.estimator, args.d, args.mu, args.seed)
     report = estimate_es(
         estimator, args.adversary, model,
@@ -102,10 +102,10 @@ def _cmd_sensitivity(args: argparse.Namespace) -> str:
         seed=args.seed, delta=args.delta, workers=args.workers,
     )
     _write(args.csv, SensitivityReport.csv_header() + "\n" + report.csv_row())
-    return report.to_json()
+    return report.to_json(), 0
 
 
-def _cmd_scaling(args: argparse.Namespace) -> str:
+def _cmd_scaling(args: argparse.Namespace) -> tuple[str, int]:
     if not args.values:
         raise ValueError("--values is required")
     return scaling_sweep(
@@ -114,38 +114,36 @@ def _cmd_scaling(args: argparse.Namespace) -> str:
         eta=args.eta, n=args.n, d=args.d, mu=args.mu,
         q=args.q, trials=args.trials, seed=args.seed,
         delta=args.delta, workers=args.workers,
-    ).to_json()
+    ).to_json(), 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     rows = verify_suite(trials_scale=args.trials_scale, seed=args.seed)
-    print(format_verify_table(rows))
     ok = all_pass(rows)
-    print(f"{'all checks passed' if ok else 'FAILURES PRESENT'} "
-          f"({sum(r.result.holds for r in rows)}/{len(rows)})")
-    return 0 if ok else 1
+    summary = (f"{'all checks passed' if ok else 'FAILURES PRESENT'} "
+               f"({sum(r.result.holds for r in rows)}/{len(rows)})")
+    return format_verify_table(rows) + "\n" + summary, 0 if ok else 1
 
 
-def _cmd_bernoulli(args: argparse.Namespace) -> str:
+def _cmd_bernoulli(args: argparse.Namespace) -> tuple[str, int]:
     if args.mode == "mc":
         return estimate_es(
             args.estimator, "hamming-ball", BernoulliModel(args.p),
             eta=args.eta, n=args.n, q=args.q, trials=args.trials, seed=args.seed,
-        ).to_json()
+        ).to_json(), 0
     if args.q != 1:
         raise ValueError(f"exact mode computes the q = 1 sensitivity only, got --q {args.q}")
     est = build_estimator(args.estimator)
     budget = CorruptionBudget.from_eta(args.eta, args.n)
-    return _dump_json({
-        "schema": SCHEMA,
-        "kind": "bernoulli-exact",
-        "estimator": est.name,
-        "n": args.n,
-        "eta": args.eta,
-        "k": budget.k,
-        "p": args.p,
-        "expected_sensitivity": bernoulli_expected_sensitivity(est, args.n, args.p, budget),
-    })
+    return _dump_json(_record(
+        "bernoulli-exact",
+        estimator=est.name,
+        n=args.n,
+        eta=args.eta,
+        k=budget.k,
+        p=args.p,
+        expected_sensitivity=bernoulli_expected_sensitivity(est, args.n, args.p, budget),
+    )), 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -171,6 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the inequality-checker table")
     p_verify.add_argument("--trials-scale", type=int, default=100_000, dest="trials_scale")
     p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.set_defaults(func=_cmd_verify, config=None, out=None)
 
     p_bern = sub.add_parser("bernoulli", help="binary-data sensitivity, exact or MC")
     _add_shared_flags(p_bern)
@@ -184,12 +183,6 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify":
-        try:
-            return _cmd_verify(args)
-        except ValueError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
     if args.config:
         try:
             tokens = _config_tokens(args.config, set(vars(args)) - {"command", "config", "func"})
@@ -199,7 +192,7 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         args = parser.parse_args([argv[0], *tokens, *argv[1:]])
     try:
-        text = args.func(args)
+        text, code = args.func(args)
     except UnboundedSensitivityError as err:
         print(_dump_json(err.to_json_dict()))
         return 2
@@ -208,7 +201,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     print(text)
     _write(args.out, text)
-    return 0
+    return code
 
 
 if __name__ == "__main__":

@@ -302,21 +302,15 @@ def project_scalar(
         v.flags.writeable = False
         return v
 
-    def affine_stack_fn(stack: np.ndarray) -> np.ndarray:
-        if stack.shape[2] != 1:
-            raise ValueError("projected estimator takes scalar (d = 1) datasets")
-        noise = _noise(stack.shape[1])  # before the lift: a first call's build sets the peak
+    def affine_lift(stack: np.ndarray, noise: np.ndarray) -> np.ndarray:
         lift = stack * u
         lift += noise
         return (f.on_stack(lift) * u).sum(axis=1, keepdims=True)
 
-    def stack_fn(stack: np.ndarray) -> np.ndarray:
-        if stack.shape[2] != 1:
-            raise ValueError("projected estimator takes scalar (d = 1) datasets")
+    def per_trial_lift(stack: np.ndarray, noise: np.ndarray) -> np.ndarray:
         # One trial's lift at a time bounds the temporaries, and a per-trial
         # matmul keeps the bytes of a one-dataset call. The lift buffer
         # belongs to this call: the noise block is shared by threads.
-        noise = _noise(stack.shape[1])
         lift = np.empty_like(noise)
         out = np.empty((stack.shape[0], 1))
         for i, t in enumerate(stack[:, :, 0]):
@@ -324,11 +318,15 @@ def project_scalar(
             out[i] = (f.on_stack(lift) @ u).mean()
         return out
 
-    return Estimator(
-        name=f"projected:{mc_inner}({f.name})",
-        output_dim=1,
-        stack_fn=affine_stack_fn if f.linear_in_data else stack_fn,
-    )
+    lift_fn = affine_lift if f.linear_in_data else per_trial_lift
+
+    def stack_fn(stack: np.ndarray) -> np.ndarray:
+        if stack.shape[2] != 1:
+            raise ValueError("projected estimator takes scalar (d = 1) datasets")
+        # The noise before the lift: a first call's build sets the peak.
+        return lift_fn(stack, _noise(stack.shape[1]))
+
+    return Estimator(name=f"projected:{mc_inner}({f.name})", output_dim=1, stack_fn=stack_fn)
 
 
 def sample_unit_direction(d: int, rng: RngStream) -> np.ndarray:

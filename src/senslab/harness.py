@@ -106,13 +106,13 @@ class UnboundedSensitivityError(RuntimeError):
         super().__init__(f"unbounded sensitivity for ({estimator}, {adversary}): {reason}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "kind": "unbounded-sensitivity",
-            "estimator": self.estimator,
-            "adversary": self.adversary,
-            "reason": self.reason,
-        }
+        return _record("unbounded-sensitivity", estimator=self.estimator,
+                       adversary=self.adversary, reason=self.reason)
+
+
+def _record(kind: str, **fields) -> dict:
+    """A JSON record of the package: its schema, its kind, then ``fields``."""
+    return {"schema": SCHEMA, "kind": kind, **fields}
 
 
 def _dump_json(obj: dict) -> str:
@@ -140,8 +140,8 @@ class SensitivityReport:
     per_trial: np.ndarray
 
     def to_json_dict(self, include_trials: bool = False) -> dict:
-        out = {"schema": SCHEMA, "kind": "sensitivity-report"}
-        out.update((f.name, getattr(self, f.name)) for f in fields(self) if f.name != "per_trial")
+        out = _record("sensitivity-report", **{f.name: getattr(self, f.name)
+                                               for f in fields(self) if f.name != "per_trial"})
         if include_trials:
             out["per_trial"] = [float(v) for v in self.per_trial]
         return out
@@ -234,11 +234,12 @@ class _Job:
     prior: tuple[float, float] | None = None
 
 
-def _clean_stack(job: _Job, streams: _TrialStreams, lo: int, hi: int) -> np.ndarray:
+def _clean_stack(job: _Job, stream: Callable, lo: int, hi: int) -> np.ndarray:
+    """Model rows of trials lo..hi-1 from ``stream(t)``: ``streams.data`` or ``.adversary``."""
     clean = np.empty((hi - lo, job.budget.n, job.model.d))
     shift = np.empty((hi - lo, 1, 1))
     for i, t in enumerate(range(lo, hi)):
-        gen = streams.data(t)
+        gen = stream(t)
         if job.prior is not None:
             shift[i] = _uniform_scalar(gen, *job.prior)
         gen.random(out=clean[i])
@@ -250,19 +251,19 @@ def _clean_stack(job: _Job, streams: _TrialStreams, lo: int, hi: int) -> np.ndar
 
 
 def _resample_pairs(job: _Job, streams: _TrialStreams, lo: int, hi: int):
-    clean = _clean_stack(job, streams, lo, hi)
+    clean = _clean_stack(job, streams.data, lo, hi)
     gens = map(streams.adversary, range(lo, hi))
     return clean, _resample_stack(clean, job.budget, job.model, gens)
 
 
 def _local_shift_pairs(job: _Job, streams: _TrialStreams, lo: int, hi: int):
-    clean = _clean_stack(job, streams, lo, hi)
+    clean = _clean_stack(job, streams.data, lo, hi)
     gens = map(streams.adversary, range(lo, hi))
     return clean, _shift_stack(clean, job.budget, job.delta, gens)
 
 
 def _block_pairs(job: _Job, streams: _TrialStreams, lo: int, hi: int):
-    clean = _clean_stack(job, streams, lo, hi)
+    clean = _clean_stack(job, streams.data, lo, hi)
     layout = block_layout(job.budget.n, job.budget.k)
     blocks = [layout[t % len(layout)] for t in range(lo, hi)]
     gens = map(streams.adversary, range(lo, hi))
@@ -282,7 +283,7 @@ def _coupling_pairs(job: _Job, streams: _TrialStreams, lo: int, hi: int):
 def _median_pairs(job: _Job, streams: _TrialStreams, lo: int, hi: int):
     """Each trial's achieving dataset from one push pass over the chunk, the
     body ``median_worst_case`` runs on a one-trial stack."""
-    clean = _clean_stack(job, streams, lo, hi)
+    clean = _clean_stack(job, streams.data, lo, hi)
     return clean, _median_push_stack(clean, job.budget.k)[0]
 
 
@@ -292,7 +293,7 @@ def _ball_pairs(job: _Job, streams: _TrialStreams, lo: int, hi: int):
     other ball's (see ``_layer_ball``) from ``hamming_ball_sup``, trial by
     trial, called through this module's binding, which bench/tracing.py
     wraps."""
-    clean = _clean_stack(job, streams, lo, hi)
+    clean = _clean_stack(job, streams.data, lo, hi)
     if _layer_ball(job.est, job.budget.n, job.budget.k):
         return clean, _layer_ball_stack(clean, job.est.stack_fn, job.budget.k)
     return clean, np.stack([hamming_ball_sup(job.est, Dataset(x), job.budget).corrupted.samples
@@ -389,25 +390,26 @@ def _resolve_estimator(estimator: Estimator | str, d: int, seed: int) -> Estimat
     return estimator
 
 
-def _gaussian_point(estimator: Estimator | str, d: int, mu: Sequence[float],
-                    seed: int) -> tuple[Estimator | str, GaussianModel]:
-    """The estimator and clean-data model of a Gaussian request at dimension d.
+def _gaussian_point(estimator: str, d: int, mu: Sequence[float],
+                    seed: int) -> tuple[Estimator, GaussianModel]:
+    """The estimator, built at dimension d, and its clean-data model.
 
-    ``mu`` has d entries, or one that is broadcast. A ``projected:<inner>``
-    estimator lifts scalar samples into R^d itself, so it is built at d and
-    its clean data stay scalar, N(mu, 1): its ``mu`` has one entry.
+    ``mu`` has d entries, or one that is broadcast. An estimator whose output
+    is not d-dimensional (the ``projected:<inner>`` lift) lifts scalar samples
+    into R^d itself, so its clean data stay scalar: its ``mu`` has one entry.
     """
+    est = _resolve_estimator(estimator, d, seed)
     mu = [float(v) for v in mu]
-    if isinstance(estimator, str) and estimator.startswith("projected:"):
+    if est.output_dim != d:
         if len(mu) != 1:
             raise ValueError(f"{estimator} takes scalar clean data, so mu needs one entry, "
                              f"got {len(mu)}")
-        return build_estimator(estimator, d=d, seed=seed), GaussianModel(mu)
+        return est, GaussianModel(mu)
     if len(mu) == 1:
         mu = mu * d
     if len(mu) != d:
         raise ValueError(f"mu has {len(mu)} entries but d is {d}")
-    return estimator, GaussianModel(mu)
+    return est, GaussianModel(mu)
 
 
 def _validate_combo(est: Estimator, adversary: str, model, budget: CorruptionBudget,
@@ -427,9 +429,29 @@ def _validate_combo(est: Estimator, adversary: str, model, budget: CorruptionBud
         raise ValueError(f"{adversary} requires delta")
     if not spec.needs_delta and delta is not None:
         raise ValueError(f"{adversary} takes no delta, got delta={delta}")
+    if delta is not None:
+        analysis._require_finite("delta", delta)
     if spec.scalar_only and model.d != 1:
         raise ValueError(f"{adversary} requires scalar (d = 1) data")
+    if spec.nonempty:
+        budget.require_nonempty()
     return spec
+
+
+def _es_request(estimator: Estimator | str, adversary: str, model, eta: float, n: int, q: int,
+                trials: int, seed: int, delta) -> tuple[Estimator, CorruptionBudget, _Adversary]:
+    """The estimator, budget and table entry of an ``estimate_es`` request,
+    once every check that needs no trial has passed."""
+    if q not in (1, 2):
+        raise ValueError(f"q must be 1 or 2, got {q}")
+    _require_trials(trials, 100)
+    est = _resolve_estimator(estimator, model.d, seed)
+    if isinstance(estimator, str) and est.output_dim != model.d:
+        raise ValueError(
+            f"{estimator} takes scalar clean data, but the model has d = {model.d}; to lift "
+            f"to d, pass build_estimator({estimator!r}, d={model.d}) and GaussianModel([mu])")
+    budget = CorruptionBudget.from_eta(eta, n)
+    return est, budget, _validate_combo(est, adversary, model, budget, delta)
 
 
 def estimate_es(
@@ -453,14 +475,7 @@ def estimate_es(
     trials contribute 0, which keeps the estimate a valid lower bound. The
     q-th-moment CI is mean +/- 1.96 stderr mapped through x -> x^{1/q}.
     """
-    if q not in (1, 2):
-        raise ValueError(f"q must be 1 or 2, got {q}")
-    _require_trials(trials, 100)
-    est = _resolve_estimator(estimator, model.d, seed)
-    budget = CorruptionBudget.from_eta(eta, n)
-    spec = _validate_combo(est, adversary, model, budget, delta)
-    if spec.nonempty:
-        budget.require_nonempty()
+    est, budget, spec = _es_request(estimator, adversary, model, eta, n, q, trials, seed, delta)
     diff, feasible = _run_pairs(_Job(model, budget, est, delta), spec.step, trials, seed, workers)
     per_trial = _row_norms(diff)
     per_trial[~feasible] = 0.0
@@ -506,19 +521,18 @@ class ScalingFit:
     r_squared: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "kind": "scaling-fit",
-            "variable": self.variable,
-            "values": [float(v) for v in self.values],
-            "es_estimates": [r.es_estimate for r in self.reports],
-            "ci_lows": [r.ci_low for r in self.reports],
-            "ci_highs": [r.ci_high for r in self.reports],
-            "used": list(self.used),
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-        }
+        return _record(
+            "scaling-fit",
+            variable=self.variable,
+            values=[float(v) for v in self.values],
+            es_estimates=[r.es_estimate for r in self.reports],
+            ci_lows=[r.ci_low for r in self.reports],
+            ci_highs=[r.ci_high for r in self.reports],
+            used=list(self.used),
+            slope=self.slope,
+            intercept=self.intercept,
+            r_squared=self.r_squared,
+        )
 
     def to_json(self) -> str:
         return _dump_json(self.to_json_dict())
@@ -543,8 +557,9 @@ def scaling_sweep(
     """Run ``estimate_es`` over a grid of eta, n, or d and fit a log-log line.
 
     ``mu`` is one value (broadcast) or a mean vector of d entries. Every
-    point's estimator and model come from ``_gaussian_point`` before the
-    first trial runs, so a bad ``mu`` fails at once.
+    point's estimator and model come from ``_gaussian_point``, and every
+    point's request passes the checks of ``estimate_es``, before the first
+    trial runs, so a bad request fails at once.
     """
     if variable not in ("eta", "n", "d"):
         raise ValueError(f"sweep variable must be eta, n, or d, got {variable!r}")
@@ -562,12 +577,13 @@ def scaling_sweep(
     for v in values:
         point = {"eta": eta, "n": n, "d": d}
         point[variable] = v
-        points.append((point, *_gaussian_point(estimator, int(point["d"]), mu, seed)))
-    reports = [
-        estimate_es(est, adversary, model, eta=float(point["eta"]), n=int(point["n"]), q=q,
-                    trials=trials, seed=seed, delta=delta, workers=workers)
-        for point, est, model in points
-    ]
+        est, model = _gaussian_point(estimator, int(point["d"]), mu, seed)
+        kwargs = dict(eta=float(point["eta"]), n=int(point["n"]), q=q, trials=trials, seed=seed,
+                      delta=delta)
+        _es_request(est, adversary, model, **kwargs)
+        points.append((est, model, kwargs))
+    reports = [estimate_es(est, adversary, model, workers=workers, **kwargs)
+               for est, model, kwargs in points]
 
     used = tuple(
         r.es_estimate > 0.0 and (r.ci_high - r.ci_low) / 2.0 < 0.1 * r.es_estimate
@@ -787,11 +803,8 @@ def variance_obstruction(
     gaps = np.empty((trials, m_blocks))
 
     def run_chunk(streams: _TrialStreams, lo: int, hi: int) -> None:
-        clean = _clean_stack(job, streams, lo, hi)
-        fresh = np.empty_like(clean)
-        for i, t in enumerate(range(lo, hi)):
-            streams.adversary(t).random(out=fresh[i])
-        model.from_random(fresh)
+        clean = _clean_stack(job, streams.data, lo, hi)
+        fresh = _clean_stack(job, streams.adversary, lo, hi)
         outputs[lo:hi], block_gaps = analysis._leave_out_gaps(est, clean, fresh, layout)
         for b, g in enumerate(block_gaps):
             gaps[lo:hi, b] = g
