@@ -44,6 +44,8 @@ from .core import (
     Dataset,
     GaussianModel,
     RngStream,
+    _count,
+    _require_finite,
     hamming_distance,
     standard_normal,
     uniform_open,
@@ -168,6 +170,7 @@ def local_shift_adversary(x: Dataset, budget: CorruptionBudget, delta: float,
     All other entries are returned bit-identical. The shift is one-sided by
     construction; use a negative delta for the other direction explicitly.
     """
+    _require_finite("delta", delta)
     _check_budget(x, budget, scalar="local_shift_adversary")
     budget.require_nonempty()
     corrupted = _shift_stack(x.samples[None], budget, delta, [rng.generator()])
@@ -194,12 +197,14 @@ def couple_gaussian_pair(gen: np.random.Generator, mu: float, eta: float,
     that has drawn 2^26 proposals without filling every pending coordinate
     raises RuntimeError.
     """
+    _require_finite("mu", mu)
+    n = _count("n", n)
+    tv = tv_gaussian_shift(abs(eta))
     c = mu + eta / 2.0
     x = mu + standard_normal(gen, n)
     keep = np.log(uniform_open(gen, n)) <= eta * (x - c)
     y = x.copy()
     pending = np.flatnonzero(~keep)
-    tv = tv_gaussian_shift(abs(eta))
     drawn = 0
     while pending.size:
         size = min(math.ceil(1.25 * pending.size / tv) + 16, _COUPLING_BLOCK)
@@ -234,8 +239,7 @@ def block_layout(n: int, k: int) -> list[tuple[int, int]]:
     Blocks 0 .. M-2 hold exactly k consecutive rows; the last block holds the
     remaining n - (M-1)k rows (between 1 and k), where M = ceil(n/k).
     """
-    if k < 1:
-        raise ValueError("block layout needs k >= 1")
+    n, k = _count("n", n), _count("k", k)
     m = math.ceil(n / k)
     return [(i * k, min((i + 1) * k, n)) for i in range(m)]
 

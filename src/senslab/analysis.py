@@ -24,13 +24,13 @@ The chi^2 Monte Carlo oracles simulate likelihood ratios in log space with
 max-subtraction before exponentiating, since exp(n h^2) regimes overflow
 naive arithmetic.
 
-Every Monte Carlo checker but ``gaussian_lr_identity_check`` draws through
-``_draw_chunks``: its stream's ``random`` doubles form ``parts`` consecutive
-(trials, *row) blocks, read chunk by chunk at up to ``_ES_CHUNK_BYTES`` per
-block, so a check's memory does not grow with its draws beyond the values it
-stores per trial. Each chunk is transformed in place, the statistic is
-evaluated per chunk, and the per-trial values are reduced once at the end,
-so no result depends on the chunk size.
+Every Monte Carlo checker draws through ``_draw_chunks``: its stream's
+``random`` doubles form ``parts`` consecutive (trials, *row) blocks, read
+chunk by chunk at up to ``_ES_CHUNK_BYTES`` per block, so a check's memory
+does not grow with its draws beyond the values it stores per trial. Each
+chunk is transformed in place, the statistic is evaluated per chunk, and the
+per-trial values are reduced once at the end, so no result depends on the
+chunk size.
 """
 
 from __future__ import annotations
@@ -42,7 +42,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .core import GaussianModel, RngStream, _normal_in_place, standard_normal
+# standard_normal is not called here: bench/tracing.py wraps this module's binding.
+from .core import (  # noqa: F401
+    GaussianModel, RngStream, _count, _normal_in_place, _require_finite, _require_nonnegative,
+    standard_normal)
 from .estimators import Estimator, _median_index, _median_stack
 
 __all__ = [
@@ -167,30 +170,11 @@ def _scalar_statistic(statistic: Estimator, n: int, trials: int, rng: RngStream,
     return values
 
 
-def _require_draws(name: str, draws: int, fewest: int = _MIN_DRAWS) -> None:
-    if draws < fewest:
-        raise ValueError(f"{name} needs at least {fewest} draws, got {draws}")
-
-
-def _require_samples(name: str, n: int) -> None:
-    if n < 1:
-        raise ValueError(f"{name} needs n >= 1 samples per dataset, got n={n}")
-
-
-def _require_subset(k: int, n: int) -> None:
-    if not (1 <= k <= n):
+def _require_subset(k: int, n: int) -> tuple[int, int]:
+    k, n = _count("k", k), _count("n", n)
+    if k > n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-
-
-def _require_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-
-
-def _require_nonnegative(name: str, value: float) -> None:
-    _require_finite(name, value)
-    if value < 0:
-        raise ValueError(f"{name} must be nonnegative, got {value}")
+    return k, n
 
 
 def _require_probability(p: float) -> None:
@@ -210,7 +194,7 @@ def tv_gaussian_shift(eta: float) -> float:
 
 def chi2_gaussian_products(delta: float, n: int) -> float:
     """chi^2(N(delta,1)^{x n} || N(0,1)^{x n}) = exp(n delta^2) - 1."""
-    _require_samples("chi2_gaussian_products", n)
+    n = _count("n", n)
     _require_finite("delta", delta)
     arg = n * float(delta) ** 2
     if arg > _EXP_OVERFLOW:
@@ -223,7 +207,7 @@ def chi2_localshift_bound(k: int, n: int, delta: float) -> float:
 
     Zero at delta = 0 and nondecreasing in both k and delta.
     """
-    _require_subset(k, n)
+    k, n = _require_subset(k, n)
     _require_nonnegative("delta", delta)
     d2 = float(delta) ** 2
     arg = (k * k / n) * (math.expm1(d2) - d2)
@@ -242,14 +226,14 @@ def chi2_products_mc(delta: float, n: int, draws: int, rng: RngStream) -> tuple[
     S/sqrt(n) of draw t is double t of ``rng``'s stream (``_draw_chunks``
     with scalar rows).
     """
-    _require_samples("chi2_products_mc", n)
+    n = _count("n", n)
     _require_finite("delta", delta)
-    _require_draws("chi2_products_mc", draws)
+    draws = _count("draws", draws, _MIN_DRAWS)
     values = np.empty(draws)
     for lo, hi, (z,) in _draw_chunks(rng, draws, ()):
+        # log LR = s x - s^2/2 <= x^2/2 (s = delta sqrt n), at most 34.4 for
+        # |x| <= -ndtri(2^-54) = 8.3: expm1 cannot overflow at any n or delta.
         log_lr = delta * (math.sqrt(n) * _shifted_normals(z)) - 0.5 * n * delta * delta
-        if float(log_lr.max()) > _EXP_OVERFLOW:
-            raise OverflowError("likelihood ratio overflows; reduce n * delta^2")
         values[lo:hi] = np.expm1(log_lr) ** 2
     return _mean_se(values)
 
@@ -287,9 +271,9 @@ def chi2_localshift_mc(k: int, n: int, delta: float, draws: int,
     Draw t reads doubles [t·n, (t+1)·n) of ``rng``'s stream (``_draw_chunks``
     with (n,) rows).
     """
-    _require_subset(k, n)
+    k, n = _require_subset(k, n)
     _require_finite("delta", delta)
-    _require_draws("chi2_localshift_mc", draws)
+    draws = _count("draws", draws, _MIN_DRAWS)
     m = k * delta / n
     log_binom = special.gammaln(n + 1) - special.gammaln(k + 1) - special.gammaln(n - k + 1)
     values = np.empty(draws)
@@ -307,16 +291,21 @@ def gaussian_lr_identity_check(a, b, trials: int, rng: RngStream) -> IneqCheckRe
     where a = mu - theta and b = nu - theta.
 
     This is an identity, so the verdict is two-sided, with a roundoff
-    allowance of 1e-12 * max(1, |rhs|).
+    allowance of 1e-12 * max(1, |rhs|). Draw t's X - theta reads doubles
+    [t·d, (t+1)·d) of ``rng``'s stream (``_draw_chunks`` with (d,) rows).
     """
-    _require_draws("gaussian_lr_identity_check", trials, 10_000)
+    trials = _count("trials", trials, 10_000)
     a = np.atleast_1d(np.asarray(a, dtype=np.float64))
     b = np.atleast_1d(np.asarray(b, dtype=np.float64))
     if a.shape != b.shape:
         raise ValueError("a and b must have equal length")
-    g = standard_normal(rng.generator(), (trials, a.size))
-    lr = np.exp(g @ (a + b) - 0.5 * (a @ a + b @ b))
-    lhs, se = _mean_se(lr)
+    lr = np.empty(trials)
+    for lo, hi, (g,) in _draw_chunks(rng, trials, (a.size,)):
+        # Per row, not one BLAS product over the stack, whose path can move
+        # the last bit with the stack size.
+        lr[lo:hi] = np.einsum("ij,j->i", _shifted_normals(g), a + b)
+    lr -= 0.5 * (a @ a + b @ b)
+    lhs, se = _mean_se(np.exp(lr, out=lr))
     rhs = float(math.exp(a @ b))
     return _mc_verdict(lhs, rhs, se, trials, extra=_ROUNDOFF * max(1.0, abs(rhs)),
                        two_sided=True)
@@ -338,18 +327,14 @@ def hypergeom_mgf_check(n: int, k: int, lam: float, trials: int,
 
     A is drawn from part 0 and B from part 1 of ``_draw_chunks`` with (n,)
     rows: trial t's A reads doubles [t·n, (t+1)·n) of ``rng``'s stream and
-    its B doubles [(T + t)·n, (T + t + 1)·n), T = trials. With k = n, H = n
-    and nothing is drawn.
+    its B doubles [(T + t)·n, (T + t + 1)·n), T = trials.
     """
-    _require_subset(k, n)
+    k, n = _require_subset(k, n)
     _require_nonnegative("lambda", lam)
-    _require_draws("hypergeom_mgf_check", trials)
-    if k == n:
-        h = np.full(trials, float(n))
-    else:
-        h = np.empty(trials)
-        for lo, hi, (u_a, u_b) in _draw_chunks(rng, trials, (n,), 2):
-            h[lo:hi] = (_random_k_subset_masks(u_a, k) & _random_k_subset_masks(u_b, k)).sum(axis=1)
+    trials = _count("trials", trials, _MIN_DRAWS)
+    h = np.empty(trials)
+    for lo, hi, (u_a, u_b) in _draw_chunks(rng, trials, (n,), 2):
+        h[lo:hi] = (_random_k_subset_masks(u_a, k) & _random_k_subset_masks(u_b, k)).sum(axis=1)
     lhs, se = _mean_se(np.exp(lam * (h - k * k / n)))
     rhs = float(math.exp((k * k / n) * (math.expm1(lam) - lam)))
     return _mc_verdict(lhs, rhs, se, trials)
@@ -362,7 +347,7 @@ def chernoff_tail_bound(n: int, p: float, t: float, sharp: bool = False) -> floa
     (e^d / (1+d)^{1+d})^lambda with 1 + d = t/lambda, which multiplies the
     default by e^{-lambda}. Vacuous (returns 1) when t <= lambda.
     """
-    _require_samples("chernoff_tail_bound", n)
+    n = _count("n", n)
     _require_finite("t", t)
     if t <= 0:
         raise ValueError(f"t must be positive, got {t}")
@@ -378,10 +363,11 @@ def chernoff_tail_bound(n: int, p: float, t: float, sharp: bool = False) -> floa
 
 def binomial_tail(n: int, p: float, t: int) -> float:
     """Exact P(Bin(n, p) >= t) for p in (0, 1), by log-space summation of the pmf."""
-    _require_samples("binomial_tail", n)
+    n = _count("n", n)
     _require_probability(p)
     if t <= 0:
         return 1.0
+    t = _count("t", t)
     if t > n:
         return 0.0
     j = np.arange(t, n + 1)
@@ -397,7 +383,8 @@ def binomial_point_mass(n: int, r: int) -> float:
     this quantity times sqrt(r + 1) over a desk-scale grid is a measured
     value, reported by the verification suite rather than assumed.
     """
-    if not (0 <= r <= n):
+    n, r = _count("n", n), _count("r", r, 0)
+    if r > n:
         raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
     if r == 0 or r == n:
         return 1.0
@@ -514,8 +501,8 @@ def efron_stein_check(f: Estimator, model: GaussianModel, n: int, trials: int,
     Any other f has no such shortcut and is evaluated on X and on each of the
     n replaced stacks.
     """
-    _require_samples("efron_stein_check", n)
-    _require_draws("efron_stein_check", trials)
+    n = _count("n", n)
+    trials = _count("trials", trials, _MIN_DRAWS)
     rows = [(i, i + 1) for i in range(n)]
     fx = np.empty((trials, f.output_dim))
     gaps = np.zeros(trials)
@@ -538,12 +525,14 @@ def hcr_check(statistic: Estimator, mu0: float, h: float, n: int, trials: int,
     with (n, 1) rows: trial t's P dataset reads doubles [t·n, (t+1)·n) of
     ``rng``'s stream and its Q dataset [(T + t)·n, (T + t + 1)·n), T = trials.
     """
+    _require_finite("mu0", mu0)
+    _require_finite("h", h)
     if h == 0:
         raise ValueError("h must be nonzero")
     if statistic.output_dim != 1:
         raise ValueError("hcr_check takes a scalar statistic")
-    _require_samples("hcr_check", n)
-    _require_draws("hcr_check", trials)
+    n = _count("n", n)
+    trials = _count("trials", trials, _MIN_DRAWS)
     chi2 = chi2_gaussian_products(h, n)
     tp, tq = _scalar_statistic(statistic, n, trials, rng, (mu0,), (mu0, h))
 
@@ -569,8 +558,9 @@ def cramer_rao_check(statistic: Estimator, mu0: float, n: int, trials: int,
     ``_draw_chunks`` with (n, 1) rows: part j of trial t reads doubles
     [(j T + t)·n, (j T + t + 1)·n) of ``rng``'s stream, T = trials.
     """
-    _require_samples("cramer_rao_check", n)
-    _require_draws("cramer_rao_check", trials)
+    _require_finite("mu0", mu0)
+    n = _count("n", n)
+    trials = _count("trials", trials, _MIN_DRAWS)
     if statistic.output_dim != 1:
         raise ValueError("cramer_rao_check takes a scalar statistic")
     step = 0.5 / math.sqrt(n)
@@ -597,10 +587,10 @@ def uniform_spacing_check(n: int, i: int, trials: int, rng: RngStream) -> IneqCh
     Trial t's uniforms are doubles [t·n, (t+1)·n) of ``rng``'s stream
     (``_draw_chunks`` with (n,) rows).
     """
-    _require_samples("uniform_spacing_check", n)
-    if not (1 <= i <= n + 1):
+    n, i = _count("n", n), _count("i", i)
+    if i > n + 1:
         raise ValueError(f"need 1 <= i <= n + 1, got i={i}")
-    _require_draws("uniform_spacing_check", trials)
+    trials = _count("trials", trials, _MIN_DRAWS)
     d_i = np.empty(trials)
     for lo, hi, (u,) in _draw_chunks(rng, trials, (n,)):
         u.sort(axis=1)

@@ -16,7 +16,7 @@ import numpy as np
 from scipy import special
 
 from .adversaries import _layer_guard
-from .core import CorruptionBudget, _open_unit, _positive_n, _RowModel
+from .core import CorruptionBudget, _count, _open_unit, _RowModel
 from .estimators import Estimator, _LayerStack
 
 __all__ = [
@@ -36,7 +36,7 @@ _ENUM_GUARD_BITS = 20
 def beta_binomial_layer_law(n: int) -> np.ndarray:
     """Law of |X| under P ~ Unif[0,1], X ~ Bern(P)^{x n}, via the beta integral
     C(n,t) B(t+1, n-t+1). Every entry equals 1/(n+1)."""
-    n = _positive_n(n)
+    n = _count("n", n)
     t = np.arange(n + 1)
     log_choose = special.gammaln(n + 1) - special.gammaln(t + 1) - special.gammaln(n - t + 1)
     return np.exp(log_choose + special.betaln(t + 1, n - t + 1))
@@ -156,6 +156,7 @@ def bernoulli_expected_sensitivity(f: Estimator, n: int, p: float,
     fl(b - a) = -fl(a - b), so for finite f this equals the largest
     |f(y) - f(x)| over the ball bit for bit. Runtime grows with 2^n * n * k.
     """
+    n = _count("n", n)
     if f.output_dim != 1:
         raise ValueError("expected sensitivity takes a scalar estimator")
     if not (0.0 <= p <= 1.0):

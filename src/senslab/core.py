@@ -12,13 +12,16 @@ Everything else in the package is built on four values defined here:
   the identity; there is deliberately no field for it).
 
 Gaussian variates are produced by the inverse-CDF transform (``ndtri``) of
-uniforms drawn strictly inside (0, 1). The stream key, that transform and
-the Hamming count are each written once, here.
+uniforms drawn strictly inside (0, 1). The stream key, that transform,
+the Hamming count and the request rules every module checks its parameters
+with (a count, a finite scalar) are each written once, here.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -82,9 +85,34 @@ def standard_normal(gen: np.random.Generator, size) -> np.ndarray:
     return _normal_in_place(gen.random(size))
 
 
-def _check_finite(arr: np.ndarray) -> None:
+def _check_finite(arr: np.ndarray, what: str = "all sample entries") -> None:
     if not np.all(np.isfinite(arr)):
-        raise ValueError("all sample entries must be finite")
+        raise ValueError(f"{what} must be finite")
+
+
+def _count(name: str, value, fewest: int = 1) -> int:
+    """``value`` as an int, once it is an int, a numpy int or an integral float
+    of at least ``fewest``. Truncating a fraction (or NaN, or an infinity) would
+    size a sample or a loop for a count that a report still labels ``value``."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        integral = isinstance(value, numbers.Real) and float(value).is_integer()
+        count = int(value) if integral else None
+    if count is None or count < fewest:
+        raise ValueError(f"{name} must be an integer >= {fewest}, got {value!r}")
+    return count
+
+
+def _require_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _require_nonnegative(name: str, value: float) -> None:
+    _require_finite(name, value)
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
 @dataclass(frozen=True)
@@ -174,14 +202,6 @@ class Dataset:
         return Dataset(out)
 
 
-def _positive_n(n) -> int:
-    """``n`` as an int, once it is a positive integer; truncating it would
-    size the sample for rows that a report still labels n."""
-    if int(n) != n or int(n) < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    return int(n)
-
-
 def compute_k(eta: float, n: int) -> int:
     """Number of corruptible points k = floor(eta * n).
 
@@ -191,7 +211,7 @@ def compute_k(eta: float, n: int) -> int:
     """
     if not (0.0 < float(eta) < 1.0):
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
-    return math.floor(Fraction(float(eta)) * _positive_n(n))
+    return math.floor(Fraction(float(eta)) * _count("n", n))
 
 
 @dataclass(frozen=True)
@@ -258,7 +278,7 @@ class _RowModel:
     ``from_random`` that turns raw ``Generator.random`` draws into rows."""
 
     def sample(self, n: int, rng: RngStream) -> Dataset:
-        n = _positive_n(n)
+        n = _count("n", n)
         return Dataset(self.from_random(rng.generator().random((n, self.d))))
 
 

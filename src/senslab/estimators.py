@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Dataset, RngStream, standard_normal
+from .core import Dataset, RngStream, _check_finite, _count, standard_normal
 
 __all__ = [
     "ClipInterval",
@@ -122,7 +122,7 @@ def _mean_stack(stack: np.ndarray) -> np.ndarray:
 def mean_estimator(d: int = 1) -> Estimator:
     return Estimator(
         name="mean",
-        output_dim=d,
+        output_dim=_count("d", d),
         stack_fn=_mean_stack,
         linear_in_data=True,
     )
@@ -144,7 +144,7 @@ def _median_stack(stack: np.ndarray) -> np.ndarray:
 def median_estimator(d: int = 1) -> Estimator:
     return Estimator(
         name="median",
-        output_dim=d,
+        output_dim=_count("d", d),
         stack_fn=_median_stack,
     )
 
@@ -268,6 +268,8 @@ def project_scalar(
     """
     u = np.atleast_1d(np.asarray(u, dtype=np.float64))
     lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
+    _check_finite(u, "u")
+    _check_finite(lam, "lam")
     d = u.size
     if lam.size != d:
         raise ValueError(f"u and lam must have equal length, got {d} and {lam.size}")
@@ -279,8 +281,7 @@ def project_scalar(
         raise ValueError(f"estimator output_dim {f.output_dim} does not match direction dim {d}")
     if mc_inner is None:
         mc_inner = 1 if f.linear_in_data else 256
-    if mc_inner < 1:
-        raise ValueError("mc_inner must be a positive integer")
+    mc_inner = _count("mc_inner", mc_inner)
     if rng is None:
         rng = RngStream(seed=0, stream_id=_PROJECTION_STREAM_TAG)
     u = u.copy()
@@ -331,8 +332,7 @@ def project_scalar(
 
 def sample_unit_direction(d: int, rng: RngStream) -> np.ndarray:
     """Uniform random unit vector on the sphere S^{d-1}."""
-    if d < 1:
-        raise ValueError("d must be a positive integer")
+    d = _count("d", d)
     g = standard_normal(rng.generator(), d)
     return g / np.linalg.norm(g)
 
@@ -357,6 +357,7 @@ def build_estimator(name: str, *, d: int = 1, seed: int = 0) -> Estimator:
     sphere from a stream derived from ``seed`` (lam = 0), with <inner> Monte
     Carlo draws of the orthogonal noise.
     """
+    d = _count("d", d)
     if name == "mean":
         return mean_estimator(d)
     if name == "median":

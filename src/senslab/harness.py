@@ -57,8 +57,10 @@ from .core import (  # noqa: F401
     RngStream,
     _BELOW_ONE,
     _check_finite,
+    _count,
     _hamming_stack,
     _rekey,
+    _require_finite,
     standard_normal,
 )
 from .estimators import (Estimator, _median_stack, build_estimator, mean_estimator,
@@ -171,6 +173,8 @@ def _csv_cell(value) -> str:
 # Bytes per trial-stacked buffer of a chunk, and the most trials in one chunk.
 _CHUNK_BYTES = 1 << 19
 _CHUNK_TRIALS = 256
+# Fewest trials of an obstruction experiment: a stderr is std(ddof=1), NaN for one.
+_FEWEST_TRIALS = 2
 
 
 class _TrialStreams:
@@ -204,8 +208,7 @@ def _run_chunked(trials: int, seed: int, workers: int, trial_bytes: int,
     follows sees them in a fixed order.
     """
     RngStream(seed, 2 * trials - 1)  # the largest key: out-of-range seeds raise here
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    workers = _count("workers", workers)
     size = max(1, min(_CHUNK_TRIALS, _CHUNK_BYTES // trial_bytes))
     chunks = [(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
 
@@ -298,12 +301,6 @@ def _ball_pairs(job: _Job, streams: _TrialStreams, lo: int, hi: int):
         return clean, _layer_ball_stack(clean, job.est.stack_fn, job.budget.k)
     return clean, np.stack([hamming_ball_sup(job.est, Dataset(x), job.budget).corrupted.samples
                             for x in clean])
-
-
-def _require_trials(trials: int, fewest: int = 2) -> None:
-    # Two trials at least: a stderr is std(ddof=1), NaN for one value.
-    if trials < fewest:
-        raise ValueError(f"need trials >= {fewest}, got {trials}")
 
 
 def _run_pairs(job: _Job, pairs: Callable, trials: int, seed: int, workers: int = 1):
@@ -430,7 +427,7 @@ def _validate_combo(est: Estimator, adversary: str, model, budget: CorruptionBud
     if not spec.needs_delta and delta is not None:
         raise ValueError(f"{adversary} takes no delta, got delta={delta}")
     if delta is not None:
-        analysis._require_finite("delta", delta)
+        _require_finite("delta", delta)
     if spec.scalar_only and model.d != 1:
         raise ValueError(f"{adversary} requires scalar (d = 1) data")
     if spec.nonempty:
@@ -439,19 +436,20 @@ def _validate_combo(est: Estimator, adversary: str, model, budget: CorruptionBud
 
 
 def _es_request(estimator: Estimator | str, adversary: str, model, eta: float, n: int, q: int,
-                trials: int, seed: int, delta) -> tuple[Estimator, CorruptionBudget, _Adversary]:
-    """The estimator, budget and table entry of an ``estimate_es`` request,
-    once every check that needs no trial has passed."""
+                trials: int, seed: int,
+                delta) -> tuple[Estimator, CorruptionBudget, _Adversary, int]:
+    """The estimator, budget, table entry and trial count of an ``estimate_es``
+    request, once every check that needs no trial has passed."""
     if q not in (1, 2):
         raise ValueError(f"q must be 1 or 2, got {q}")
-    _require_trials(trials, 100)
+    trials = _count("trials", trials, 100)
     est = _resolve_estimator(estimator, model.d, seed)
     if isinstance(estimator, str) and est.output_dim != model.d:
         raise ValueError(
             f"{estimator} takes scalar clean data, but the model has d = {model.d}; to lift "
             f"to d, pass build_estimator({estimator!r}, d={model.d}) and GaussianModel([mu])")
     budget = CorruptionBudget.from_eta(eta, n)
-    return est, budget, _validate_combo(est, adversary, model, budget, delta)
+    return est, budget, _validate_combo(est, adversary, model, budget, delta), trials
 
 
 def estimate_es(
@@ -475,7 +473,8 @@ def estimate_es(
     trials contribute 0, which keeps the estimate a valid lower bound. The
     q-th-moment CI is mean +/- 1.96 stderr mapped through x -> x^{1/q}.
     """
-    est, budget, spec = _es_request(estimator, adversary, model, eta, n, q, trials, seed, delta)
+    est, budget, spec, trials = _es_request(estimator, adversary, model, eta, n, q, trials, seed,
+                                            delta)
     diff, feasible = _run_pairs(_Job(model, budget, est, delta), spec.step, trials, seed, workers)
     per_trial = _row_norms(diff)
     per_trial[~feasible] = 0.0
@@ -568,9 +567,10 @@ def scaling_sweep(
         raise ValueError("sweep grid needs at least 4 points")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError("sweep grid must be strictly increasing")
-    if any(v != int(v) for v in (n, d) + (values if variable != "eta" else ())):
-        raise ValueError(f"n, d and their sweep values must be integers, got n={n}, d={d}, "
-                         f"{variable}={values}")
+    n, d = _count("n", n), _count("d", d)
+    if variable != "eta":
+        for v in values:
+            _count(variable, v)
 
     mu = np.atleast_1d(mu)
     points = []
@@ -665,7 +665,7 @@ def mean_obstruction_low(
     reported alongside. Requires the low-corruption regime k <= sqrt(n)
     (violations warn rather than fail).
     """
-    _require_trials(trials)
+    trials = _count("trials", trials, _FEWEST_TRIALS)
     job = _scalar_job(h, "mean_obstruction_low", eta, n, seed, prior, delta)
     k = job.budget.k
     chi2_budget = analysis.chi2_localshift_bound(k, n, delta)  # checks delta before any trial
@@ -724,7 +724,7 @@ def coupling_obstruction_high(
     two parameters, and the endpoint-average argument guarantees the measured
     value is at least eta/3 minus the infeasibility rate (``proof_floor``).
     """
-    _require_trials(trials)
+    trials = _count("trials", trials, _FEWEST_TRIALS)
     if not (0.0 < eta <= 0.1):
         raise ValueError(f"coupling obstruction requires eta in (0, 1/10], got {eta}")
     job = _scalar_job(h, "coupling_obstruction_high", eta, n, seed,
@@ -788,7 +788,7 @@ def variance_obstruction(
     """
     if not isinstance(model, GaussianModel):
         raise ValueError("variance_obstruction requires a GaussianModel")
-    _require_trials(trials)
+    trials = _count("trials", trials, _FEWEST_TRIALS)
     est = _resolve_estimator(f, model.d, seed)
     budget = CorruptionBudget.from_eta(eta, n)
     budget.require_nonempty()
@@ -916,9 +916,7 @@ def verify_suite(
     a given (trials_scale, seed). ``extra_checks`` lets the
     self-test inject a deliberately failing row.
     """
-    t_mc = int(trials_scale)
-    if t_mc < analysis._MIN_DRAWS:
-        raise ValueError(f"trials_scale must be at least {analysis._MIN_DRAWS}, got {t_mc}")
+    t_mc = _count("trials_scale", trials_scale, analysis._MIN_DRAWS)
     rows: list[VerifyRow] = []
     counter = 0
 

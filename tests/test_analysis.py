@@ -345,7 +345,8 @@ class TestTooFewDraws:
     @pytest.mark.parametrize("name", sorted(CHECKERS))
     @pytest.mark.parametrize("draws", [0, 1, 999])
     def test_rejects_fewer_than_1000(self, name, draws):
-        with pytest.raises(ValueError, match=rf"^{name} needs at least 1000 draws, got {draws}$"):
+        param = "draws" if name.startswith("chi2_") else "trials"
+        with pytest.raises(ValueError, match=rf"^{param} must be an integer >= 1000, got {draws}$"):
             self.CHECKERS[name](draws)
 
 
@@ -366,7 +367,7 @@ class TestTooFewSamples:
     @pytest.mark.parametrize("name", sorted(CHECKERS))
     @pytest.mark.parametrize("n", [0, -3])
     def test_rejects_n_below_1(self, name, n):
-        with pytest.raises(ValueError, match=rf"^{name} needs n >= 1 samples per dataset, got n={n}$"):
+        with pytest.raises(ValueError, match=rf"^n must be an integer >= 1, got {n}$"):
             self.CHECKERS[name](n)
 
 
@@ -383,7 +384,7 @@ class TestClosedFormsRejectNBelow1:
     @pytest.mark.parametrize("name", sorted(FORMS))
     @pytest.mark.parametrize("n", [0, -1, -3])
     def test_rejects_n_below_1(self, name, n):
-        with pytest.raises(ValueError, match=rf"^{name} needs n >= 1 samples per dataset, got n={n}$"):
+        with pytest.raises(ValueError, match=rf"^n must be an integer >= 1, got {n}$"):
             self.FORMS[name](n)
 
     @pytest.mark.parametrize("name", sorted(FORMS))

@@ -114,7 +114,7 @@ class TestSensitivityCommand:
     def test_worker_count_below_one_is_an_error(self, capsys, workers):
         code = main(["sensitivity", "--n", "50", "--trials", "100", "--workers", workers])
         assert code == 2
-        assert capsys.readouterr() == ("", f"error: workers must be at least 1, got {workers}\n")
+        assert capsys.readouterr() == ("", f"error: workers must be an integer >= 1, got {workers}\n")
 
 
 class TestScalingCommand:
@@ -165,7 +165,7 @@ class TestVerifyCommand:
         code = main(["verify", "--trials-scale", "1"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert captured.err == "error: trials_scale must be at least 1000, got 1\n"
+        assert captured.err == "error: trials_scale must be an integer >= 1000, got 1\n"
 
     def test_failing_row_gives_nonzero_exit(self, capsys, monkeypatch):
         import senslab.cli as cli_mod

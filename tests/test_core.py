@@ -41,10 +41,11 @@ class TestComputeK:
     def test_rejects_non_integral_n(self, n):
         # Truncating n would size the budget and the sample for rows that a
         # report still labels n.
-        with pytest.raises(ValueError, match="positive integer"):
+        message = rf"^n must be an integer >= 1, got {n}$"
+        with pytest.raises(ValueError, match=message):
             compute_k(0.1, n)
         for model in (GaussianModel(np.zeros(1)), BernoulliModel(0.5)):
-            with pytest.raises(ValueError, match="positive integer"):
+            with pytest.raises(ValueError, match=message):
                 model.sample(n, RngStream(0, 0))
 
     @given(eta=st.floats(min_value=1e-9, max_value=1 - 1e-9, allow_nan=False),

@@ -164,7 +164,7 @@ class TestEstimateEs:
     @pytest.mark.parametrize("workers", [0, -1])
     @pytest.mark.parametrize("adversary", ["resample", "median-exact"])
     def test_rejects_workers_below_one(self, adversary, workers):
-        with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+        with pytest.raises(ValueError, match=rf"^workers must be an integer >= 1, got {workers}$"):
             estimate_es("median", adversary, gauss(1), eta=0.1, n=51, trials=100, seed=0,
                         workers=workers)
 
@@ -173,7 +173,7 @@ class TestEstimateEs:
             estimate_es("mean", "poisoning", gauss(1), eta=0.1, n=50, trials=100, seed=0)
 
     def test_rejects_non_integral_n(self):
-        with pytest.raises(ValueError, match="positive integer"):
+        with pytest.raises(ValueError, match=r"^n must be an integer >= 1, got 400\.7$"):
             estimate_es("mean", "resample", gauss(1), eta=0.1, n=400.7, trials=100, seed=0)
 
     def test_csv_row_has_fixed_column_order(self):
@@ -268,7 +268,7 @@ class TestScalingSweep:
                           values=(1, 2, 3, 4), n=100, trials=100, seed=0)
 
     def test_rejects_workers_below_one(self):
-        with pytest.raises(ValueError, match="workers must be at least 1, got 0"):
+        with pytest.raises(ValueError, match=r"^workers must be an integer >= 1, got 0$"):
             scaling_sweep("mean", "resample", variable="eta", values=(0.1, 0.2, 0.3, 0.4),
                           n=100, trials=100, seed=0, workers=0)
 
@@ -289,7 +289,7 @@ class TestScalingSweep:
     ])
     def test_rejects_non_integral_sizes(self, variable, values, sizes):
         # Truncated sizes would be fitted against the untruncated log values.
-        with pytest.raises(ValueError, match="must be integers"):
+        with pytest.raises(ValueError, match=r"^[nd] must be an integer >= 1, got \d+\.5$"):
             scaling_sweep("mean", "resample", variable=variable, values=values, n=100,
                           trials=100, seed=0, **sizes)
 
@@ -406,7 +406,7 @@ class TestVerifySuite:
 
     @pytest.mark.parametrize("scale", [1, 999])
     def test_rejects_a_scale_below_1000(self, scale):
-        with pytest.raises(ValueError, match=rf"^trials_scale must be at least 1000, got {scale}$"):
+        with pytest.raises(ValueError, match=rf"^trials_scale must be an integer >= 1000, got {scale}$"):
             verify_suite(trials_scale=scale, seed=0)
 
     def test_reproducible_table(self):

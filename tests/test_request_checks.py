@@ -1,23 +1,44 @@
 """A bad request fails before its first draw.
 
-Each test patches the step that would draw (``harness._run_pairs`` or
-``harness._clean_stack``) to fail, so a check that only fires inside a chunk,
-or after an earlier point of a sweep has run, fails the test.
+Each test patches the step that would draw (``harness._run_pairs``,
+``harness._clean_stack``, the trial streams or every ``RngStream``'s
+generator) to fail, so a check that only fires inside a chunk, or after an
+earlier point of a sweep has run, fails the test.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from senslab import (
+    BernoulliModel,
+    CorruptionBudget,
+    Dataset,
     GaussianModel,
+    RngStream,
     analysis,
+    bernoulli_expected_sensitivity,
+    beta_binomial_layer_law,
+    block_layout,
     build_estimator,
+    compute_k,
+    couple_gaussian_pair,
+    coupling_obstruction_high,
     estimate_es,
     harness,
+    local_shift_adversary,
+    mean_estimator,
     mean_obstruction_low,
+    median_estimator,
+    plugin_estimator,
+    project_scalar,
+    sample_unit_direction,
     scaling_sweep,
+    tv_coupling_adversary,
+    variance_obstruction,
+    verify_suite,
 )
 
 
@@ -136,3 +157,167 @@ def test_nonfinite_delta_is_rejected_before_the_first_trial(monkeypatch, delta):
                     seed=1, delta=delta)
     with pytest.raises(ValueError, match=message):
         mean_obstruction_low("clipped-mean", eta=0.05, delta=delta, n=400, trials=20_000)
+
+
+# --- every count parameter passes the one count rule before any draw ---
+
+class NoDrawGenerator:
+    """A generator whose first use fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError("a draw was made before the parameters were checked")
+
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    monkeypatch.setattr(RngStream, "generator", lambda self: NoDrawGenerator())
+    monkeypatch.setattr(harness, "_TrialStreams", no_trials)
+
+
+S = RngStream(0, 0)
+MEAN1 = mean_estimator(1)
+PLUGIN = plugin_estimator()
+G1 = GaussianModel([0.0])
+
+
+def _grid(v, grid=(1000.0, 2000.0, 4000.0)):
+    # A strictly increasing grid holding v, so the grid check passes on to v.
+    return [v, *grid] if v < grid[0] else [*grid, v]
+
+
+# name -> (call on the value, the parameter's name, its floor)
+COUNTS = {
+    # core and bernoulli
+    "compute_k/n": (lambda v: compute_k(0.1, v), "n", 1),
+    "GaussianModel.sample/n": (lambda v: G1.sample(v, S), "n", 1),
+    "BernoulliModel.sample/n": (lambda v: BernoulliModel(0.5).sample(v, S), "n", 1),
+    "beta_binomial_layer_law/n": (lambda v: beta_binomial_layer_law(v), "n", 1),
+    "bernoulli_expected_sensitivity/n": (
+        lambda v: bernoulli_expected_sensitivity(PLUGIN, v, 0.5, CorruptionBudget.from_eta(0.1, 10)),
+        "n", 1),
+    # adversaries
+    "block_layout/n": (lambda v: block_layout(v, 2), "n", 1),
+    "block_layout/k": (lambda v: block_layout(10, v), "k", 1),
+    "couple_gaussian_pair/n": (lambda v: couple_gaussian_pair(NoDrawGenerator(), 0.0, 0.1, v),
+                               "n", 1),
+    # estimators
+    "mean_estimator/d": (lambda v: mean_estimator(v), "d", 1),
+    "median_estimator/d": (lambda v: median_estimator(v), "d", 1),
+    "build_estimator/d": (lambda v: build_estimator("projected:16", d=v), "d", 1),
+    "project_scalar/mc_inner": (lambda v: project_scalar(MEAN1, [1.0], [0.0], mc_inner=v),
+                                "mc_inner", 1),
+    "sample_unit_direction/d": (lambda v: sample_unit_direction(v, S), "d", 1),
+    # analysis
+    "chi2_gaussian_products/n": (lambda v: analysis.chi2_gaussian_products(0.1, v), "n", 1),
+    "chi2_localshift_bound/k": (lambda v: analysis.chi2_localshift_bound(v, 100, 0.5), "k", 1),
+    "chi2_localshift_bound/n": (lambda v: analysis.chi2_localshift_bound(5, v, 0.5), "n", 1),
+    "chi2_products_mc/n": (lambda v: analysis.chi2_products_mc(0.1, v, 1000, S), "n", 1),
+    "chi2_products_mc/draws": (lambda v: analysis.chi2_products_mc(0.1, 10, v, S), "draws", 1000),
+    "chi2_localshift_mc/k": (lambda v: analysis.chi2_localshift_mc(v, 50, 0.5, 1000, S), "k", 1),
+    "chi2_localshift_mc/n": (lambda v: analysis.chi2_localshift_mc(3, v, 0.5, 1000, S), "n", 1),
+    "chi2_localshift_mc/draws": (lambda v: analysis.chi2_localshift_mc(3, 50, 0.5, v, S),
+                                 "draws", 1000),
+    "gaussian_lr_identity_check/trials": (
+        lambda v: analysis.gaussian_lr_identity_check([1.0], [1.0], v, S), "trials", 10_000),
+    "hypergeom_mgf_check/n": (lambda v: analysis.hypergeom_mgf_check(v, 1, 1.0, 1000, S), "n", 1),
+    "hypergeom_mgf_check/k": (lambda v: analysis.hypergeom_mgf_check(100, v, 1.0, 1000, S), "k", 1),
+    "hypergeom_mgf_check/trials": (lambda v: analysis.hypergeom_mgf_check(100, 10, 1.0, v, S),
+                                   "trials", 1000),
+    "chernoff_tail_bound/n": (lambda v: analysis.chernoff_tail_bound(v, 0.5, 1.0), "n", 1),
+    "binomial_tail/n": (lambda v: analysis.binomial_tail(v, 0.5, 1), "n", 1),
+    "binomial_point_mass/n": (lambda v: analysis.binomial_point_mass(v, 0), "n", 1),
+    "binomial_point_mass/r": (lambda v: analysis.binomial_point_mass(10, v), "r", 0),
+    "efron_stein_check/n": (lambda v: analysis.efron_stein_check(MEAN1, G1, v, 1000, S), "n", 1),
+    "efron_stein_check/trials": (lambda v: analysis.efron_stein_check(MEAN1, G1, 5, v, S),
+                                 "trials", 1000),
+    "hcr_check/n": (lambda v: analysis.hcr_check(MEAN1, 0.0, 0.2, v, 1000, S), "n", 1),
+    "hcr_check/trials": (lambda v: analysis.hcr_check(MEAN1, 0.0, 0.2, 25, v, S), "trials", 1000),
+    "cramer_rao_check/n": (lambda v: analysis.cramer_rao_check(MEAN1, 0.0, v, 1000, S), "n", 1),
+    "cramer_rao_check/trials": (lambda v: analysis.cramer_rao_check(MEAN1, 0.0, 25, v, S),
+                                "trials", 1000),
+    "uniform_spacing_check/n": (lambda v: analysis.uniform_spacing_check(v, 1, 1000, S), "n", 1),
+    "uniform_spacing_check/i": (lambda v: analysis.uniform_spacing_check(9, v, 1000, S), "i", 1),
+    "uniform_spacing_check/trials": (lambda v: analysis.uniform_spacing_check(9, 5, v, S),
+                                     "trials", 1000),
+    # harness
+    "estimate_es/trials": (lambda v: estimate_es("mean", "resample", G1, eta=0.1, n=50, trials=v),
+                           "trials", 100),
+    "estimate_es/workers": (lambda v: estimate_es("mean", "resample", G1, eta=0.1, n=50,
+                                                  trials=100, workers=v), "workers", 1),
+    "mean_obstruction_low/trials": (
+        lambda v: mean_obstruction_low("clipped-mean", eta=0.05, delta=0.5, n=400, trials=v),
+        "trials", 2),
+    "coupling_obstruction_high/trials": (
+        lambda v: coupling_obstruction_high("clipped-mean", eta=0.1, n=500, trials=v), "trials", 2),
+    "variance_obstruction/trials": (
+        lambda v: variance_obstruction("mean", G1, eta=0.1, n=50, trials=v), "trials", 2),
+    "scaling_sweep/n": (lambda v: scaling_sweep("mean", "resample", variable="eta",
+                                                values=[0.1, 0.2, 0.3, 0.4], n=v), "n", 1),
+    "scaling_sweep/d": (lambda v: scaling_sweep("mean", "resample", variable="eta",
+                                                values=[0.1, 0.2, 0.3, 0.4], d=v), "d", 1),
+    "scaling_sweep/n-grid": (lambda v: scaling_sweep("mean", "resample", variable="n",
+                                                     values=_grid(v)), "n", 1),
+    "scaling_sweep/d-grid": (lambda v: scaling_sweep("mean", "resample", variable="d",
+                                                     values=_grid(v)), "d", 1),
+    "verify_suite/trials_scale": (lambda v: verify_suite(trials_scale=v), "trials_scale", 1000),
+}
+# The sweep reads its grid as floats, so a grid value shows as one.
+GRIDS = {"scaling_sweep/n-grid", "scaling_sweep/d-grid"}
+
+
+@pytest.mark.parametrize("kind", ["fraction", "nan", "inf", "below"])
+@pytest.mark.parametrize("name", sorted(COUNTS))
+def test_count_parameter_is_rejected_before_any_draw(no_draws, name, kind):
+    call, param, fewest = COUNTS[name]
+    value = {"fraction": 2.5, "nan": math.nan, "inf": math.inf, "below": fewest - 1}[kind]
+    shown = repr(float(value) if name in GRIDS else value)
+    with pytest.raises(ValueError, match=rf"^{param} must be an integer >= {fewest}, "
+                                         rf"got {re.escape(shown)}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("t", [2.5, math.nan, math.inf])
+def test_binomial_tail_t_is_a_count(t):
+    # t <= 0 is answered (P(X >= t) = 1) before t is counted.
+    with pytest.raises(ValueError, match=rf"^t must be an integer >= 1, got {t!r}$"):
+        analysis.binomial_tail(10, 0.5, t)
+
+
+def test_integral_floats_and_numpy_ints_are_counts():
+    # A count given as 150.0 or np.int64(150) runs, and the report holds the int.
+    want = estimate_es("mean", "resample", G1, eta=0.1, n=50, trials=150, seed=4)
+    for trials, n in ((150.0, 50.0), (np.int64(150), np.int64(50))):
+        report = estimate_es("mean", "resample", G1, eta=0.1, n=n, trials=trials, seed=4)
+        assert type(report.trials) is int and type(report.n) is int
+        assert report.to_json(include_trials=True) == want.to_json(include_trials=True)
+
+
+# --- every finite parameter is rejected as NaN or infinite before any draw ---
+
+FINITE = {
+    "hcr_check/mu0": (lambda v: analysis.hcr_check(MEAN1, v, 0.2, 25, 1000, S), "mu0"),
+    "hcr_check/h": (lambda v: analysis.hcr_check(MEAN1, 0.0, v, 25, 1000, S), "h"),
+    "cramer_rao_check/mu0": (lambda v: analysis.cramer_rao_check(MEAN1, v, 25, 1000, S), "mu0"),
+    "local_shift_adversary/delta": (
+        lambda v: local_shift_adversary(Dataset(np.zeros(20)), CorruptionBudget.from_eta(0.1, 20),
+                                        v, S), "delta"),
+    "couple_gaussian_pair/mu": (lambda v: couple_gaussian_pair(NoDrawGenerator(), v, 0.1, 10),
+                                "mu"),
+    "tv_coupling_adversary/mu": (lambda v: tv_coupling_adversary(v, 0.1, 10, S), "mu"),
+}
+
+
+@pytest.mark.parametrize("value", NONFINITE)
+@pytest.mark.parametrize("name", sorted(FINITE))
+def test_finite_parameter_is_rejected_before_any_draw(no_draws, name, value):
+    call, param = FINITE[name]
+    with pytest.raises(ValueError, match=rf"^{param} must be finite, got {value}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("value", NONFINITE)
+def test_projection_direction_and_offset_must_be_finite(value):
+    with pytest.raises(ValueError, match=r"^u must be finite$"):
+        project_scalar(mean_estimator(2), [value, 0.0], [0.0, 0.0])
+    with pytest.raises(ValueError, match=r"^lam must be finite$"):
+        project_scalar(mean_estimator(2), [1.0, 0.0], [0.0, value])

@@ -7,6 +7,7 @@ set of those places must be the rule's one home.
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -49,18 +50,48 @@ def _projected_prefix(node) -> bool:
             and isinstance(node.args[0], ast.Constant) and node.args[0].value == "projected:")
 
 
+def _message(node) -> str:
+    """The literal text of a raised exception's first argument, each
+    formatted field read as ``{}``; "" for any other node."""
+    if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args):
+        return ""
+    arg = node.exc.args[0]
+    parts = arg.values if isinstance(arg, ast.JoinedStr) else [arg]
+    return "".join(p.value if isinstance(p, ast.Constant) else "{}" for p in parts
+                   if isinstance(p, (ast.Constant, ast.FormattedValue)))
+
+
+# The count rule's message, and the spellings it replaced.
+_COUNT_MESSAGE = re.compile(r"an integer >=|needs at least \{|samples per dataset|need trials >="
+                            r"|must be at least|positive integer|must be integers")
+
+
+def _count_rule(node) -> bool:
+    return bool(_COUNT_MESSAGE.search(_message(node)))
+
+
+def _scalar_finite(node) -> bool:
+    return (_called(node, "isfinite") and isinstance(node.func, ast.Attribute)
+            and getattr(node.func.value, "id", None) == "math")
+
+
+def _replaced_helper(node) -> bool:
+    return isinstance(node, ast.FunctionDef) and node.name in {
+        "_positive_n", "_require_samples", "_require_draws", "_require_trials"}
+
+
 def _places(match) -> set[str]:
     """``module.qualname`` of each place in the package where ``match`` holds."""
     found = set()
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, scope + [child.name])
-                continue
             if match(child):
                 found.add(".".join(scope))
-            visit(child, scope)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+            else:
+                visit(child, scope)
 
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), [path.stem])
@@ -74,6 +105,9 @@ RULES = {
     "stream-key": (_philox_key, set()),
     "print": (_print, {"cli.main"}),
     "projected-prefix": (_projected_prefix, {"estimators.build_estimator"}),
+    "count": (_count_rule, {"core._count"}),
+    "scalar-finite": (_scalar_finite, {"core._require_finite"}),
+    "replaced-count-helpers": (_replaced_helper, set()),
 }
 
 

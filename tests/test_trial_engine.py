@@ -406,7 +406,7 @@ def test_variance_report_pins(name):
 ], ids=["mean-low", "coupling-high", "variance"])
 def test_obstructions_need_two_trials(run):
     for trials in (-1, 0, 1):
-        with pytest.raises(ValueError, match=rf"^need trials >= 2, got {trials}$"):
+        with pytest.raises(ValueError, match=rf"^trials must be an integer >= 2, got {trials}$"):
             run(trials)
     assert run(2).trials == 2
 
@@ -418,7 +418,7 @@ REJECTIONS = {
                           ValueError, r"unknown adversary 'nope'; known: resample, "),
     "q": (("mean", "resample", gauss(1)), {"q": 3}, ValueError, r"q must be 1 or 2"),
     "trials": (("mean", "resample", gauss(1)), {"trials": 99}, ValueError,
-               r"need trials >= 100"),
+               r"trials must be an integer >= 100, got 99"),
     "local-shift/no-delta": (("mean", "local-shift", gauss(1)), {}, ValueError,
                              r"local-shift requires delta"),
     "local-shift/d2": (("mean", "local-shift", gauss(2)), {"delta": 0.5}, ValueError,
