@@ -43,9 +43,8 @@ import numpy as np
 from scipy import special
 
 # standard_normal is not called here: bench/tracing.py wraps this module's binding.
-from .core import (  # noqa: F401
-    GaussianModel, RngStream, _count, _normal_in_place, _require_finite, _require_nonnegative,
-    standard_normal)
+from .core import (GaussianModel, RngStream, _count, _normal_in_place,  # noqa: F401
+                   _require_finite, _require_nonnegative, standard_normal)
 from .estimators import Estimator, _median_index, _median_stack
 
 __all__ = [
@@ -301,8 +300,7 @@ def gaussian_lr_identity_check(a, b, trials: int, rng: RngStream) -> IneqCheckRe
         raise ValueError("a and b must have equal length")
     lr = np.empty(trials)
     for lo, hi, (g,) in _draw_chunks(rng, trials, (a.size,)):
-        # Per row, not one BLAS product over the stack, whose path can move
-        # the last bit with the stack size.
+        # Per row: a BLAS product over the stack can move a last bit with its size.
         lr[lo:hi] = np.einsum("ij,j->i", _shifted_normals(g), a + b)
     lr -= 0.5 * (a @ a + b @ b)
     lhs, se = _mean_se(np.exp(lr, out=lr))
@@ -388,9 +386,10 @@ def binomial_point_mass(n: int, r: int) -> float:
         raise ValueError(f"need 0 <= r <= n, got r={r}, n={n}")
     if r == 0 or r == n:
         return 1.0
+    p = r / n
     log_pmf = (_gammaln_int(n + 1) - _gammaln_int(r + 1) - _gammaln_int(n - r + 1)
-               + r * math.log(r / n) + (n - r) * math.log1p(-r / n))
-    return float(math.exp(log_pmf))
+               + r * math.log(p) + (n - r) * math.log1p(-p))
+    return math.exp(log_pmf)
 
 
 @functools.lru_cache(maxsize=1024)

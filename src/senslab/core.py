@@ -12,9 +12,9 @@ Everything else in the package is built on four values defined here:
   the identity; there is deliberately no field for it).
 
 Gaussian variates are produced by the inverse-CDF transform (``ndtri``) of
-uniforms drawn strictly inside (0, 1). The stream key, that transform,
-the Hamming count and the request rules every module checks its parameters
-with (a count, a finite scalar) are each written once, here.
+uniforms drawn strictly inside (0, 1). The stream key, that transform, the
+Hamming count, and the count and finite-scalar rules every module checks its
+parameters with are each written once, here.
 """
 
 from __future__ import annotations
@@ -91,9 +91,8 @@ def _check_finite(arr: np.ndarray, what: str = "all sample entries") -> None:
 
 
 def _count(name: str, value, fewest: int = 1) -> int:
-    """``value`` as an int, once it is an int, a numpy int or an integral float
-    of at least ``fewest``. Truncating a fraction (or NaN, or an infinity) would
-    size a sample or a loop for a count that a report still labels ``value``."""
+    """``value`` as an int, once it is an int, numpy int or integral float >= ``fewest``.
+    A truncated fraction would size a sample or loop that a report labels ``value``."""
     try:
         count = operator.index(value)
     except TypeError:

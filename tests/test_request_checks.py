@@ -193,8 +193,8 @@ COUNTS = {
     "BernoulliModel.sample/n": (lambda v: BernoulliModel(0.5).sample(v, S), "n", 1),
     "beta_binomial_layer_law/n": (lambda v: beta_binomial_layer_law(v), "n", 1),
     "bernoulli_expected_sensitivity/n": (
-        lambda v: bernoulli_expected_sensitivity(PLUGIN, v, 0.5, CorruptionBudget.from_eta(0.1, 10)),
-        "n", 1),
+        lambda v: bernoulli_expected_sensitivity(PLUGIN, v, 0.5,
+                                                 CorruptionBudget.from_eta(0.1, 10)), "n", 1),
     # adversaries
     "block_layout/n": (lambda v: block_layout(v, 2), "n", 1),
     "block_layout/k": (lambda v: block_layout(10, v), "k", 1),
@@ -220,7 +220,8 @@ COUNTS = {
     "gaussian_lr_identity_check/trials": (
         lambda v: analysis.gaussian_lr_identity_check([1.0], [1.0], v, S), "trials", 10_000),
     "hypergeom_mgf_check/n": (lambda v: analysis.hypergeom_mgf_check(v, 1, 1.0, 1000, S), "n", 1),
-    "hypergeom_mgf_check/k": (lambda v: analysis.hypergeom_mgf_check(100, v, 1.0, 1000, S), "k", 1),
+    "hypergeom_mgf_check/k": (lambda v: analysis.hypergeom_mgf_check(100, v, 1.0, 1000, S),
+                              "k", 1),
     "hypergeom_mgf_check/trials": (lambda v: analysis.hypergeom_mgf_check(100, 10, 1.0, v, S),
                                    "trials", 1000),
     "chernoff_tail_bound/n": (lambda v: analysis.chernoff_tail_bound(v, 0.5, 1.0), "n", 1),
@@ -248,7 +249,8 @@ COUNTS = {
         lambda v: mean_obstruction_low("clipped-mean", eta=0.05, delta=0.5, n=400, trials=v),
         "trials", 2),
     "coupling_obstruction_high/trials": (
-        lambda v: coupling_obstruction_high("clipped-mean", eta=0.1, n=500, trials=v), "trials", 2),
+        lambda v: coupling_obstruction_high("clipped-mean", eta=0.1, n=500, trials=v),
+        "trials", 2),
     "variance_obstruction/trials": (
         lambda v: variance_obstruction("mean", G1, eta=0.1, n=50, trials=v), "trials", 2),
     "scaling_sweep/n": (lambda v: scaling_sweep("mean", "resample", variable="eta",
