@@ -50,7 +50,7 @@ from .core import (
     standard_normal,
     uniform_open,
 )
-from .estimators import Estimator, _LayerStack
+from .estimators import Estimator, _LayerStack, _require_binary
 
 __all__ = [
     "AdversaryOutcome",
@@ -65,13 +65,6 @@ __all__ = [
 ]
 
 _BALL_GUARD = 10 ** 6
-# Bounds the memory of the layer path's (n + 1)-entry tables, its only guard,
-# at nine tables of 8-byte entries: at n = 10^5 (k = 1, 3000, 50000) the
-# expected sensitivity peaked at 66 bytes per layer and a one-trial ball at
-# 52 (tracemalloc). Its work is O(n log k) for the expected sensitivity and
-# O(n + T k) for a chunk of T trials of the ball.
-_LAYER_BYTES = 1 << 27
-_LAYER_TABLES = 9
 # Ball points per f.on_stack call in hamming_ball_sup.
 _BALL_CHUNK = 8192
 # Proposals per residual round, and in total per call, of couple_gaussian_pair.
@@ -347,13 +340,6 @@ def _flip_masks(n: int, k: int) -> np.ndarray:
     return masks
 
 
-def _layer_guard(n: int) -> None:
-    need = _LAYER_TABLES * 8 * (n + 1)
-    if need > _LAYER_BYTES:
-        raise ValueError(f"layer guard: the layer tables for n={n} take {need} bytes, "
-                         f"over {_LAYER_BYTES}")
-
-
 def _layer_ball(f: Estimator, n: int, k: int) -> bool:
     """Whether the radius-k ball of f on n bits takes the layer path.
 
@@ -381,7 +367,7 @@ def _layer_ball_stack(clean: np.ndarray, layers: _LayerStack, k: int) -> np.ndar
     distinct layers only, O(T k) work.
     """
     n = clean.shape[1]
-    _layer_guard(n)
+    g = layers.table(n)
     corrupted = clean.copy()
     k = min(k, n)
     if k == 0:
@@ -391,7 +377,6 @@ def _layer_ball_stack(clean: np.ndarray, layers: _LayerStack, k: int) -> np.ndar
     layer, trial_layer = np.unique(n - np.count_nonzero(zero, axis=1), return_inverse=True)
     # |g(t +- s) - g(t)| for s = 1 .. k, the rounded subtraction the
     # enumeration makes; -1.0 where t +- s is off [0, n].
-    g = layers.table(n)
     here = g[layer][:, None]
     ups, downs = layer[:, None] + np.arange(1, k + 1), layer[:, None] - np.arange(1, k + 1)
     gap_up = np.where(ups <= n, np.abs(g[np.minimum(ups, n)] - here), -1.0)
@@ -434,8 +419,7 @@ def hamming_ball_sup(f: Estimator, x: Dataset, budget: CorruptionBudget) -> Adve
     """
     _check_budget(x, budget, scalar="hamming_ball_sup")
     bits = x.samples[:, 0]
-    if not np.all((bits == 0.0) | (bits == 1.0)):
-        raise ValueError("hamming ball enumeration requires entries in {0, 1}")
+    _require_binary(bits, "hamming ball enumeration")
     n, k = x.n, budget.k
     if _layer_ball(f, n, k):
         corrupted = Dataset(_layer_ball_stack(x.samples[None], f.stack_fn, k)[0])

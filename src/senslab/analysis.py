@@ -45,7 +45,7 @@ from scipy import special
 # standard_normal is not called here: bench/tracing.py wraps this module's binding.
 from .core import (GaussianModel, RngStream, _count, _normal_in_place,  # noqa: F401
                    _require_finite, _require_nonnegative, standard_normal)
-from .estimators import Estimator, _median_index, _median_stack
+from .estimators import Estimator, _median_index, _median_stack, _require_scalar
 
 __all__ = [
     "IneqCheckResult",
@@ -75,6 +75,8 @@ _MC_SIGMAS = 4.0
 _MIN_DRAWS = 1000
 # Bytes per chunk of each block a checker draws through _draw_chunks.
 _ES_CHUNK_BYTES = 1 << 21
+# Largest exact relative stderr chi2_products_mc admits.
+_CHI2_MC_REL_SE = 0.5
 
 
 @dataclass(frozen=True)
@@ -224,13 +226,26 @@ def chi2_products_mc(delta: float, n: int, draws: int, rng: RngStream) -> tuple[
 
     S/sqrt(n) of draw t is double t of ``rng``'s stream (``_draw_chunks``
     with scalar rows).
+
+    With s = n delta^2 and x = e^s, the estimate's exact relative stderr is
+    sqrt(Q(x) / draws), Q(x) = x^4 + 2x^3 + 3x^2 - 4, since E_P[(LR - 1)^4]
+    = x^6 - 4x^3 + 6x - 3. A request where it exceeds 1/2 is rejected before
+    any draw: there the rare draws that carry the mean are almost never
+    seen, so the estimate and its sample stderr are both far too small
+    (s = 100 at 1e4 draws gave 0.99999999915 +- 5.5e-10 against e^100 - 1).
+    Q is formed in log space, so the rule holds at any finite delta.
     """
     n = _count("n", n)
     _require_finite("delta", delta)
     draws = _count("draws", draws, _MIN_DRAWS)
+    s = n * (float(delta) * float(delta))
+    log_q = 4 * s + math.log1p(2 * math.exp(-s) + 3 * math.exp(-2 * s) - 4 * math.exp(-4 * s))
+    if log_q - math.log(draws) > 2 * math.log(_CHI2_MC_REL_SE):
+        raise ValueError(f"n * delta^2 = {s:.3g} is out of reach at {draws} draws: the "
+                         f"estimate's relative stderr exceeds {_CHI2_MC_REL_SE}")
     values = np.empty(draws)
     for lo, hi, (z,) in _draw_chunks(rng, draws, ()):
-        # log LR = s x - s^2/2 <= x^2/2 (s = delta sqrt n), at most 34.4 for
+        # log LR = a x - a^2/2 <= x^2/2 (a = delta sqrt n), at most 34.4 for
         # |x| <= -ndtri(2^-54) = 8.3: expm1 cannot overflow at any n or delta.
         log_lr = delta * (math.sqrt(n) * _shifted_normals(z)) - 0.5 * n * delta * delta
         values[lo:hi] = np.expm1(log_lr) ** 2
@@ -515,6 +530,16 @@ def efron_stein_check(f: Estimator, model: GaussianModel, n: int, trials: int,
     return _mc_verdict(lhs, rhs, math.hypot(se_lhs, se_rhs), trials, extra=_ROUNDOFF)
 
 
+def _squared_gap(lo: np.ndarray, hi: np.ndarray, width: float,
+                 scale: float) -> tuple[float, float]:
+    """g^2 / scale for g = (mean(hi) - mean(lo)) / width, and its delta-method
+    stderr 2 |g| se(g) / scale, se(g) = hypot(std(lo), std(hi)) / (sqrt(T) width)
+    for T draws of each."""
+    gap = float(hi.mean() - lo.mean()) / width
+    se_gap = math.hypot(lo.std(ddof=1), hi.std(ddof=1)) / math.sqrt(lo.size) / width
+    return gap * gap / scale, 2.0 * abs(gap) * se_gap / scale
+
+
 def hcr_check(statistic: Estimator, mu0: float, h: float, n: int, trials: int,
               rng: RngStream) -> IneqCheckResult:
     """Check the variance lower bound (E_Q T - E_P T)^2 / chi^2(Q || P) <= Var_P(T)
@@ -528,18 +553,12 @@ def hcr_check(statistic: Estimator, mu0: float, h: float, n: int, trials: int,
     _require_finite("h", h)
     if h == 0:
         raise ValueError("h must be nonzero")
-    if statistic.output_dim != 1:
-        raise ValueError("hcr_check takes a scalar statistic")
+    _require_scalar(statistic, "hcr_check")
     n = _count("n", n)
     trials = _count("trials", trials, _MIN_DRAWS)
     chi2 = chi2_gaussian_products(h, n)
     tp, tq = _scalar_statistic(statistic, n, trials, rng, (mu0,), (mu0, h))
-
-    delta = float(tq.mean() - tp.mean())
-    lhs = delta * delta / chi2
-    se_delta = math.hypot(tp.std(ddof=1), tq.std(ddof=1)) / math.sqrt(trials)
-    se_lhs = 2.0 * abs(delta) * se_delta / chi2
-
+    lhs, se_lhs = _squared_gap(tp, tq, 1.0, chi2)
     rhs, se_rhs = _var_se(tp)
     return _mc_verdict(lhs, rhs, math.hypot(se_lhs, se_rhs), trials, extra=_ROUNDOFF)
 
@@ -560,17 +579,11 @@ def cramer_rao_check(statistic: Estimator, mu0: float, n: int, trials: int,
     _require_finite("mu0", mu0)
     n = _count("n", n)
     trials = _count("trials", trials, _MIN_DRAWS)
-    if statistic.output_dim != 1:
-        raise ValueError("cramer_rao_check takes a scalar statistic")
+    _require_scalar(statistic, "cramer_rao_check")
     step = 0.5 / math.sqrt(n)
     t_lo, t_hi, t_mid = _scalar_statistic(statistic, n, trials, rng,
                                           (mu0, -step), (mu0, step), (mu0,))
-
-    slope = float(t_hi.mean() - t_lo.mean()) / (2.0 * step)
-    lhs = slope * slope / n
-    se_slope = math.hypot(t_lo.std(ddof=1), t_hi.std(ddof=1)) / math.sqrt(trials) / (2.0 * step)
-    se_lhs = 2.0 * abs(slope) * se_slope / n
-
+    lhs, se_lhs = _squared_gap(t_lo, t_hi, 2.0 * step, n)
     rhs, se_rhs = _var_se(t_mid)
     return _mc_verdict(lhs, rhs, math.hypot(se_lhs, se_rhs), trials, extra=step * step / n)
 

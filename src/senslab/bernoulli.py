@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .adversaries import _layer_guard
 from .core import CorruptionBudget, _count, _open_unit, _RowModel
-from .estimators import Estimator, _LayerStack
+from .estimators import Estimator, _LayerStack, _require_scalar
 
 __all__ = [
     "BernoulliModel",
@@ -29,7 +28,7 @@ __all__ = [
 # work is 2^n * n * k): a non-layer estimator at p = 0.5, eta = 0.2 peaked at
 # 18 MiB for n = 18 and 72 MiB for n = 20, in 0.07 s and 0.38 s (Python 3.11,
 # numpy 2.4, 2-core Xeon). A layer estimator's tables have n + 1 entries and
-# meet the layer guard of adversaries.py instead.
+# meet the layer guard of ``_LayerStack.table`` instead.
 _ENUM_GUARD_BITS = 20
 
 
@@ -157,16 +156,12 @@ def bernoulli_expected_sensitivity(f: Estimator, n: int, p: float,
     |f(y) - f(x)| over the ball bit for bit. Runtime grows with 2^n * n * k.
     """
     n = _count("n", n)
-    if f.output_dim != 1:
-        raise ValueError("expected sensitivity takes a scalar estimator")
+    _require_scalar(f, "bernoulli_expected_sensitivity")
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"p must lie in [0, 1], got {p}")
     if budget.n != n:
         raise ValueError(f"budget is for n={budget.n}, got n={n}")
     if isinstance(f.stack_fn, _LayerStack):
-        _layer_guard(n)
-        if budget.k == 0:
-            return 0.0
         g = f.stack_fn.table(n)
         k = min(budget.k, n)
         hi = _window_extreme(g, k, np.maximum, -np.inf)

@@ -149,6 +149,27 @@ def median_estimator(d: int = 1) -> Estimator:
     )
 
 
+def _require_scalar(f: Estimator, what: str) -> None:
+    """The rule of every path that takes a scalar estimator only."""
+    if f.output_dim != 1:
+        raise ValueError(f"{what} takes a scalar estimator; {f.name} has output_dim {f.output_dim}")
+
+
+def _require_binary(values: np.ndarray, what: str) -> None:
+    """The rule of every path that reads binary data: entries in {0, 1}."""
+    if not np.all((values == 0.0) | (values == 1.0)):
+        raise ValueError(f"{what} requires entries in {{0, 1}}")
+
+
+# Bounds the memory of the layer paths' (n + 1)-entry tables, their only guard,
+# at nine tables of 8-byte entries: at n = 10^5 (k = 1, 3000, 50000) the
+# expected sensitivity peaked at 66 bytes per layer and a one-trial ball at
+# 52 (tracemalloc). Their work is O(n log k) for the expected sensitivity and
+# O(n + T k) for a chunk of T trials of the ball.
+_LAYER_BYTES = 1 << 27
+_LAYER_TABLES = 9
+
+
 class _LayerStack:
     """The ``stack_fn`` of a layer estimator: g(|x|, n) for each binary dataset x.
 
@@ -164,12 +185,16 @@ class _LayerStack:
         self.g = g
 
     def __call__(self, stack: np.ndarray) -> np.ndarray:
-        if not np.all((stack == 0.0) | (stack == 1.0)):
-            raise ValueError(f"{self.name} requires entries in {{0, 1}}")
+        _require_binary(stack, self.name)
         return self.g(np.count_nonzero(stack == 1.0, axis=1), stack.shape[1])
 
     def table(self, n: int) -> np.ndarray:
-        """g on every layer t = 0 .. n."""
+        """g on every layer t = 0 .. n. Each layer path calls it first: the guard
+        fires before any table or stack copy."""
+        need = _LAYER_TABLES * 8 * (n + 1)
+        if need > _LAYER_BYTES:
+            raise ValueError(f"layer guard: the layer tables for n={n} take {need} bytes, "
+                             f"over {_LAYER_BYTES}")
         table = np.asarray(self.g(np.arange(n + 1), n), dtype=np.float64)
         if table.shape != (n + 1,) or not np.all(np.isfinite(table)):
             raise ValueError(f"{self.name}: the layer function must give n + 1 finite values")
@@ -215,8 +240,7 @@ def clip_estimator(f: Estimator, interval: ClipInterval) -> Estimator:
     estimator clip∘g, so it keeps the layer paths; its values are the same
     floats as clipping f's output.
     """
-    if f.output_dim != 1:
-        raise ValueError("clip_estimator applies to scalar estimators only")
+    _require_scalar(f, "clip_estimator")
     if isinstance(f.stack_fn, _LayerStack):
         g = f.stack_fn.g
         return layer_estimator(f"clipped-{f.name}",
@@ -337,49 +361,47 @@ def sample_unit_direction(d: int, rng: RngStream) -> np.ndarray:
     return g / np.linalg.norm(g)
 
 
-ESTIMATOR_NAMES = (
-    "mean",
-    "median",
-    "clipped-mean",
-    "clipped-median",
-    "projected:<inner>",
-    "bernoulli-plugin",
-)
-
 _UNIT_INTERVAL = ClipInterval(0.0, 1.0)
+
+
+def _projected(d: int, seed: int, inner: str) -> Estimator:
+    try:
+        mc_inner = int(inner)
+    except ValueError:
+        raise ValueError(f"bad projected estimator name {'projected:' + inner!r}; "
+                         "use projected:<inner>")
+    u = sample_unit_direction(d, RngStream(seed, _PROJECTION_STREAM_TAG))
+    return project_scalar(mean_estimator(d), u, np.zeros(d), mc_inner=mc_inner,
+                          rng=RngStream(seed, _PROJECTION_STREAM_TAG + 1))
+
+
+# Registry name -> (build(d, seed, arg), scalar only). A "base:<arg>" row takes
+# every name "base:...", and ``arg`` is the text after its colon.
+_ESTIMATORS = {
+    "mean": (lambda d, *_: mean_estimator(d), False),
+    "median": (lambda d, *_: median_estimator(d), False),
+    "clipped-mean": (lambda *_: clip_estimator(mean_estimator(), _UNIT_INTERVAL), True),
+    "clipped-median": (lambda *_: clip_estimator(median_estimator(), _UNIT_INTERVAL), True),
+    "projected:<inner>": (_projected, False),
+    "bernoulli-plugin": (lambda *_: plugin_estimator(), True),
+}
+ESTIMATOR_NAMES = tuple(_ESTIMATORS)
 
 
 def build_estimator(name: str, *, d: int = 1, seed: int = 0) -> Estimator:
     """Look up an estimator by registry name.
 
-    Clipped variants clip to [0, 1] and require d = 1. ``projected:<inner>``
-    projects the d-dimensional mean along a direction drawn uniformly on the
-    sphere from a stream derived from ``seed`` (lam = 0), with <inner> Monte
-    Carlo draws of the orthogonal noise.
+    Clipped variants clip to [0, 1]; they and the plug-in require d = 1.
+    ``projected:<inner>`` projects the d-dimensional mean along a direction
+    drawn uniformly on the sphere from a stream derived from ``seed``
+    (lam = 0), with <inner> Monte Carlo draws of the orthogonal noise.
     """
     d = _count("d", d)
-    if name == "mean":
-        return mean_estimator(d)
-    if name == "median":
-        return median_estimator(d)
-    if name == "clipped-mean":
-        if d != 1:
-            raise ValueError("clipped-mean is a scalar estimator (d = 1)")
-        return clip_estimator(mean_estimator(1), _UNIT_INTERVAL)
-    if name == "clipped-median":
-        if d != 1:
-            raise ValueError("clipped-median is a scalar estimator (d = 1)")
-        return clip_estimator(median_estimator(1), _UNIT_INTERVAL)
-    if name == "bernoulli-plugin":
-        return plugin_estimator()
-    if name.startswith("projected:"):
-        try:
-            inner = int(name.split(":", 1)[1])
-        except ValueError:
-            raise ValueError(f"bad projected estimator name {name!r}; use projected:<inner>")
-        u = sample_unit_direction(d, RngStream(seed, _PROJECTION_STREAM_TAG))
-        return project_scalar(
-            mean_estimator(d), u, np.zeros(d), mc_inner=inner,
-            rng=RngStream(seed, _PROJECTION_STREAM_TAG + 1),
-        )
-    raise ValueError(f"unknown estimator {name!r}; known: {', '.join(ESTIMATOR_NAMES)}")
+    base, colon, arg = name.partition(":")
+    key = next((row for row in _ESTIMATORS if colon and row.startswith(base + colon)), name)
+    if key not in _ESTIMATORS:
+        raise ValueError(f"unknown estimator {name!r}; known: {', '.join(ESTIMATOR_NAMES)}")
+    build, scalar_only = _ESTIMATORS[key]
+    if scalar_only and d != 1:
+        raise ValueError(f"{name} is a scalar estimator (d = 1)")
+    return build(d, seed, arg)

@@ -63,8 +63,8 @@ from .core import (  # noqa: F401
     _require_finite,
     standard_normal,
 )
-from .estimators import (Estimator, _median_stack, build_estimator, mean_estimator,
-                         median_estimator)
+from .estimators import (Estimator, _median_stack, _require_scalar, build_estimator,
+                         mean_estimator, median_estimator)
 
 __all__ = [
     "SCHEMA",
@@ -422,6 +422,8 @@ def _validate_combo(est: Estimator, adversary: str, model, budget: CorruptionBud
     if not isinstance(model, spec.models):
         names = " or ".join(m.__name__ for m in spec.models)
         raise ValueError(f"{adversary} requires a {names} for the clean data")
+    if est.binary_domain and not isinstance(model, BernoulliModel):
+        raise ValueError(f"{est.name} requires a BernoulliModel for the clean data")
     if spec.needs_delta and delta is None:
         raise ValueError(f"{adversary} requires delta")
     if not spec.needs_delta and delta is not None:
@@ -618,8 +620,7 @@ def _scalar_job(h: Estimator | str, experiment: str, eta: float, n: int, seed: i
                 prior: tuple[float, float], delta: float | None = None) -> _Job:
     """The job of an obstruction experiment: a scalar estimator, scalar rows."""
     est = _resolve_estimator(h, 1, seed)
-    if est.output_dim != 1:
-        raise ValueError(f"{experiment} takes a scalar estimator")
+    _require_scalar(est, experiment)
     budget = CorruptionBudget.from_eta(eta, n)
     budget.require_nonempty()
     lo, hi = prior
@@ -902,19 +903,14 @@ def _beta_binomial_quadrature(n: int) -> np.ndarray:
     return out
 
 
-def verify_suite(
-    trials_scale: int = 100_000,
-    seed: int = 0,
-    extra_checks: Sequence[tuple[str, Callable[[RngStream], analysis.IneqCheckResult]]] | None = None,
-) -> list[VerifyRow]:
+def verify_suite(trials_scale: int = 100_000, seed: int = 0) -> list[VerifyRow]:
     """Run every inequality checker over its documented grid.
 
     Monte Carlo rows draw ``trials_scale`` samples, which must be at least
     1000 like every checker's (the likelihood-ratio rows draw at least 1e4;
     the chi-square product oracle 10x, to resolve its 5% tolerance). Rows
     are independently seeded by position, so the table is reproducible for
-    a given (trials_scale, seed). ``extra_checks`` lets the
-    self-test inject a deliberately failing row.
+    a given (trials_scale, seed).
     """
     t_mc = _count("trials_scale", trials_scale, analysis._MIN_DRAWS)
     rows: list[VerifyRow] = []
@@ -1006,8 +1002,4 @@ def verify_suite(
     law10 = beta_binomial_layer_law(10)
     add("beta-binomial/n10-quadrature", _exact(float(np.abs(law10 - _beta_binomial_quadrature(10)).max()), 1e-10))
     add("beta-binomial/sums-to-one", _exact(abs(float(law10.sum()) - 1.0), 1e-12))
-
-    if extra_checks:
-        for name, fn in extra_checks:
-            add(name, fn(stream()))
     return rows

@@ -91,6 +91,30 @@ class TestChi2GaussianProducts:
         mc, se = chi2_products_mc(0.2, 25, 200_000, RngStream(20, 0))
         assert abs(mc - closed) < 4 * se
 
+    def test_monte_carlo_oracle_is_exactly_zero_at_zero_delta(self):
+        assert chi2_products_mc(0.0, 100, 1000, RngStream(0, 0)) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("draws", [1000, 100_000])
+    @pytest.mark.parametrize("s", [0.5, 1.0, 1.2, 1.25, 2.4, 2.6, 5.0])
+    def test_monte_carlo_oracle_runs_where_its_relative_stderr_is_at_most_half(self, s, draws):
+        # Relative stderr from the raw moments: Var (LR - 1)^2 = E(LR - 1)^4 - chi2^2,
+        # with E LR^m = e^(s m (m - 1) / 2) under P.
+        x, chi2 = math.exp(s), math.expm1(s)
+        fourth = x ** 6 - 4 * x ** 3 + 6 * x - 3
+        rel = math.sqrt((fourth - chi2 * chi2) / draws) / chi2
+        if s == 1.0:
+            assert round(rel, 3) == {1000: 0.336, 100_000: 0.034}[draws]
+
+        class Drawn(Exception):
+            pass
+
+        class Stream:
+            def generator(self):
+                raise Drawn
+
+        with pytest.raises(Drawn if rel <= 0.5 else ValueError):
+            chi2_products_mc(math.sqrt(s / 100), 100, draws, Stream())
+
 
 class TestChi2LocalShift:
     def test_zero_delta(self):

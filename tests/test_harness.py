@@ -27,7 +27,7 @@ from senslab import (
     variance_obstruction,
     verify_suite,
 )
-from senslab.harness import SensitivityReport
+from senslab.harness import SensitivityReport, VerifyRow
 
 
 def gauss(d=1, mu=0.0):
@@ -384,9 +384,9 @@ class TestVerifySuite:
             assert expected in rows
 
     def test_broken_checker_fails_the_suite(self):
-        broken = ("self-test/flipped-inequality",
-                  lambda rng: IneqCheckResult(lhs=1.0, rhs=0.0, holds=False))
-        rows = verify_suite(trials_scale=2_000, seed=23, extra_checks=[broken])
+        rows = verify_suite(trials_scale=2_000, seed=23)
+        rows.append(VerifyRow("self-test/flipped-inequality",
+                              IneqCheckResult(lhs=1.0, rhs=0.0, holds=False)))
         assert not all_pass(rows)
         table = format_verify_table(rows)
         assert "FAIL" in table and "self-test/flipped-inequality" in table

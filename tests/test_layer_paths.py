@@ -34,7 +34,7 @@ from senslab import (
     layer_estimator,
     plugin_estimator,
 )
-from senslab import adversaries
+from senslab import estimators
 from senslab.adversaries import _BALL_GUARD, _ball_size, _layer_ball, _layer_ball_stack
 from senslab.bernoulli import _log_binomials
 from senslab.estimators import _LayerStack
@@ -239,21 +239,24 @@ def test_a_clipped_plugin_runs_past_the_enumeration_guards():
     assert np.max(np.abs(report.per_trial - budget.k / 5000)) <= 1e-15
 
 
-def test_layer_memory_guard():
-    n = adversaries._LAYER_BYTES // (8 * adversaries._LAYER_TABLES)
+# eta = 1e-9 gives k = 0: the guard is the table's, whatever the radius.
+@pytest.mark.parametrize("eta", [1e-9, 0.1])
+def test_layer_memory_guard(eta):
+    n = estimators._LAYER_BYTES // (8 * estimators._LAYER_TABLES)
     with pytest.raises(ValueError, match="layer guard"):
         bernoulli_expected_sensitivity(plugin_estimator(), n, 0.5,
-                                       CorruptionBudget.from_eta(0.1, n))
+                                       CorruptionBudget.from_eta(eta, n))
 
 
-def test_layer_memory_guard_on_the_ball(monkeypatch):
-    monkeypatch.setattr(adversaries, "_LAYER_BYTES", 8 * adversaries._LAYER_TABLES * 40)
+@pytest.mark.parametrize("eta", [1e-9, 0.1])
+def test_layer_memory_guard_on_the_ball(monkeypatch, eta):
+    monkeypatch.setattr(estimators, "_LAYER_BYTES", 8 * estimators._LAYER_TABLES * 40)
     plugin = plugin_estimator()
-    hamming_ball_sup(plugin, Dataset(np.zeros(39)), CorruptionBudget.from_eta(0.1, 39))
+    hamming_ball_sup(plugin, Dataset(np.zeros(39)), CorruptionBudget.from_eta(eta, 39))
     with pytest.raises(ValueError, match="layer guard"):
-        hamming_ball_sup(plugin, Dataset(np.zeros(40)), CorruptionBudget.from_eta(0.1, 40))
+        hamming_ball_sup(plugin, Dataset(np.zeros(40)), CorruptionBudget.from_eta(eta, 40))
     with pytest.raises(ValueError, match="layer guard"):
-        estimate_es(plugin, "hamming-ball", BernoulliModel(0.5), eta=0.1, n=40, trials=100)
+        estimate_es(plugin, "hamming-ball", BernoulliModel(0.5), eta=eta, n=40, trials=100)
 
 
 # -- the plug-in as a layer estimator --

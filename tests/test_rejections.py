@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from senslab import (
+    ClipInterval,
     CorruptionBudget,
     Dataset,
     GaussianModel,
@@ -18,6 +19,8 @@ from senslab import (
     analysis,
     bernoulli_expected_sensitivity,
     build_estimator,
+    clip_estimator,
+    hamming_ball_sup,
     mean_estimator,
     mean_obstruction_low,
     median_estimator,
@@ -53,13 +56,17 @@ def test_subset_larger_than_n_is_rejected():
         analysis.chi2_localshift_bound(11, 10, 0.5)
 
 
-def test_products_oracle_stays_finite_far_past_the_closed_form_overflow():
-    # log LR <= x^2 / 2 for every draw x, so expm1 never overflows, even where
-    # exp(n delta^2) itself would.
-    estimate, stderr = analysis.chi2_products_mc(30.0, 10_000, 1000, S)
-    assert math.isfinite(estimate) and math.isfinite(stderr)
-    with pytest.raises(OverflowError):
-        analysis.chi2_gaussian_products(30.0, 10_000)
+@pytest.mark.parametrize("delta,n,draws,shown", [(1.0, 100, 10_000, "100"),
+                                                 (0.5, 100, 10 ** 6, "25"),
+                                                 (30.0, 10_000, 1000, "9e+06")])
+def test_products_oracle_rejects_a_chi2_out_of_its_reach(delta, n, draws, shown):
+    # At n delta^2 = 100 the simulation gave 0.99999999915 +- 5.5e-10 against
+    # e^100 - 1; far past the closed form's overflow the rule still answers.
+    # The stream is None, so a draw would raise AttributeError instead.
+    with pytest.raises(ValueError, match=rf"^n \* delta\^2 = {re.escape(shown)} is out of reach "
+                                         rf"at {draws} draws: the estimate's relative stderr "
+                                         r"exceeds 0\.5$"):
+        analysis.chi2_products_mc(delta, n, draws, None)
 
 
 def test_likelihood_ratio_vectors_of_unequal_length_are_rejected():
@@ -83,7 +90,8 @@ def test_binomial_tail_outside_1_to_n_needs_no_sum(t, tail):
 ], ids=["hcr_check", "cramer_rao_check"])
 def test_variance_bounds_take_a_scalar_statistic(request, check):
     name = request.node.callspec.id
-    with pytest.raises(ValueError, match=rf"^{name} takes a scalar statistic$"):
+    with pytest.raises(ValueError,
+                       match=rf"^{name} takes a scalar estimator; mean has output_dim 2$"):
         check(mean_estimator(2))
 
 
@@ -93,7 +101,8 @@ BUDGET10 = CorruptionBudget.from_eta(0.1, 10)
 
 
 def test_expected_sensitivity_takes_a_scalar_estimator():
-    with pytest.raises(ValueError, match=r"^expected sensitivity takes a scalar estimator$"):
+    with pytest.raises(ValueError, match=r"^bernoulli_expected_sensitivity takes a scalar "
+                                         r"estimator; mean has output_dim 2$"):
         bernoulli_expected_sensitivity(mean_estimator(2), 10, 0.5, BUDGET10)
 
 
@@ -173,6 +182,23 @@ def test_projected_estimator_takes_scalar_datasets():
         est.on_stack(np.zeros((2, 5, 2)))
 
 
+def test_clip_takes_a_scalar_estimator():
+    with pytest.raises(ValueError, match=r"^clip_estimator takes a scalar estimator; "
+                                         r"median has output_dim 2$"):
+        clip_estimator(median_estimator(2), ClipInterval(0.0, 1.0))
+
+
+def test_layer_estimator_requires_binary_entries():
+    with pytest.raises(ValueError, match=r"^bernoulli-plugin requires entries in \{0, 1\}$"):
+        plugin_estimator().on_stack(np.full((1, 4, 1), 0.5))
+
+
+def test_hamming_ball_requires_binary_entries():
+    with pytest.raises(ValueError,
+                       match=r"^hamming ball enumeration requires entries in \{0, 1\}$"):
+        hamming_ball_sup(plugin_estimator(), Dataset(np.full(10, 0.5)), BUDGET10)
+
+
 def test_clipped_median_is_scalar():
     with pytest.raises(ValueError, match=r"^clipped-median is a scalar estimator \(d = 1\)$"):
         build_estimator("clipped-median", d=2)
@@ -194,7 +220,8 @@ def test_sweep_with_wide_intervals_has_too_few_usable_points():
 
 
 def test_obstruction_takes_a_scalar_estimator():
-    with pytest.raises(ValueError, match=r"^mean_obstruction_low takes a scalar estimator$"):
+    with pytest.raises(ValueError, match=r"^mean_obstruction_low takes a scalar estimator; "
+                                         r"mean has output_dim 2$"):
         mean_obstruction_low(mean_estimator(2), eta=0.05, delta=0.5, n=400, trials=100)
 
 

@@ -14,6 +14,7 @@ import pytest
 
 from senslab import (
     BernoulliModel,
+    ClipInterval,
     CorruptionBudget,
     Dataset,
     GaussianModel,
@@ -23,6 +24,7 @@ from senslab import (
     beta_binomial_layer_law,
     block_layout,
     build_estimator,
+    clip_estimator,
     compute_k,
     couple_gaussian_pair,
     coupling_obstruction_high,
@@ -40,6 +42,7 @@ from senslab import (
     variance_obstruction,
     verify_suite,
 )
+from senslab.cli import main
 
 
 def no_trials(*args, **kwargs):
@@ -112,6 +115,47 @@ def test_projected_estimator_built_at_d_takes_scalar_data():
 def test_a_bad_estimator_is_named_before_a_bad_mu():
     with pytest.raises(ValueError, match=r"^clipped-mean is a scalar estimator"):
         harness._gaussian_point("clipped-mean", 3, [1.0, 2.0], 0)
+
+
+# --- a scalar registry estimator is built at d = 1 only, before any draw ---
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_plugin_at_d_above_1_is_rejected_before_any_draw(no_draws, capsys, d):
+    message = r"^bernoulli-plugin is a scalar estimator \(d = 1\)$"
+    with pytest.raises(ValueError, match=message):
+        build_estimator("bernoulli-plugin", d=d)
+    with pytest.raises(ValueError, match=message):
+        harness._gaussian_point("bernoulli-plugin", d, [0.0], 0)
+    with pytest.raises(ValueError, match=message):
+        estimate_es("bernoulli-plugin", "resample", GaussianModel(np.zeros(d)), eta=0.1, n=50,
+                    trials=1000)
+    assert main(["sensitivity", "--estimator", "bernoulli-plugin", "--d", str(d)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bernoulli-plugin is a scalar estimator (d = 1)\n"
+
+
+# --- a binary-domain estimator reads Bernoulli data only ---
+
+@pytest.mark.parametrize("estimator", ["bernoulli-plugin",
+                                       clip_estimator(plugin_estimator(), ClipInterval(0.2, 0.8))],
+                         ids=["plugin", "clipped-plugin"])
+@pytest.mark.parametrize("adversary", ["resample", "block-resample", "tv-coupling"])
+def test_binary_domain_estimator_on_gaussian_data_fails_before_the_first_trial(
+        monkeypatch, estimator, adversary):
+    monkeypatch.setattr(harness, "_run_pairs", no_trials)
+    name = getattr(estimator, "name", estimator)
+    with pytest.raises(ValueError, match=rf"^{name} requires a BernoulliModel for the clean data$"):
+        estimate_es(estimator, adversary, GaussianModel([0.0]), eta=0.1, n=50, trials=1000)
+
+
+def test_plugin_on_the_cli_gaussian_model_fails_before_the_first_trial(monkeypatch, capsys):
+    monkeypatch.setattr(harness, "_run_pairs", no_trials)
+    assert main(["sensitivity", "--estimator", "bernoulli-plugin"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: bernoulli-plugin requires a BernoulliModel for the clean "
+                            "data\n")
 
 
 # --- NaN and infinite parameters are rejected before any draw ---

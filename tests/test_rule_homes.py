@@ -1,4 +1,4 @@
-"""Each request-, report- and data-layer rule is written in one place.
+"""Each request-, report-, data- and estimator-domain rule is written in one place.
 
 The package's source is parsed with ``ast``; every call or key that spells
 one of the rules below is located by module and enclosing function, and the
@@ -45,9 +45,11 @@ def _print(node) -> bool:
     return _called(node, "print")
 
 
-def _projected_prefix(node) -> bool:
-    return (_called(node, "startswith") and bool(node.args)
-            and isinstance(node.args[0], ast.Constant) and node.args[0].value == "projected:")
+def _name_split(node) -> bool:
+    """A split, partition or prefix test of a string at a literal holding ":"."""
+    return (any(_called(node, f) for f in ("split", "rsplit", "partition", "rpartition",
+                                           "startswith", "removeprefix"))
+            and any(isinstance(a, ast.Constant) and ":" in str(a.value) for a in node.args))
 
 
 def _message(node) -> str:
@@ -75,19 +77,47 @@ def _scalar_finite(node) -> bool:
             and getattr(node.func.value, "id", None) == "math")
 
 
+def _takes_scalar(node) -> bool:
+    if isinstance(node, ast.Compare):
+        return (isinstance(node.left, ast.Attribute) and node.left.attr == "output_dim"
+                and any(isinstance(c, ast.Constant) and c.value == 1 for c in node.comparators))
+    return bool(re.search(r"takes a scalar (estimator|statistic)|to scalar estimators only",
+                          _message(node)))
+
+
+def _binary_entries(node) -> bool:
+    """``(x == 0.0) | (x == 1.0)``, or the message of its rejection."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+        sides = [node.left, node.right]
+        return all(isinstance(e, ast.Compare) and isinstance(e.ops[0], ast.Eq)
+                   and isinstance(e.comparators[0], ast.Constant) for e in sides) and {
+            e.comparators[0].value for e in sides} == {0.0, 1.0}
+    return "requires entries in {0, 1}" in _message(node)
+
+
+def _layer_guard(node) -> bool:
+    return _message(node).startswith("layer guard")
+
+
+def _names_literal(node) -> bool:
+    return (isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple)
+            and any(getattr(t, "id", None) == "ESTIMATOR_NAMES" for t in node.targets))
+
+
 def _replaced_helper(node) -> bool:
     return isinstance(node, ast.FunctionDef) and node.name in {
         "_positive_n", "_require_samples", "_require_draws", "_require_trials"}
 
 
-def _places(match) -> set[str]:
-    """``module.qualname`` of each place in the package where ``match`` holds."""
-    found = set()
+def _sites(match) -> list[str]:
+    """``module.qualname`` of each node in the package where ``match`` holds,
+    once per node."""
+    found = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if match(child):
-                found.add(".".join(scope))
+                found.append(".".join(scope))
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
             else:
@@ -98,13 +128,21 @@ def _places(match) -> set[str]:
     return found
 
 
+def _places(match) -> set[str]:
+    """``module.qualname`` of each place in the package where ``match`` holds."""
+    return set(_sites(match))
+
+
 RULES = {
     "json-dumps": (_json_dumps, {"harness._dump_json"}),
     "record-schema": (_schema_key, {"harness._record"}),
     "normal-transform": (_ndtri, {"core._normal_in_place"}),
     "stream-key": (_philox_key, set()),
     "print": (_print, {"cli.main"}),
-    "projected-prefix": (_projected_prefix, {"estimators.build_estimator"}),
+    "takes-scalar": (_takes_scalar, {"estimators._require_scalar"}),
+    "binary-entries": (_binary_entries, {"estimators._require_binary"}),
+    "layer-guard": (_layer_guard, {"estimators._LayerStack.table"}),
+    "estimator-names-literal": (_names_literal, set()),
     "count": (_count_rule, {"core._count"}),
     "scalar-finite": (_scalar_finite, {"core._require_finite"}),
     "replaced-count-helpers": (_replaced_helper, set()),
@@ -115,6 +153,18 @@ RULES = {
 def test_rule_has_one_home(rule):
     match, home = RULES[rule]
     assert _places(match) == home
+
+
+def test_a_registry_name_is_split_once_in_build_estimator():
+    assert _sites(_name_split) == ["estimators.build_estimator"]
+
+
+def test_bernoulli_imports_nothing_from_adversaries():
+    def from_adversaries(node) -> bool:
+        return isinstance(node, ast.ImportFrom) and node.module == "adversaries"
+
+    importers = _places(from_adversaries)
+    assert "bernoulli" not in importers and "harness" in importers
 
 
 def test_the_scan_sees_every_module():
