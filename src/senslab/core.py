@@ -119,7 +119,7 @@ class RngStream:
     """A named, reproducible random stream.
 
     (seed, stream_id) keys a Philox counter-based generator: key words
-    [seed, stream_id], counter 0 (see ``_rekey``). Distinct stream_ids give
+    [seed, stream_id], counter 0 (see ``_Rekeyer``). Distinct stream_ids give
     statistically independent streams, and the byte sequence of a given
     stream does not depend on execution order, platform, or thread schedule.
     """
@@ -134,16 +134,20 @@ class RngStream:
                 raise ValueError(f"{field} must be an unsigned 64-bit integer, got {value!r}")
 
     def generator(self) -> np.random.Generator:
-        return _rekey(np.random.Generator(np.random.Philox(0)), self.seed, self.stream_id)
+        return _Rekeyer(self.seed).at(self.stream_id)
 
 
-def _rekey(gen: np.random.Generator, seed: int, stream_id: int) -> np.random.Generator:
-    """Reset ``gen``'s Philox to the start of stream (seed, stream_id): key
-    words [seed, stream_id], counter 0, empty output buffer.
+class _Rekeyer:
+    """Resets one Philox generator to the start of stream (seed, stream_id):
+    key words [seed, stream_id], counter 0, empty output buffer.
 
-    This is the one spelling of the stream key. ``RngStream.generator``
-    applies it to a new generator; the trial engine re-keys one generator
-    per stream role, at a fraction of the cost of building a new one. The
+    This is the one spelling of the stream key. The state dict is built once,
+    with key words [seed, 0]; ``at`` writes stream_id into its key list and
+    hands the same dict to the state setter, which copies every field, so
+    each stream's draws start from a full reset however far the generator's
+    last stream was read (``test_pooled_rekey_draws_the_stream_bytes``).
+    ``RngStream.generator`` re-keys a new generator; the trial engine re-keys
+    pooled ones, at a fraction of the cost of building a generator. The
     caller validates the key, for example by building the ``RngStream`` once.
 
     The state holds plain lists: the setter converts each entry to a uint64
@@ -151,15 +155,33 @@ def _rekey(gen: np.random.Generator, seed: int, stream_id: int) -> np.random.Gen
     the call about 2.7x slower. It accepts an ``np.uint64`` key word just the
     same (``test_rekey_accepts_numpy_key_words``).
     """
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": [seed, stream_id]},
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return gen
+
+    __slots__ = ("generator", "_bits", "_key", "_state")
+
+    def __init__(self, seed: int, generator: np.random.Generator | None = None):
+        if generator is None:
+            generator = np.random.Generator(np.random.Philox(0))
+        self.generator = generator
+        self._bits = generator.bit_generator
+        self._key = [seed, 0]
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": self._key},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+    def at(self, stream_id: int) -> np.random.Generator:
+        self._key[1] = stream_id
+        self._bits.state = self._state
+        return self.generator
+
+
+def _rekey(gen: np.random.Generator, seed: int, stream_id: int) -> np.random.Generator:
+    """Reset ``gen`` to the start of stream (seed, stream_id) (see ``_Rekeyer``)."""
+    return _Rekeyer(seed, gen).at(stream_id)
 
 
 @dataclass(frozen=True, eq=False)

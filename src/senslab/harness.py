@@ -56,10 +56,10 @@ from .core import (  # noqa: F401
     GaussianModel,
     RngStream,
     _BELOW_ONE,
+    _Rekeyer,
     _check_finite,
     _count,
     _hamming_stack,
-    _rekey,
     _require_finite,
     standard_normal,
 )
@@ -177,24 +177,39 @@ _CHUNK_TRIALS = 256
 _FEWEST_TRIALS = 2
 
 
+# Idle (data, adversary) generator pairs of the trial engine. A shard pops
+# one and appends it back when it ends. list.pop and list.append are atomic,
+# so threads need no lock, and a pair lost to an exception is built afresh
+# later; the pool holds at most as many pairs as shards ever ran at once.
+_IDLE_GENERATORS: list[tuple[np.random.Generator, np.random.Generator]] = []
+
+
 class _TrialStreams:
     """The contract streams of trial t, (seed, 2t) and (seed, 2t + 1).
 
-    One Philox generator per role is re-keyed for every trial, which draws
-    the same bytes as ``RngStream(seed, 2t[+1]).generator()``. Each thread
-    owns its own instance.
+    One pooled Philox generator per role is re-keyed for every trial
+    (``core._Rekeyer``), which draws the same bytes as
+    ``RngStream(seed, 2t[+1]).generator()`` whatever an earlier request left
+    in it. One shard uses an instance, on one thread, until ``release``
+    returns its generators to the pool.
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
-        self._data = np.random.Generator(np.random.Philox(0))
-        self._adversary = np.random.Generator(np.random.Philox(0))
+        try:
+            data, adversary = _IDLE_GENERATORS.pop()
+        except IndexError:
+            data = adversary = None
+        self._data = _Rekeyer(int(seed), data)
+        self._adversary = _Rekeyer(int(seed), adversary)
 
     def data(self, t: int) -> np.random.Generator:
-        return _rekey(self._data, self.seed, 2 * t)
+        return self._data.at(2 * t)
 
     def adversary(self, t: int) -> np.random.Generator:
-        return _rekey(self._adversary, self.seed, 2 * t + 1)
+        return self._adversary.at(2 * t + 1)
+
+    def release(self) -> None:
+        _IDLE_GENERATORS.append((self._data.generator, self._adversary.generator))
 
 
 def _run_chunked(trials: int, seed: int, workers: int, trial_bytes: int,
@@ -216,6 +231,7 @@ def _run_chunked(trials: int, seed: int, workers: int, trial_bytes: int,
         streams = _TrialStreams(seed)
         for lo, hi in part:
             run_chunk(streams, lo, hi)
+        streams.release()
 
     if workers == 1:
         shard(chunks)
@@ -355,7 +371,9 @@ class _Adversary:
     """One adversary of ``estimate_es``. ``step(job, streams, lo, hi)`` returns
     the clean and corrupted stacks of trials lo..hi-1, drawn by the body the
     public adversary also runs. ``exact`` marks a corruption that attains the
-    sup, so the report is not ``lower_bound_only``. ``check(est, budget)`` may reject."""
+    sup, so the report is not ``lower_bound_only``. ``off_binary`` marks one
+    whose corrupted rows leave {0, 1}, which a binary-domain estimator cannot
+    read. ``check(est, budget)`` may reject."""
 
     step: Callable
     models: tuple[type, ...] = (GaussianModel, BernoulliModel)
@@ -364,13 +382,14 @@ class _Adversary:
     scalar_only: bool = False
     nonempty: bool = False
     binary_only: bool = False
+    off_binary: bool = False
     check: Callable[[Estimator, CorruptionBudget], None] = lambda est, budget: None
 
 
 _ADVERSARIES = {
     "resample": _Adversary(_resample_pairs),
     "local-shift": _Adversary(_local_shift_pairs, needs_delta=True, scalar_only=True,
-                              nonempty=True),
+                              nonempty=True, off_binary=True),
     "tv-coupling": _Adversary(_coupling_pairs, (GaussianModel,), scalar_only=True),
     "block-resample": _Adversary(_block_pairs, nonempty=True),
     "median-exact": _Adversary(_median_pairs, exact=True, scalar_only=True, check=_median_only),
@@ -409,6 +428,12 @@ def _gaussian_point(estimator: str, d: int, mu: Sequence[float],
     return est, GaussianModel(mu)
 
 
+def _require_bernoulli_data(est: Estimator, model) -> None:
+    """A binary-domain estimator reads Bernoulli clean data only."""
+    if est.binary_domain and not isinstance(model, BernoulliModel):
+        raise ValueError(f"{est.name} requires a BernoulliModel for the clean data")
+
+
 def _validate_combo(est: Estimator, adversary: str, model, budget: CorruptionBudget,
                     delta) -> _Adversary:
     """The table entry of ``adversary``, once the request is one it can run."""
@@ -422,8 +447,10 @@ def _validate_combo(est: Estimator, adversary: str, model, budget: CorruptionBud
     if not isinstance(model, spec.models):
         names = " or ".join(m.__name__ for m in spec.models)
         raise ValueError(f"{adversary} requires a {names} for the clean data")
-    if est.binary_domain and not isinstance(model, BernoulliModel):
-        raise ValueError(f"{est.name} requires a BernoulliModel for the clean data")
+    _require_bernoulli_data(est, model)
+    if spec.off_binary and est.binary_domain:
+        raise ValueError(f"{adversary} moves corrupted rows out of {{0, 1}}, which "
+                         f"{est.name} cannot read")
     if spec.needs_delta and delta is None:
         raise ValueError(f"{adversary} requires delta")
     if not spec.needs_delta and delta is not None:
@@ -621,12 +648,14 @@ def _scalar_job(h: Estimator | str, experiment: str, eta: float, n: int, seed: i
     """The job of an obstruction experiment: a scalar estimator, scalar rows."""
     est = _resolve_estimator(h, 1, seed)
     _require_scalar(est, experiment)
+    model = GaussianModel(np.zeros(1))
+    _require_bernoulli_data(est, model)
     budget = CorruptionBudget.from_eta(eta, n)
     budget.require_nonempty()
     lo, hi = prior
     if not (0.0 <= lo < hi <= 1.0):
         raise ValueError(f"prior must be an interval inside [0, 1], got {prior}")
-    return _Job(GaussianModel(np.zeros(1)), budget, est, delta, (float(lo), float(hi)))
+    return _Job(model, budget, est, delta, (float(lo), float(hi)))
 
 
 @dataclass(frozen=True)
@@ -791,6 +820,7 @@ def variance_obstruction(
         raise ValueError("variance_obstruction requires a GaussianModel")
     trials = _count("trials", trials, _FEWEST_TRIALS)
     est = _resolve_estimator(f, model.d, seed)
+    _require_bernoulli_data(est, model)
     budget = CorruptionBudget.from_eta(eta, n)
     budget.require_nonempty()
     n = budget.n

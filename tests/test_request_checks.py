@@ -367,3 +367,36 @@ def test_projection_direction_and_offset_must_be_finite(value):
         project_scalar(mean_estimator(2), [value, 0.0], [0.0, 0.0])
     with pytest.raises(ValueError, match=r"^lam must be finite$"):
         project_scalar(mean_estimator(2), [1.0, 0.0], [0.0, value])
+
+
+# --- a binary-domain estimator never reads Gaussian or shifted rows ---
+
+BINARY_DOMAIN = pytest.mark.parametrize(
+    "estimator", ["bernoulli-plugin", clip_estimator(plugin_estimator(), ClipInterval(0.2, 0.8))],
+    ids=["plugin", "clipped-plugin"])
+OBSTRUCTIONS = {
+    "mean_obstruction_low": lambda h: mean_obstruction_low(h, eta=0.05, delta=0.5, n=400,
+                                                           trials=100),
+    "coupling_obstruction_high": lambda h: coupling_obstruction_high(h, eta=0.1, n=200,
+                                                                     trials=100),
+    "variance_obstruction": lambda h: variance_obstruction(h, G1, eta=0.1, n=50, trials=100),
+}
+
+
+@BINARY_DOMAIN
+@pytest.mark.parametrize("experiment", sorted(OBSTRUCTIONS))
+def test_binary_domain_estimator_in_an_obstruction_fails_before_any_draw(no_draws, estimator,
+                                                                         experiment):
+    name = getattr(estimator, "name", estimator)
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} requires a BernoulliModel for "
+                                         r"the clean data$"):
+        OBSTRUCTIONS[experiment](estimator)
+
+
+@BINARY_DOMAIN
+def test_local_shift_with_a_binary_domain_estimator_fails_before_any_draw(no_draws, estimator):
+    name = getattr(estimator, "name", estimator)
+    with pytest.raises(ValueError, match=rf"^local-shift moves corrupted rows out of \{{0, 1\}}, "
+                                         rf"which {re.escape(name)} cannot read$"):
+        estimate_es(estimator, "local-shift", BernoulliModel(0.5), eta=0.1, n=50, trials=100,
+                    delta=0.5)

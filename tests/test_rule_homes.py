@@ -41,6 +41,12 @@ def _philox_key(node) -> bool:
     return _called(node, "Philox") and any(kw.arg == "key" for kw in node.keywords)
 
 
+def _philox_state(node) -> bool:
+    """A Philox state dict: the stream key as the state setter reads it."""
+    return isinstance(node, ast.Dict) and any(
+        isinstance(k, ast.Constant) and k.value == "key" for k in node.keys)
+
+
 def _print(node) -> bool:
     return _called(node, "print")
 
@@ -95,6 +101,10 @@ def _binary_entries(node) -> bool:
     return "requires entries in {0, 1}" in _message(node)
 
 
+def _bernoulli_data(node) -> bool:
+    return "requires a BernoulliModel for the clean data" in _message(node)
+
+
 def _layer_guard(node) -> bool:
     return _message(node).startswith("layer guard")
 
@@ -138,9 +148,11 @@ RULES = {
     "record-schema": (_schema_key, {"harness._record"}),
     "normal-transform": (_ndtri, {"core._normal_in_place"}),
     "stream-key": (_philox_key, set()),
+    "stream-state": (_philox_state, {"core._Rekeyer.__init__"}),
     "print": (_print, {"cli.main"}),
     "takes-scalar": (_takes_scalar, {"estimators._require_scalar"}),
     "binary-entries": (_binary_entries, {"estimators._require_binary"}),
+    "bernoulli-data": (_bernoulli_data, {"harness._require_bernoulli_data"}),
     "layer-guard": (_layer_guard, {"estimators._LayerStack.table"}),
     "estimator-names-literal": (_names_literal, set()),
     "count": (_count_rule, {"core._count"}),

@@ -595,6 +595,64 @@ def test_rekey_accepts_numpy_key_words():
         assert draws(_rekey(gen, np.uint64(seed), stream_id)) == want
 
 
+def leave_mid_block(gen: np.random.Generator) -> None:
+    # A half-used 32-bit draw and a partly used Philox output block.
+    gen.integers(0, 7, size=3)
+    gen.random(3)
+
+
+def test_pooled_rekey_draws_the_stream_bytes(monkeypatch):
+    monkeypatch.setattr(harness, "_IDLE_GENERATORS", [])
+    for seed, stream_id in KEYS:
+        # After the first key, the streams reuse the pair the last key left mid-block.
+        streams = harness._TrialStreams(seed)
+        t, role = divmod(stream_id, 2)
+        gen = streams.adversary(t) if role else streams.data(t)
+        want = draws(np.random.Generator(np.random.Philox(key=seed | stream_id << 64)))
+        assert draws(gen) == want
+        leave_mid_block(streams.data(0))
+        leave_mid_block(streams.adversary(0))
+        streams.release()
+    assert len(harness._IDLE_GENERATORS) == 1
+
+
+def raise_on_second_chunk(est):
+    calls = []
+
+    def stack_fn(stack):
+        calls.append(None)
+        if len(calls) > 2:  # each chunk evaluates two stacks
+            raise RuntimeError("second chunk")
+        return est.stack_fn(stack)
+
+    return dataclasses.replace(est, stack_fn=stack_fn)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_request_that_raises_leaves_the_next_requests_bytes(monkeypatch, workers):
+    monkeypatch.setattr(harness, "_IDLE_GENERATORS", [])
+    mean = build_estimator("mean", d=1)
+    # 163 trials a chunk at n = 400, d = 1: three chunks.
+    kwargs = dict(eta=0.1, n=400, trials=400, seed=21, workers=workers)
+    want = text(estimate_es(mean, "resample", gauss(1), **kwargs))
+    with pytest.raises(RuntimeError, match="second chunk"):
+        estimate_es(raise_on_second_chunk(mean), "resample", gauss(1), **kwargs)
+    assert text(estimate_es(mean, "resample", gauss(1), **kwargs)) == want
+
+
+def test_two_workers_on_a_warm_pool_give_the_one_worker_bytes(monkeypatch):
+    monkeypatch.setattr(harness, "_IDLE_GENERATORS", [])
+    kwargs = dict(eta=0.1, n=400, trials=700, seed=8)
+    want = text(estimate_es("median", "local-shift", gauss(1), delta=0.5, workers=1, **kwargs))
+    # A request at another seed leaves its pairs in the pool, read mid-stream:
+    # one pair, or two if its shards overlapped.
+    estimate_es("mean", "resample", gauss(1), eta=0.1, n=400, trials=700, seed=9, workers=2)
+    assert 1 <= len(harness._IDLE_GENERATORS) <= 2
+    got = text(estimate_es("median", "local-shift", gauss(1), delta=0.5, workers=2, **kwargs))
+    assert got == want
+    assert 1 <= len(harness._IDLE_GENERATORS) <= 2
+
+
 def test_one_column_norms_are_the_row_dot():
     rng = np.random.default_rng(77)
     bits = rng.integers(0, 2 ** 64, size=100_000, dtype=np.uint64, endpoint=False)
