@@ -362,35 +362,44 @@ def _layer_ball_stack(clean: np.ndarray, layers: _LayerStack, k: int) -> np.ndar
     enumeration visits flip sets by size, then in lexicographic order, so its
     first maximiser is the first j zeros (t' = t + j) or the first j ones
     (t' = t - j) by index; when both reach G*, the set that holds row 0. A
-    flip writes 1.0 - x, so -0.0 rows become 1.0 and every other row keeps
-    its bytes. With G* = 0 nothing moves. The gaps are read for the chunk's
-    distinct layers only, O(T k) work.
+    flipped row becomes 1.0 if it was zero and +0.0 if it was one, the bytes
+    of the enumeration's 1.0 - x, so -0.0 rows become 1.0 and every other row
+    keeps its bytes. With G* = 0 nothing moves.
+
+    The gaps are read for the chunk's distinct layers only (a presence table
+    over the n + 1 layers), O(T k) work. Each layer's window t - k .. t + k is
+    read from one copy of g padded with k NaNs at each end: a gap is the
+    rounded subtraction g(t') - g(t) the enumeration makes, and NaN off
+    [0, n], so it never reaches G*. Column s of the offsets 0 .. k hits when
+    the gap at t + s or at t - s is G*; the first hit is j, which is 0 (the
+    window's own layer) exactly when G* = 0. A trial then flips the side that
+    holds row 0 if its gap at distance j hits, and the other side otherwise.
     """
     n = clean.shape[1]
     g = layers.table(n)
-    corrupted = clean.copy()
     k = min(k, n)
     if k == 0:
-        return corrupted
+        return clean.copy()
     bits = clean[:, :, 0]
     zero = bits == 0.0
-    layer, trial_layer = np.unique(n - np.count_nonzero(zero, axis=1), return_inverse=True)
-    # |g(t +- s) - g(t)| for s = 1 .. k, the rounded subtraction the
-    # enumeration makes; -1.0 where t +- s is off [0, n].
-    here = g[layer][:, None]
-    ups, downs = layer[:, None] + np.arange(1, k + 1), layer[:, None] - np.arange(1, k + 1)
-    gap_up = np.where(ups <= n, np.abs(g[np.minimum(ups, n)] - here), -1.0)
-    gap_down = np.where(downs >= 0, np.abs(g[np.maximum(downs, 0)] - here), -1.0)
-    best = np.maximum(gap_up, gap_down).max(axis=1)
-    hit_up, hit_down = gap_up == best[:, None], gap_down == best[:, None]
-    first = np.argmax(hit_up | hit_down, axis=1)
-    rows = np.arange(layer.size)
-    j = np.where(best > 0.0, first + 1, 0)[trial_layer]
-    up, down = hit_up[rows, first][trial_layer], hit_down[rows, first][trial_layer]
-    side = np.where((up & (~down | zero[:, 0]))[:, None], zero, ~zero)
+    weight = n - zero.sum(axis=1)
+    present = np.zeros(n + 1, dtype=bool)
+    present[weight] = True
+    layer = present.nonzero()[0]
+    trial_layer = np.searchsorted(layer, weight)
+    padded = np.full(n + 1 + 2 * k, np.nan)
+    padded[k:n + k + 1] = g
+    gaps = padded[layer[:, None] + np.arange(2 * k + 1)]
+    gaps -= gaps[:, k, None]
+    np.abs(gaps, out=gaps)
+    hit = gaps == np.fmax.reduce(gaps, axis=1)[:, None]
+    j = np.argmax(hit[:, k:] | hit[:, k::-1], axis=1)[trial_layer]
+    # Row 0's side: its zeros reach t + j, its ones t - j.
+    row0_side = np.where(zero[:, 0], j, -j)
+    zeros_move = hit[trial_layer, k + row0_side] == zero[:, 0]
+    side = zero == zeros_move[:, None]
     flip = side & (np.cumsum(side, axis=1) <= j[:, None])
-    corrupted[:, :, 0] = np.where(flip, 1.0 - bits, bits)
-    return corrupted
+    return np.where(flip, zero, bits)[:, :, None]
 
 
 def hamming_ball_sup(f: Estimator, x: Dataset, budget: CorruptionBudget) -> AdversaryOutcome:

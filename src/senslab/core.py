@@ -23,7 +23,6 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy import special
@@ -137,6 +136,11 @@ class RngStream:
         return _Rekeyer(self.seed).at(self.stream_id)
 
 
+# The seed a new generator is built from before its first re-key overwrites
+# its whole state: built once, so no new generator hashes a seed of its own.
+_BLANK_SEED = np.random.SeedSequence(0)
+
+
 class _Rekeyer:
     """Resets one Philox generator to the start of stream (seed, stream_id):
     key words [seed, stream_id], counter 0, empty output buffer.
@@ -160,7 +164,7 @@ class _Rekeyer:
 
     def __init__(self, seed: int, generator: np.random.Generator | None = None):
         if generator is None:
-            generator = np.random.Generator(np.random.Philox(0))
+            generator = np.random.Generator(np.random.Philox(_BLANK_SEED))
         self.generator = generator
         self._bits = generator.bit_generator
         self._key = [seed, 0]
@@ -226,13 +230,16 @@ class Dataset:
 def compute_k(eta: float, n: int) -> int:
     """Number of corruptible points k = floor(eta * n).
 
-    The floor is taken exactly: the float eta is converted to its exact
-    binary rational before multiplying, so no double rounding can push the
-    product across an integer. Rounding is never used.
+    The floor is taken exactly, in integers: the float eta is the binary
+    rational num / den that ``float.as_integer_ratio`` returns, so
+    k = (num * n) // den, and no double rounding can push the product across
+    an integer. This is the floor of ``Fraction(eta) * n`` without building a
+    ``Fraction``. Rounding is never used. eta is checked before n.
     """
     if not (0.0 < float(eta) < 1.0):
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
-    return math.floor(Fraction(float(eta)) * _count("n", n))
+    num, den = float(eta).as_integer_ratio()
+    return num * _count("n", n) // den
 
 
 @dataclass(frozen=True)

@@ -33,11 +33,11 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -117,8 +117,54 @@ def _record(kind: str, **fields) -> dict:
     return {"schema": SCHEMA, "kind": kind, **fields}
 
 
-def _dump_json(obj: dict) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+def _dump_json(obj, _newline: str = "\n") -> str:
+    """The text of ``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte:
+    the one place the package forms JSON.
+
+    ``json.dumps`` runs its pure-Python encoder whenever it indents; this one
+    writes the same text with fewer calls. A float is spelled by
+    ``float.__repr__``, and NaN and ±Infinity as json spells them; an int by
+    ``int.__repr__``, once it is not a bool; a string or key by json's own
+    ``encode_basestring_ascii``. A tuple is written as a list. A list of
+    floats is joined in one pass, one item per line, unless its text holds
+    an "n", which only nan and inf put there. A key that is not a string, or
+    any other value, raises ``TypeError``. ``_newline`` is the line break and
+    indent of the level ``obj`` sits at.
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True or obj is False:
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if obj == math.inf:
+            return "Infinity"
+        if obj == -math.inf:
+            return "-Infinity"
+        return float.__repr__(obj)
+    inner = _newline + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (encode_basestring_ascii(key) + ": " + _dump_json(obj[key], inner)
+                 for key in sorted(obj))
+        return "{" + inner + ("," + inner).join(items) + _newline + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        try:
+            text = ("," + inner).join(map(float.__repr__, obj))
+        except TypeError:  # an item that is not a float
+            text = None
+        if text is None or "n" in text:
+            text = ("," + inner).join(_dump_json(item, inner) for item in obj)
+        return "[" + inner + text + _newline + "]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,10 +188,10 @@ class SensitivityReport:
     per_trial: np.ndarray
 
     def to_json_dict(self, include_trials: bool = False) -> dict:
-        out = _record("sensitivity-report", **{f.name: getattr(self, f.name)
-                                               for f in fields(self) if f.name != "per_trial"})
+        out = _record("sensitivity-report", **{name: getattr(self, name)
+                                               for name in _REPORT_FIELDS})
         if include_trials:
-            out["per_trial"] = [float(v) for v in self.per_trial]
+            out["per_trial"] = self.per_trial.tolist()
         return out
 
     def to_json(self, include_trials: bool = False) -> str:
@@ -162,6 +208,10 @@ class SensitivityReport:
         csv.writer(row, lineterminator="").writerow(_csv_cell(getattr(self, c))
                                                     for c in CSV_COLUMNS)
         return row.getvalue()
+
+
+# The JSON fields of a SensitivityReport, in declaration order.
+_REPORT_FIELDS = tuple(f.name for f in fields(SensitivityReport) if f.name != "per_trial")
 
 
 def _csv_cell(value) -> str:
@@ -217,8 +267,9 @@ def _run_chunked(trials: int, seed: int, workers: int, trial_bytes: int,
     """Call ``run_chunk(streams, lo, hi)`` over contiguous chunks of [0, trials).
 
     A chunk holds at most 256 trials and at most 512 KiB per trial-stacked
-    buffer of ``trial_bytes`` per trial. With workers > 1 the chunks are split
-    into contiguous shards, one thread and one ``_TrialStreams`` each.
+    buffer of ``trial_bytes`` per trial. With workers > 1 and more than one
+    chunk, the chunks are split into contiguous shards, one thread and one
+    ``_TrialStreams`` each; a single chunk runs on the calling thread.
     ``run_chunk`` stores its results by trial index, so the reduction that
     follows sees them in a fixed order.
     """
@@ -233,7 +284,7 @@ def _run_chunked(trials: int, seed: int, workers: int, trial_bytes: int,
             run_chunk(streams, lo, hi)
         streams.release()
 
-    if workers == 1:
+    if workers == 1 or len(chunks) == 1:
         shard(chunks)
         return
     per = -(-len(chunks) // workers)
@@ -522,7 +573,7 @@ def estimate_es(
         k=budget.k,
         q=q,
         trials=trials,
-        seed=seed,
+        seed=int(seed),
         delta=None if delta is None else float(delta),
         es_estimate=moment ** root,
         ci_low=lo ** root,
@@ -711,7 +762,7 @@ def mean_obstruction_low(
         n=job.budget.n,
         k=k,
         trials=trials,
-        seed=seed,
+        seed=int(seed),
         prior=job.prior,
         avg_displacement=avg,
         stderr=stderr,
@@ -767,7 +818,7 @@ def coupling_obstruction_high(
         n=job.budget.n,
         k=job.budget.k,
         trials=trials,
-        seed=seed,
+        seed=int(seed),
         prior=job.prior,
         avg_displacement_on_feasible=avg,
         stderr=stderr,
@@ -856,7 +907,7 @@ def variance_obstruction(
         k=budget.k,
         n_blocks=m_blocks,
         trials=trials,
-        seed=seed,
+        seed=int(seed),
         var_clean=var_clean,
         var_clean_stderr=var_se,
         block_gaps=tuple(float(v) for v in block_means),

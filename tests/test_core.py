@@ -15,6 +15,7 @@ from senslab import (
     compute_k,
     hamming_distance,
 )
+from senslab.core import _count
 
 
 class TestComputeK:
@@ -54,6 +55,49 @@ class TestComputeK:
         k = compute_k(eta, n)
         product = Fraction(eta) * n
         assert k <= product < k + 1
+
+
+def fraction_k(eta, n) -> int:
+    """The count rule in ``Fraction`` arithmetic, with compute_k's checks in its order."""
+    if not (0.0 < float(eta) < 1.0):
+        raise ValueError(f"eta must lie in (0, 1), got {eta}")
+    return math.floor(Fraction(float(eta)) * _count("n", n))
+
+
+# k / n on a boundary (0.25 * 4, 0.5 * 2) and a rounding away from one
+# (0.1 lies above 1/10, 0.3 and 0.7 below 3/10 and 7/10), the smallest and
+# largest etas, their neighbours, and numpy and integral-float etas.
+ORACLE_ETAS = [0.1, 0.2, 0.25, 0.3, 1 / 3, 0.5, 0.7, 0.99, 1 / 50, 0.29,
+               np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), np.nextafter(0.25, 0.0),
+               1 - 2 ** -53, 5e-324, 2 ** -1074 * 3, 2 ** -52, np.float64(0.3), np.float32(0.1)]
+ORACLE_NS = [1, 2, 3, 4, 7, 10, 50, 100, 1000, 10 ** 6, 2 ** 31 - 1, 2 ** 53, 2 ** 53 + 1,
+             2 ** 62, np.int64(2 ** 62), 400.0]
+
+
+class TestComputeKOracle:
+    def test_matches_the_fraction_floor(self):
+        for eta in ORACLE_ETAS:
+            for n in ORACLE_NS:
+                k = compute_k(eta, n)
+                assert type(k) is int and k == fraction_k(eta, n), (eta, n)
+
+    def test_a_boundary_is_floored_exactly(self):
+        assert compute_k(0.25, 4) == 1 and compute_k(np.nextafter(0.25, 0.0), 4) == 0
+        assert compute_k(0.1, 10) == 1 and compute_k(0.3, 10) == 2 and compute_k(0.7, 10) == 6
+        assert compute_k(1 - 2 ** -53, 2 ** 62) == 2 ** 62 - 2 ** 9
+        assert compute_k(5e-324, 2 ** 62) == 0
+
+    @pytest.mark.parametrize("eta, n", [
+        (0.0, 10), (1.0, 10), (-0.1, 10), (1.5, 10), (float("nan"), 10), (float("inf"), 10),
+        (-0.0, 10), (1.5, 0), (0.5, 0), (0.5, -3), (0.5, 1.5), (0.5, 400.7), (0.5, "7"),
+        (0.5, None), (0.5, True - 1),
+    ])
+    def test_raises_the_fraction_rules_errors(self, eta, n):
+        with pytest.raises(ValueError) as want:
+            fraction_k(eta, n)
+        with pytest.raises(ValueError) as got:
+            compute_k(eta, n)
+        assert str(got.value) == str(want.value)
 
 
 class TestCorruptionBudget:

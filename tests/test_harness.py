@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import hashlib
+import json
 import math
 import sys
 
@@ -27,7 +28,8 @@ from senslab import (
     variance_obstruction,
     verify_suite,
 )
-from senslab.harness import SensitivityReport, VerifyRow
+from senslab import cli
+from senslab.harness import SensitivityReport, VerifyRow, _dump_json
 
 
 def gauss(d=1, mu=0.0):
@@ -413,3 +415,96 @@ class TestVerifySuite:
         a = format_verify_table(verify_suite(trials_scale=2_000, seed=24))
         b = format_verify_table(verify_suite(trials_scale=2_000, seed=24))
         assert a == b
+
+
+# -- the JSON text: _dump_json against json.dumps --
+
+def json_oracle(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+RECORDS = {
+    "report": lambda: estimate_es("median", "median-exact", gauss(1), eta=0.1, n=51,
+                                  trials=100, seed=3).to_json_dict(),
+    "report-with-trials": lambda: estimate_es("bernoulli-plugin", "hamming-ball",
+                                              BernoulliModel(0.5), eta=0.2, n=16, trials=100,
+                                              seed=3).to_json_dict(include_trials=True),
+    "report-with-delta": lambda: estimate_es("clipped-mean", "local-shift", gauss(1), eta=0.1,
+                                             n=50, delta=0.5, trials=100,
+                                             seed=4).to_json_dict(include_trials=True),
+    "scaling-fit": lambda: scaling_sweep("mean", "resample", variable="n",
+                                         values=[100, 200, 400, 800], trials=400,
+                                         seed=11).to_json_dict(),
+    "unbounded": lambda: UnboundedSensitivityError("mean", "median-exact",
+                                                   "a reason with \"quotes\"").to_json_dict(),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RECORDS))
+def test_dump_json_writes_the_json_dumps_text_of_every_record(kind):
+    record = RECORDS[kind]()
+    assert _dump_json(record) == json_oracle(record)
+
+
+def test_dump_json_writes_the_cli_bernoulli_record(monkeypatch, capsys):
+    records = []
+
+    def spy(obj):
+        records.append(obj)
+        return _dump_json(obj)
+
+    monkeypatch.setattr(cli, "_dump_json", spy)
+    assert cli.main(["bernoulli", "--n", "12", "--eta", "0.09", "--p", "0.3"]) == 0
+    (record,) = records
+    assert record["kind"] == "bernoulli-exact"
+    assert capsys.readouterr().out == json_oracle(record) + "\n"
+
+
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-7, 0.1,
+               1.7976931348623157e308, 123456789.0, np.float64(0.3), np.float64(math.nan)]
+
+
+@pytest.mark.parametrize("value", EDGE_FLOATS, ids=repr)
+def test_dump_json_spells_every_float_as_json_does(value):
+    for obj in ({"x": value}, {"xs": [value, 1.5]}, {"xs": [1.5, value]}, {"xs": [value]}):
+        assert _dump_json(obj) == json_oracle(obj)
+
+
+def test_dump_json_matches_json_dumps_on_mixed_records():
+    report = estimate_es("bernoulli-plugin", "hamming-ball", BernoulliModel(0.5), eta=0.2,
+                         n=16, trials=100, seed=3).to_json_dict(include_trials=True)
+    cases = [
+        {}, {"a": []}, {"a": {}}, {"a": ()},
+        {"estimator": "médian ☃ 名 \U0001f600", "quote\"d\\": "tab\there\nline\x00"},
+        {"used": [True, False, True], "flags": (False,), "none": None, "ints": [1, -2, 3 ** 40]},
+        {"mixed": [1, 2.5, "s", None, True, [], {}, [0.5, [1.0]], {"b": 1, "a": [2.0]}]},
+        {"floats": EDGE_FLOATS, "ints": [0, -1, 2 ** 64], "big": 2 ** 70, "neg": -7},
+        {"z": 1, "a": {"y": [0.25, -0.0], "b": "x"}, "m": [{"k": 1.0}, {"j": [math.inf]}]},
+        {"nested": report},
+    ]
+    for obj in cases:
+        assert _dump_json(obj) == json_oracle(obj)
+
+
+@pytest.mark.parametrize("obj", [{"seed": np.int64(3)}, {"xs": [1.0, np.int64(3)]}, {"s": {1, 2}},
+                                 {"o": object()}, {1: "int key"}, {"xs": [1.0, b"bytes"]}],
+                         ids=["np-int64", "np-int64-in-list", "set", "object", "int-key", "bytes"])
+def test_dump_json_rejects_what_json_cannot_spell(obj):
+    with pytest.raises(TypeError):
+        _dump_json(obj)
+
+
+# -- a seed of a numpy integer type is stored as an int --
+
+@pytest.mark.parametrize("seed", [np.int64(3), np.uint64(3), np.int32(3)], ids=repr)
+def test_a_numpy_seed_gives_the_int_seeds_bytes(seed):
+    kwargs = dict(eta=0.2, n=16, trials=100)
+    want = estimate_es("bernoulli-plugin", "hamming-ball", BernoulliModel(0.5), seed=3, **kwargs)
+    got = estimate_es("bernoulli-plugin", "hamming-ball", BernoulliModel(0.5), seed=seed,
+                      **kwargs)
+    assert type(got.seed) is int
+    assert got.to_json(include_trials=True) == want.to_json(include_trials=True)
+    assert got.csv_row() == want.csv_row()
+    low = dict(eta=0.05, delta=0.5, n=100, trials=100)
+    assert (repr(mean_obstruction_low("clipped-mean", seed=seed, **low))
+            == repr(mean_obstruction_low("clipped-mean", seed=3, **low)))

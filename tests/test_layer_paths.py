@@ -152,6 +152,46 @@ def test_layer_ball_matches_enumeration_on_every_small_vector(name):
                 assert body.tobytes() == want.corrupted.samples.tobytes()
 
 
+def chunk_with_layers(n: int, weights, seed: int) -> np.ndarray:
+    """A (T, n, 1) binary stack whose trial i has weights[i] ones at random
+    rows, and -0.0 for about half of its zeros."""
+    rng = np.random.default_rng(seed)
+    stack = np.where(rng.random((len(weights), n)) < 0.5, 0.0, -0.0)
+    for row, w in zip(stack, weights):
+        row[rng.permutation(n)[:w]] = 1.0
+    return stack[:, :, None]
+
+
+def assert_chunk_matches_enumeration(f: Estimator, stack: np.ndarray) -> None:
+    n = stack.shape[1]
+    cube = enumerated(f)
+    for k in range(n):
+        body = _layer_ball_stack(stack, f.stack_fn, k)
+        assert body.shape == stack.shape
+        for x, got in zip(stack, body):
+            want = hamming_ball_sup(cube, Dataset(x), budget_for(n, k)).corrupted.samples
+            assert got.tobytes() == want.tobytes(), k
+
+
+# Every layer 0 .. n three times, shuffled; a few layers with gaps between
+# them, out of order; and chunks whose trials all share one layer. The
+# distinct layers map back to their trials in each.
+CHUNK_WEIGHTS = {
+    "every-layer": np.random.default_rng(5).permutation(np.repeat(np.arange(10), 3)),
+    "some-layers": [7, 2, 2, 5, 0, 7, 9, 5, 2],
+    "one-layer-0": [0] * 12,
+    "one-layer-4": [4] * 12,
+    "one-layer-9": [9] * 12,
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAYER_FUNCTIONS))
+@pytest.mark.parametrize("chunk", sorted(CHUNK_WEIGHTS))
+def test_a_chunk_of_trials_matches_enumeration(name, chunk):
+    stack = chunk_with_layers(9, CHUNK_WEIGHTS[chunk], 6)
+    assert_chunk_matches_enumeration(LAYER_FUNCTIONS[name](), stack)
+
+
 # -- (d) the engine's layer step against the enumeration's reports --
 
 def _grid():

@@ -22,7 +22,8 @@ def _called(node, name: str) -> bool:
 
 
 def _json_dumps(node) -> bool:
-    return _called(node, "dumps")
+    """JSON text: ``json.dumps``, or the string encoder ``_dump_json`` writes it with."""
+    return _called(node, "dumps") or _called(node, "encode_basestring_ascii")
 
 
 def _schema_key(node) -> bool:

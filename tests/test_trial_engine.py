@@ -653,6 +653,22 @@ def test_two_workers_on_a_warm_pool_give_the_one_worker_bytes(monkeypatch):
     assert 1 <= len(harness._IDLE_GENERATORS) <= 2
 
 
+def test_a_one_chunk_request_runs_on_the_calling_thread(monkeypatch):
+    kwargs = dict(eta=0.2, n=16, trials=100, seed=3)
+    want = text(estimate_es("bernoulli-plugin", "hamming-ball", BernoulliModel(0.5), workers=1,
+                            **kwargs))
+
+    def no_pool(*args, **kw):
+        raise AssertionError("a request of one chunk started a thread pool")
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
+    got = text(estimate_es("bernoulli-plugin", "hamming-ball", BernoulliModel(0.5), workers=2,
+                           **kwargs))
+    assert got == want
+    with pytest.raises(AssertionError, match="thread pool"):  # 163 trials a chunk: three chunks
+        estimate_es("mean", "resample", gauss(1), eta=0.1, n=400, trials=400, seed=3, workers=2)
+
+
 def test_one_column_norms_are_the_row_dot():
     rng = np.random.default_rng(77)
     bits = rng.integers(0, 2 ** 64, size=100_000, dtype=np.uint64, endpoint=False)
