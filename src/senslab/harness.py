@@ -148,21 +148,22 @@ def _dump_json(obj, _newline: str = "\n") -> str:
             return "-Infinity"
         return float.__repr__(obj)
     inner = _newline + "  "
+    sep = "," + inner
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = (encode_basestring_ascii(key) + ": " + _dump_json(obj[key], inner)
                  for key in sorted(obj))
-        return "{" + inner + ("," + inner).join(items) + _newline + "}"
+        return "{" + inner + sep.join(items) + _newline + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         try:
-            text = ("," + inner).join(map(float.__repr__, obj))
+            text = sep.join(map(float.__repr__, obj))
         except TypeError:  # an item that is not a float
             text = None
         if text is None or "n" in text:
-            text = ("," + inner).join(_dump_json(item, inner) for item in obj)
+            text = sep.join(_dump_json(item, inner) for item in obj)
         return "[" + inner + text + _newline + "]"
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
