@@ -183,11 +183,6 @@ class _Rekeyer:
         return self.generator
 
 
-def _rekey(gen: np.random.Generator, seed: int, stream_id: int) -> np.random.Generator:
-    """Reset ``gen`` to the start of stream (seed, stream_id) (see ``_Rekeyer``)."""
-    return _Rekeyer(seed, gen).at(stream_id)
-
-
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """n samples in R^d stored as a read-only (n, d) float64 array.

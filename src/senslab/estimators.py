@@ -66,7 +66,7 @@ class Estimator:
     (up to roundoff). The projection lift evaluates such an f once, on the
     mean of its noise draws, and the exact adversaries read it as "one
     replaced row moves f without bound" (``harness._median_only``, through
-    ``_validate_combo``). A binary-domain estimator declares it of the formula
+    ``harness._request``). A binary-domain estimator declares it of the formula
     it evaluates on {0, 1} data (the plug-in's is the mean).
     """
 

@@ -216,9 +216,10 @@ _REPORT_FIELDS = tuple(f.name for f in fields(SensitivityReport) if f.name != "p
 
 
 def _csv_cell(value) -> str:
+    # A float is spelled as _dump_json spells it, a numpy float64 included.
     if isinstance(value, bool):
         return "true" if value else "false"
-    return repr(value) if isinstance(value, float) else str(value)
+    return float.__repr__(value) if isinstance(value, float) else str(value)
 
 
 # Bytes per trial-stacked buffer of a chunk, and the most trials in one chunk.
@@ -250,8 +251,8 @@ class _TrialStreams:
             data, adversary = _IDLE_GENERATORS.pop()
         except IndexError:
             data = adversary = None
-        self._data = _Rekeyer(int(seed), data)
-        self._adversary = _Rekeyer(int(seed), adversary)
+        self._data = _Rekeyer(seed, data)
+        self._adversary = _Rekeyer(seed, adversary)
 
     def data(self, t: int) -> np.random.Generator:
         return self._data.at(2 * t)
@@ -263,24 +264,23 @@ class _TrialStreams:
         _IDLE_GENERATORS.append((self._data.generator, self._adversary.generator))
 
 
-def _run_chunked(trials: int, seed: int, workers: int, trial_bytes: int,
+def _run_chunked(job: _Job, workers: int,
                  run_chunk: Callable[[_TrialStreams, int, int], None]) -> None:
-    """Call ``run_chunk(streams, lo, hi)`` over contiguous chunks of [0, trials).
+    """Call ``run_chunk(streams, lo, hi)`` over contiguous chunks of the job's trials.
 
     A chunk holds at most 256 trials and at most 512 KiB per trial-stacked
-    buffer of ``trial_bytes`` per trial. With workers > 1 and more than one
-    chunk, the chunks are split into contiguous shards, one thread and one
-    ``_TrialStreams`` each; a single chunk runs on the calling thread.
-    ``run_chunk`` stores its results by trial index, so the reduction that
-    follows sees them in a fixed order.
+    (n, d) buffer. With workers > 1 and more than one chunk, the chunks are
+    split into contiguous shards, one thread and one ``_TrialStreams`` each;
+    a single chunk runs on the calling thread. ``run_chunk`` stores its
+    results by trial index, so the reduction that follows sees them in a
+    fixed order.
     """
-    RngStream(seed, 2 * trials - 1)  # the largest key: out-of-range seeds raise here
     workers = _count("workers", workers)
-    size = max(1, min(_CHUNK_TRIALS, _CHUNK_BYTES // trial_bytes))
-    chunks = [(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
+    size = max(1, min(_CHUNK_TRIALS, _CHUNK_BYTES // (job.budget.n * job.model.d * 8)))
+    chunks = [(lo, min(lo + size, job.trials)) for lo in range(0, job.trials, size)]
 
     def shard(part):
-        streams = _TrialStreams(seed)
+        streams = _TrialStreams(job.seed)
         for lo, hi in part:
             run_chunk(streams, lo, hi)
         streams.release()
@@ -295,14 +295,21 @@ def _run_chunked(trials: int, seed: int, workers: int, trial_bytes: int,
 
 @dataclass(frozen=True)
 class _Job:
-    """The inputs of a trial step. With a ``prior``, trial t first draws a mean
-    mu' uniformly from it and its clean rows are N(mu', 1)."""
+    """One checked request (see ``_request``): everything its trials and its
+    report read. ``spec`` is the table entry of ``adversary``. With a
+    ``prior``, trial t first draws a mean mu' uniformly from it and its clean
+    rows are N(mu', 1)."""
 
+    est: Estimator
+    adversary: str
+    spec: _Adversary
     model: GaussianModel | BernoulliModel
     budget: CorruptionBudget
-    est: Estimator | None = None
-    delta: float | None = None
-    prior: tuple[float, float] | None = None
+    trials: int
+    seed: int
+    q: int
+    delta: float | None
+    prior: tuple[float, float] | None
 
 
 def _clean_stack(job: _Job, stream: Callable, lo: int, hi: int) -> np.ndarray:
@@ -371,20 +378,21 @@ def _ball_pairs(job: _Job, streams: _TrialStreams, lo: int, hi: int):
                             for x in clean])
 
 
-def _run_pairs(job: _Job, pairs: Callable, trials: int, seed: int, workers: int = 1):
-    """f(corrupted) - f(clean) of every trial, and whether its recomputed
-    Hamming distance is at most k. Both stacks must be finite."""
-    diff = np.empty((trials, job.est.output_dim))
-    feasible = np.empty(trials, dtype=bool)
+def _run_pairs(job: _Job, workers: int = 1):
+    """f(corrupted) - f(clean) of every trial of the adversary's step, and
+    whether its recomputed Hamming distance is at most k. Both stacks must
+    be finite."""
+    diff = np.empty((job.trials, job.est.output_dim))
+    feasible = np.empty(job.trials, dtype=bool)
 
     def run_chunk(streams: _TrialStreams, lo: int, hi: int) -> None:
-        clean, corrupted = pairs(job, streams, lo, hi)
+        clean, corrupted = job.spec.step(job, streams, lo, hi)
         _check_finite(clean)
         _check_finite(corrupted)
         feasible[lo:hi] = _hamming_stack(clean, corrupted) <= job.budget.k
         diff[lo:hi] = job.est.on_stack(corrupted) - job.est.on_stack(clean)
 
-    _run_chunked(trials, seed, workers, job.budget.n * job.model.d * 8, run_chunk)
+    _run_chunked(job, workers, run_chunk)
     return diff, feasible
 
 
@@ -452,12 +460,6 @@ ADVERSARY_NAMES = tuple(_ADVERSARIES)
 EXACT_ADVERSARIES = frozenset(name for name, spec in _ADVERSARIES.items() if spec.exact)
 
 
-def _resolve_estimator(estimator: Estimator | str, d: int, seed: int) -> Estimator:
-    if isinstance(estimator, str):
-        return build_estimator(estimator, d=d, seed=seed)
-    return estimator
-
-
 def _gaussian_point(estimator: str, d: int, mu: Sequence[float],
                     seed: int) -> tuple[Estimator, GaussianModel]:
     """The estimator, built at dimension d, and its clean-data model.
@@ -466,7 +468,7 @@ def _gaussian_point(estimator: str, d: int, mu: Sequence[float],
     is not d-dimensional (the ``projected:<inner>`` lift) lifts scalar samples
     into R^d itself, so its clean data stay scalar: its ``mu`` has one entry.
     """
-    est = _resolve_estimator(estimator, d, seed)
+    est = build_estimator(estimator, d=d, seed=seed)
     mu = [float(v) for v in mu]
     if est.output_dim != d:
         if len(mu) != 1:
@@ -486,9 +488,31 @@ def _require_bernoulli_data(est: Estimator, model) -> None:
         raise ValueError(f"{est.name} requires a BernoulliModel for the clean data")
 
 
-def _validate_combo(est: Estimator, adversary: str, model, budget: CorruptionBudget,
-                    delta) -> _Adversary:
-    """The table entry of ``adversary``, once the request is one it can run."""
+def _request(estimator: Estimator | str, adversary: str, model, *, eta: float, n: int,
+             trials: int, seed: int, q: int = 2, delta: float | None = None,
+             prior: tuple[float, float] | None = None, fewest: int = 100,
+             nonempty: bool = False) -> _Job:
+    """The job of a request to ``adversary``, once every check that needs no
+    trial has passed: the one validation of ``estimate_es``, each point of
+    ``scaling_sweep`` and the three obstruction experiments.
+
+    A request runs at least ``fewest`` trials. ``nonempty`` asks for k >= 1
+    whatever the adversary's entry says (the coupling obstruction's budget
+    must allow a corruption; ``estimate_es``'s tv-coupling need not). A
+    ``prior`` is an interval inside [0, 1]. The seed must key every stream
+    of the request's trials.
+    """
+    if q not in (1, 2):
+        raise ValueError(f"q must be 1 or 2, got {q}")
+    trials = _count("trials", trials, fewest)
+    est = estimator
+    if isinstance(estimator, str):
+        est = build_estimator(estimator, d=model.d, seed=seed)
+        if est.output_dim != model.d:
+            raise ValueError(f"{estimator} takes scalar clean data, but the model has d = "
+                             f"{model.d}; to lift to d, pass build_estimator({estimator!r}, "
+                             f"d={model.d}) and GaussianModel([mu])")
+    budget = CorruptionBudget.from_eta(eta, n)
     spec = _ADVERSARIES.get(adversary)
     if spec is None:
         raise ValueError(f"unknown adversary {adversary!r}; known: {', '.join(ADVERSARY_NAMES)}")
@@ -509,28 +533,18 @@ def _validate_combo(est: Estimator, adversary: str, model, budget: CorruptionBud
         raise ValueError(f"{adversary} takes no delta, got delta={delta}")
     if delta is not None:
         _require_finite("delta", delta)
+        delta = float(delta)
     if spec.scalar_only and model.d != 1:
         raise ValueError(f"{adversary} requires scalar (d = 1) data")
-    if spec.nonempty:
+    if spec.nonempty or nonempty:
         budget.require_nonempty()
-    return spec
-
-
-def _es_request(estimator: Estimator | str, adversary: str, model, eta: float, n: int, q: int,
-                trials: int, seed: int,
-                delta) -> tuple[Estimator, CorruptionBudget, _Adversary, int]:
-    """The estimator, budget, table entry and trial count of an ``estimate_es``
-    request, once every check that needs no trial has passed."""
-    if q not in (1, 2):
-        raise ValueError(f"q must be 1 or 2, got {q}")
-    trials = _count("trials", trials, 100)
-    est = _resolve_estimator(estimator, model.d, seed)
-    if isinstance(estimator, str) and est.output_dim != model.d:
-        raise ValueError(
-            f"{estimator} takes scalar clean data, but the model has d = {model.d}; to lift "
-            f"to d, pass build_estimator({estimator!r}, d={model.d}) and GaussianModel([mu])")
-    budget = CorruptionBudget.from_eta(eta, n)
-    return est, budget, _validate_combo(est, adversary, model, budget, delta), trials
+    if prior is not None:
+        lo, hi = prior
+        if not (0.0 <= lo < hi <= 1.0):
+            raise ValueError(f"prior must be an interval inside [0, 1], got {prior}")
+        prior = (float(lo), float(hi))
+    RngStream(seed, 2 * trials - 1)  # the largest key: out-of-range seeds raise here
+    return _Job(est, adversary, spec, model, budget, trials, int(seed), int(q), delta, prior)
 
 
 def estimate_es(
@@ -554,32 +568,36 @@ def estimate_es(
     trials contribute 0, which keeps the estimate a valid lower bound. The
     q-th-moment CI is mean +/- 1.96 stderr mapped through x -> x^{1/q}.
     """
-    est, budget, spec, trials = _es_request(estimator, adversary, model, eta, n, q, trials, seed,
-                                            delta)
-    diff, feasible = _run_pairs(_Job(model, budget, est, delta), spec.step, trials, seed, workers)
+    return _sensitivity(_request(estimator, adversary, model, eta=eta, n=n, trials=trials,
+                                 seed=seed, q=q, delta=delta), workers)
+
+
+def _sensitivity(job: _Job, workers: int) -> SensitivityReport:
+    """The report of an ``estimate_es`` job."""
+    diff, feasible = _run_pairs(job, workers)
     per_trial = _row_norms(diff)
     per_trial[~feasible] = 0.0
 
-    moment, stderr = analysis._mean_se(per_trial if q == 1 else per_trial * per_trial)
+    moment, stderr = analysis._mean_se(per_trial if job.q == 1 else per_trial * per_trial)
     lo = max(moment - 1.96 * stderr, 0.0)
     hi = moment + 1.96 * stderr
-    root = 1.0 / q
+    root = 1.0 / job.q
     per_trial.flags.writeable = False
     return SensitivityReport(
-        estimator=est.name,
-        adversary=adversary,
-        n=budget.n,
-        d=model.d,
-        eta=float(eta),
-        k=budget.k,
-        q=q,
-        trials=trials,
-        seed=int(seed),
-        delta=None if delta is None else float(delta),
+        estimator=job.est.name,
+        adversary=job.adversary,
+        n=job.budget.n,
+        d=job.model.d,
+        eta=job.budget.eta,
+        k=job.budget.k,
+        q=job.q,
+        trials=job.trials,
+        seed=job.seed,
+        delta=job.delta,
         es_estimate=moment ** root,
         ci_low=lo ** root,
         ci_high=hi ** root,
-        lower_bound_only=not spec.exact,
+        lower_bound_only=not job.spec.exact,
         per_trial=per_trial,
     )
 
@@ -638,8 +656,8 @@ def scaling_sweep(
 
     ``mu`` is one value (broadcast) or a mean vector of d entries. Every
     point's estimator and model come from ``_gaussian_point``, and every
-    point's request passes the checks of ``estimate_es``, before the first
-    trial runs, so a bad request fails at once.
+    point's job from ``_request``, before the first trial runs, so a bad
+    request fails at once.
     """
     if variable not in ("eta", "n", "d"):
         raise ValueError(f"sweep variable must be eta, n, or d, got {variable!r}")
@@ -654,17 +672,14 @@ def scaling_sweep(
             _count(variable, v)
 
     mu = np.atleast_1d(mu)
-    points = []
+    jobs = []
     for v in values:
         point = {"eta": eta, "n": n, "d": d}
         point[variable] = v
         est, model = _gaussian_point(estimator, int(point["d"]), mu, seed)
-        kwargs = dict(eta=float(point["eta"]), n=int(point["n"]), q=q, trials=trials, seed=seed,
-                      delta=delta)
-        _es_request(est, adversary, model, **kwargs)
-        points.append((est, model, kwargs))
-    reports = [estimate_es(est, adversary, model, workers=workers, **kwargs)
-               for est, model, kwargs in points]
+        jobs.append(_request(est, adversary, model, eta=float(point["eta"]), n=int(point["n"]),
+                             trials=trials, seed=seed, q=q, delta=delta))
+    reports = [_sensitivity(job, workers) for job in jobs]
 
     used = tuple(
         r.es_estimate > 0.0 and (r.ci_high - r.ci_low) / 2.0 < 0.1 * r.es_estimate
@@ -693,21 +708,6 @@ def _uniform_scalar(gen: np.random.Generator, lo: float, hi: float) -> float:
     """lo + (hi - lo) u for one ``uniform_open`` variate u, whose add and clamp
     (``core._open_unit``) run here as the same two float operations."""
     return lo + (hi - lo) * min(gen.random() + 2.0 ** -54, _BELOW_ONE)
-
-
-def _scalar_job(h: Estimator | str, experiment: str, eta: float, n: int, seed: int,
-                prior: tuple[float, float], delta: float | None = None) -> _Job:
-    """The job of an obstruction experiment: a scalar estimator, scalar rows."""
-    est = _resolve_estimator(h, 1, seed)
-    _require_scalar(est, experiment)
-    model = GaussianModel(np.zeros(1))
-    _require_bernoulli_data(est, model)
-    budget = CorruptionBudget.from_eta(eta, n)
-    budget.require_nonempty()
-    lo, hi = prior
-    if not (0.0 <= lo < hi <= 1.0):
-        raise ValueError(f"prior must be an interval inside [0, 1], got {prior}")
-    return _Job(model, budget, est, delta, (float(lo), float(hi)))
 
 
 @dataclass(frozen=True)
@@ -747,27 +747,28 @@ def mean_obstruction_low(
     reported alongside. Requires the low-corruption regime k <= sqrt(n)
     (violations warn rather than fail).
     """
-    trials = _count("trials", trials, _FEWEST_TRIALS)
-    job = _scalar_job(h, "mean_obstruction_low", eta, n, seed, prior, delta)
-    k = job.budget.k
+    job = _request(h, "local-shift", GaussianModel(np.zeros(1)), eta=eta, n=n, trials=trials,
+                   seed=seed, delta=delta, prior=prior, fewest=_FEWEST_TRIALS)
+    _require_scalar(job.est, "mean_obstruction_low")
+    n, k = job.budget.n, job.budget.k
     chi2_budget = analysis.chi2_localshift_bound(k, n, delta)  # checks delta before any trial
     regime_ok = k <= math.sqrt(n)
     if not regime_ok:
         warnings.warn(f"k = {k} exceeds sqrt(n) = {math.sqrt(n):.2f}; "
                       "outside the low-corruption regime", stacklevel=2)
 
-    avg, stderr = analysis._mean_se(_run_pairs(job, _local_shift_pairs, trials, seed)[0][:, 0])
+    avg, stderr = analysis._mean_se(_run_pairs(job)[0][:, 0])
     return MeanObstructionReport(
-        eta=float(eta),
-        delta=float(delta),
-        n=job.budget.n,
+        eta=job.budget.eta,
+        delta=job.delta,
+        n=n,
         k=k,
-        trials=trials,
-        seed=int(seed),
+        trials=job.trials,
+        seed=job.seed,
         prior=job.prior,
         avg_displacement=avg,
         stderr=stderr,
-        predicted=float(eta) * float(delta),
+        predicted=job.budget.eta * job.delta,
         chi2_budget=chi2_budget,
         regime_ok=regime_ok,
     )
@@ -806,26 +807,28 @@ def coupling_obstruction_high(
     two parameters, and the endpoint-average argument guarantees the measured
     value is at least eta/3 minus the infeasibility rate (``proof_floor``).
     """
-    trials = _count("trials", trials, _FEWEST_TRIALS)
     if not (0.0 < eta <= 0.1):
         raise ValueError(f"coupling obstruction requires eta in (0, 1/10], got {eta}")
-    job = _scalar_job(h, "coupling_obstruction_high", eta, n, seed,
-                      (0.0, 1.0 - eta) if prior is None else prior)
-    diff, feasible = _run_pairs(job, _coupling_pairs, trials, seed)
+    job = _request(h, "tv-coupling", GaussianModel(np.zeros(1)), eta=eta, n=n, trials=trials,
+                   seed=seed, prior=(0.0, 1.0 - eta) if prior is None else prior,
+                   fewest=_FEWEST_TRIALS, nonempty=True)
+    _require_scalar(job.est, "coupling_obstruction_high")
+    diff, feasible = _run_pairs(job)
     avg, stderr = analysis._mean_se(np.where(feasible, diff[:, 0], 0.0))
+    trials, eta = job.trials, job.budget.eta
     rate = (trials - int(np.count_nonzero(feasible))) / trials
     return CouplingObstructionReport(
-        eta=float(eta),
+        eta=eta,
         n=job.budget.n,
         k=job.budget.k,
         trials=trials,
-        seed=int(seed),
+        seed=job.seed,
         prior=job.prior,
         avg_displacement_on_feasible=avg,
         stderr=stderr,
         infeasible_rate=rate,
-        predicted=float(eta),
-        proof_floor=float(eta) / 3.0 - rate,
+        predicted=eta,
+        proof_floor=eta / 3.0 - rate,
     )
 
 
@@ -870,14 +873,10 @@ def variance_obstruction(
     """
     if not isinstance(model, GaussianModel):
         raise ValueError("variance_obstruction requires a GaussianModel")
-    trials = _count("trials", trials, _FEWEST_TRIALS)
-    est = _resolve_estimator(f, model.d, seed)
-    _require_bernoulli_data(est, model)
-    budget = CorruptionBudget.from_eta(eta, n)
-    budget.require_nonempty()
-    n = budget.n
-    job = _Job(model, budget)
-    layout = block_layout(n, budget.k)
+    job = _request(f, "block-resample", model, eta=eta, n=n, trials=trials, seed=seed,
+                   fewest=_FEWEST_TRIALS)
+    est, trials, n, k = job.est, job.trials, job.budget.n, job.budget.k
+    layout = block_layout(n, k)
     m_blocks = len(layout)
 
     # The blocks are consecutive, so the per-block draws of stream
@@ -892,7 +891,7 @@ def variance_obstruction(
         for b, g in enumerate(block_gaps):
             gaps[lo:hi, b] = g
 
-    _run_chunked(trials, seed, 1, n * model.d * 8, run_chunk)
+    _run_chunked(job, 1, run_chunk)
 
     var_clean, var_se = analysis._variance_with_se(outputs)
     block_means, block_ses = analysis._mean_se(gaps, axis=0)
@@ -902,13 +901,13 @@ def variance_obstruction(
     verdict = analysis._mc_verdict((2.0 / m_blocks) * var_clean, max_gap,
                                    math.hypot(2.0 / m_blocks * var_se, max_gap_se), trials)
     return VarianceObstructionReport(
-        eta=float(eta),
+        eta=job.budget.eta,
         n=n,
         d=model.d,
-        k=budget.k,
+        k=k,
         n_blocks=m_blocks,
         trials=trials,
-        seed=int(seed),
+        seed=job.seed,
         var_clean=var_clean,
         var_clean_stderr=var_se,
         block_gaps=tuple(float(v) for v in block_means),

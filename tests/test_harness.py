@@ -28,7 +28,7 @@ from senslab import (
     variance_obstruction,
     verify_suite,
 )
-from senslab import cli
+from senslab import cli, harness
 from senslab.harness import SensitivityReport, VerifyRow, _dump_json
 
 
@@ -508,3 +508,54 @@ def test_a_numpy_seed_gives_the_int_seeds_bytes(seed):
     low = dict(eta=0.05, delta=0.5, n=100, trials=100)
     assert (repr(mean_obstruction_low("clipped-mean", seed=seed, **low))
             == repr(mean_obstruction_low("clipped-mean", seed=3, **low)))
+
+
+# -- q and every float cell are written as the package writes them --
+
+@pytest.mark.parametrize("q,plain", [(np.int64(2), 2), (2.0, 2), (True, 1), (np.int64(1), 1)],
+                         ids=repr)
+def test_a_numpy_float_or_bool_q_gives_the_int_qs_bytes(q, plain):
+    kwargs = dict(eta=0.2, n=16, trials=100, seed=3)
+    want = estimate_es("bernoulli-plugin", "hamming-ball", BernoulliModel(0.5), q=plain, **kwargs)
+    got = estimate_es("bernoulli-plugin", "hamming-ball", BernoulliModel(0.5), q=q, **kwargs)
+    assert type(got.q) is int
+    assert got.to_json(include_trials=True) == want.to_json(include_trials=True)
+    assert got.csv_row() == want.csv_row()
+
+
+def test_a_numpy_float_cell_is_written_as_the_plain_float():
+    report = estimate_es("mean", "resample", gauss(1), eta=0.1, n=50, trials=100, seed=2)
+    cells = dict(es_estimate=np.float64(report.es_estimate), eta=np.float64(report.eta))
+    numpy_floats = dataclasses.replace(report, **cells)
+    assert "np.float64" not in numpy_floats.csv_row()
+    assert numpy_floats.csv_row() == report.csv_row()
+
+
+# -- a sweep runs the jobs it checked: each point is its own estimate_es call --
+
+@pytest.mark.parametrize("estimator,adversary", [("median", "median-exact"),
+                                                 ("mean", "resample")])
+def test_every_sweep_point_is_its_own_estimate_es_call(estimator, adversary):
+    values = (0.02, 0.04, 0.08, 0.16)
+    fit = scaling_sweep(estimator, adversary, variable="eta", values=values, n=301, trials=400,
+                        seed=9)
+    for eta, report in zip(values, fit.reports):
+        alone = estimate_es(estimator, adversary, gauss(1), eta=eta, n=301, trials=400, seed=9)
+        assert report.to_json(include_trials=True) == alone.to_json(include_trials=True)
+
+
+# -- every obstruction needs a budget that allows one corruption --
+
+@pytest.mark.parametrize("run", [
+    lambda: mean_obstruction_low("clipped-mean", eta=0.05, delta=0.5, n=10, trials=100),
+    lambda: coupling_obstruction_high("clipped-mean", eta=0.1, n=9, trials=100),
+    lambda: variance_obstruction("mean", gauss(2), eta=0.05, n=10, trials=100),
+], ids=["mean-obstruction", "coupling-obstruction", "variance-obstruction"])
+def test_an_obstruction_with_an_empty_budget_fails_before_any_draw(monkeypatch, run):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran before the request was checked")
+
+    monkeypatch.setattr(harness, "_run_chunked", no_trials)
+    with pytest.raises(ValueError, match=r"^budget allows no corruption: eta=0\.\d+, n=\d+ "
+                                         r"gives k=0$"):
+        run()

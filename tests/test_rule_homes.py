@@ -106,6 +106,27 @@ def _bernoulli_data(node) -> bool:
     return "requires a BernoulliModel for the clean data" in _message(node)
 
 
+def _nonempty_budget(node) -> bool:
+    return _called(node, "require_nonempty")
+
+
+def _bernoulli_data_call(node) -> bool:
+    return _called(node, "_require_bernoulli_data")
+
+
+def _trials_count(node) -> bool:
+    return (_called(node, "_count") and bool(node.args) and isinstance(node.args[0], ast.Constant)
+            and node.args[0].value == "trials")
+
+
+def _adversary_lookup(node) -> bool:
+    """``_ADVERSARIES[name]`` or ``_ADVERSARIES.get(name)``."""
+    if isinstance(node, ast.Subscript):
+        return getattr(node.value, "id", None) == "_ADVERSARIES"
+    return (_called(node, "get") and isinstance(node.func, ast.Attribute)
+            and getattr(node.func.value, "id", None) == "_ADVERSARIES")
+
+
 def _layer_guard(node) -> bool:
     return _message(node).startswith("layer guard")
 
@@ -155,6 +176,10 @@ RULES = {
     "binary-entries": (_binary_entries, {"estimators._require_binary"}),
     "bernoulli-data": (_bernoulli_data, {"harness._require_bernoulli_data"}),
     "layer-guard": (_layer_guard, {"estimators._LayerStack.table"}),
+    "nonempty-budget": (_nonempty_budget, {"harness._request", "adversaries.local_shift_adversary",
+                                           "adversaries.block_resample"}),
+    "bernoulli-data-call": (_bernoulli_data_call, {"harness._request"}),
+    "adversary-lookup": (_adversary_lookup, {"harness._request"}),
     "estimator-names-literal": (_names_literal, set()),
     "count": (_count_rule, {"core._count"}),
     "scalar-finite": (_scalar_finite, {"core._require_finite"}),
@@ -166,6 +191,13 @@ RULES = {
 def test_rule_has_one_home(rule):
     match, home = RULES[rule]
     assert _places(match) == home
+
+
+def test_the_harness_counts_trials_in_its_request_only():
+    # Every experiment's request, estimate_es's and the obstructions', is built
+    # by _request; the analysis checkers count their own draws.
+    assert {place for place in _places(_trials_count)
+            if place.startswith("harness.")} == {"harness._request"}
 
 
 def test_a_registry_name_is_split_once_in_build_estimator():

@@ -45,7 +45,7 @@ from senslab import (
     variance_obstruction,
 )
 from senslab import core, harness
-from senslab.core import _open_unit, _rekey
+from senslab.core import _Rekeyer, _open_unit
 
 
 def gauss(d, mu=0.0):
@@ -582,7 +582,7 @@ def test_rekey_draws_the_stream_bytes():
         gen.random(3)
         # The stream key packed into numpy's 128-bit Philox key.
         want = draws(np.random.Generator(np.random.Philox(key=seed | stream_id << 64)))
-        assert draws(_rekey(gen, seed, stream_id)) == want
+        assert draws(_Rekeyer(seed, gen).at(stream_id)) == want
         assert draws(RngStream(seed, stream_id).generator()) == want
 
 
@@ -590,9 +590,9 @@ def test_rekey_accepts_numpy_key_words():
     # RngStream accepts np.integer keys; the list-valued state takes them too.
     gen = np.random.Generator(np.random.Philox(0))
     for seed, stream_id in KEYS + [(0, 0), (2 ** 64 - 1, 2 ** 64 - 1)]:
-        want = draws(_rekey(gen, seed, stream_id))
-        assert draws(_rekey(gen, np.uint64(seed), np.uint64(stream_id))) == want
-        assert draws(_rekey(gen, np.uint64(seed), stream_id)) == want
+        want = draws(_Rekeyer(seed, gen).at(stream_id))
+        assert draws(_Rekeyer(np.uint64(seed), gen).at(np.uint64(stream_id))) == want
+        assert draws(_Rekeyer(np.uint64(seed), gen).at(stream_id)) == want
 
 
 def leave_mid_block(gen: np.random.Generator) -> None:
