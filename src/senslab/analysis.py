@@ -75,6 +75,8 @@ _MC_SIGMAS = 4.0
 _MIN_DRAWS = 1000
 # Bytes per chunk of each block a checker draws through _draw_chunks.
 _ES_CHUNK_BYTES = 1 << 21
+# Bytes per array of a block of leave-one-out medians (_median_replaced).
+_ES_BLOCK_BYTES = 1 << 19
 # Largest exact relative stderr chi2_products_mc admits.
 _CHI2_MC_REL_SE = 0.5
 
@@ -324,12 +326,30 @@ def gaussian_lr_identity_check(a, b, trials: int, rng: RngStream) -> IneqCheckRe
                        two_sided=True)
 
 
-def _random_k_subset_masks(u: np.ndarray, k: int) -> np.ndarray:
-    # Per row of the (T, n) uniforms u, the positions of its k smallest
-    # entries: a uniformly random k-subset of [n].
+def _argpartition_masks(u: np.ndarray, k: int) -> np.ndarray:
+    # Per row of the (T, n) uniforms u, the positions argpartition puts first
+    # at kth = k - 1: its k smallest entries, with argpartition's pick on a tie.
     idx = np.argpartition(u, k - 1, axis=1)[:, :k]
     mask = np.zeros(u.shape, dtype=bool)
     np.put_along_axis(mask, idx, True, axis=1)
+    return mask
+
+
+def _random_k_subset_masks(u: np.ndarray, k: int) -> np.ndarray:
+    """Per row of the (T, n) uniforms u, the positions of its k smallest
+    entries: a uniformly random k-subset of [n].
+
+    One partition per chunk gives each row's k-th smallest entry, the cut,
+    and a row keeps the entries ``u <= cut``. That is exactly its k smallest
+    unless the cut is tied with an entry past it, when more than k are kept;
+    such a row takes ``_argpartition_masks``' pick instead, so every mask is
+    the one ``np.argpartition`` gives.
+    """
+    mask = u <= np.partition(u, k - 1, axis=1)[:, k - 1:k]
+    # Every row keeps at least k entries, so a total of T·k means none keeps more.
+    if np.count_nonzero(mask) > mask.shape[0] * k:
+        tied = np.flatnonzero(np.count_nonzero(mask, axis=1) > k)
+        mask[tied] = _argpartition_masks(u[tied], k)
     return mask
 
 
@@ -341,15 +361,28 @@ def hypergeom_mgf_check(n: int, k: int, lam: float, trials: int,
     A is drawn from part 0 and B from part 1 of ``_draw_chunks`` with (n,)
     rows: trial t's A reads doubles [t·n, (t+1)·n) of ``rng``'s stream and
     its B doubles [(T + t)·n, (T + t + 1)·n), T = trials.
+
+    A request whose rhs exponent, or whose largest lhs exponent
+    lambda (k - k^2/n) at H = k, exceeds ``_EXP_OVERFLOW`` is rejected
+    before any draw.
     """
     k, n = _require_subset(k, n)
     _require_nonnegative("lambda", lam)
     trials = _count("trials", trials, _MIN_DRAWS)
+    ratio = k * k / n
+    # Past lambda = _EXP_OVERFLOW the bound exponent exceeds e^699 / n, out of
+    # range at any n a draw could hold, so it is taken as inf instead of
+    # formed: e^lambda itself overflows a double from lambda = 709.8 on.
+    growth = math.expm1(lam) - lam if lam <= _EXP_OVERFLOW else math.inf
+    for side, arg in (("bound", ratio * growth), ("lhs", lam * (k - ratio))):
+        if arg > _EXP_OVERFLOW:
+            raise OverflowError(f"{side} exponent {arg:.3g} exceeds {_EXP_OVERFLOW}; "
+                                "result overflows")
     h = np.empty(trials)
     for lo, hi, (u_a, u_b) in _draw_chunks(rng, trials, (n,), 2):
         h[lo:hi] = (_random_k_subset_masks(u_a, k) & _random_k_subset_masks(u_b, k)).sum(axis=1)
-    lhs, se = _mean_se(np.exp(lam * (h - k * k / n)))
-    rhs = float(math.exp((k * k / n) * (math.expm1(lam) - lam)))
+    lhs, se = _mean_se(np.exp(lam * (h - ratio)))
+    rhs = math.exp(ratio * growth)
     return _mc_verdict(lhs, rhs, se, trials)
 
 
@@ -435,10 +468,12 @@ def _replaced_on_stack(f: Estimator, x: np.ndarray, fresh: np.ndarray, blocks):
 
 
 def _median_replaced(x: np.ndarray, fresh: np.ndarray):
-    # _median_stack on x, and a generator of it on x with row i replaced by
-    # fresh's row i, for i = 0..n-1, from the order statistics s_{q-1}, s_q,
-    # s_{q+1} of each dataset (see efron_stein_check).
-    n = x.shape[1]
+    # _median_stack on the (T, n, d) stack x, and a generator of it on x with
+    # row i replaced by fresh's row i, from the order statistics s_{q-1}, s_q,
+    # s_{q+1} of each dataset (see efron_stein_check). The generator yields
+    # consecutive blocks of rows i, each (T, rows, d) with at most about
+    # _ES_BLOCK_BYTES per array, in row order.
+    t, n, d = x.shape
     q = _median_index(n)
     s = np.sort(x, axis=1)
     mid = s[:, q].copy()
@@ -448,16 +483,25 @@ def _median_replaced(x: np.ndarray, fresh: np.ndarray):
     # Each bound picks one of two order statistics per element. The pick is
     # made on the bit patterns, a ^ ((a ^ b) & -mask), which is a or b exactly,
     # without the branch np.where takes on every element of a random mask.
-    below_bits, above_bits = below.view(np.int64), above.view(np.int64)
-    to_mid_lo = below_bits ^ mid.view(np.int64)
-    to_mid_hi = above_bits ^ mid.view(np.int64)
+    mid_b = mid[:, None]
+    below_bits, above_bits = below.view(np.int64)[:, None], above.view(np.int64)[:, None]
+    to_mid_lo = below_bits ^ mid.view(np.int64)[:, None]
+    to_mid_hi = above_bits ^ mid.view(np.int64)[:, None]
+    rows = max(1, _ES_BLOCK_BYTES // (t * d * 8))
+
+    def bound(bits, to_mid, pick):
+        pick = pick.astype(np.int64)
+        np.negative(pick, out=pick)
+        pick &= to_mid
+        pick ^= bits
+        return pick.view(np.float64)
 
     def replaced():
-        for i in range(n):
-            xi = x[:, i]
-            lo = below_bits ^ (to_mid_lo & -(xi < mid).astype(np.int64))
-            hi = above_bits ^ (to_mid_hi & -(xi > mid).astype(np.int64))
-            yield np.clip(fresh[:, i], lo.view(np.float64), hi.view(np.float64))
+        for i in range(0, n, rows):
+            xi = x[:, i:i + rows]
+            lo = bound(below_bits, to_mid_lo, xi < mid_b)
+            hi = bound(above_bits, to_mid_hi, xi > mid_b)
+            yield np.clip(fresh[:, i:i + rows], lo, hi, out=lo)
 
     return mid, replaced()
 
@@ -469,15 +513,25 @@ def _leave_out_gaps(f: Estimator, x: np.ndarray, fresh: np.ndarray, blocks):
 
     ``blocks`` are consecutive half-open row ranges that partition [0, n).
     When each is one row and f's ``stack_fn`` is ``_median_stack``, the
-    values come from one sort of x (``_median_replaced``); otherwise f is
+    medians come from one sort of x (``_median_replaced``), and the gaps of
+    a block of rows are formed together, then yielded row by row: each is
+    the (T,) vector a single row would give, bit for bit. Otherwise f is
     evaluated on x and on each replaced stack, with x restored after each.
     """
     if f.stack_fn is _median_stack and len(blocks) == x.shape[1]:
         fx, replaced = _median_replaced(x, fresh)
-    else:
-        fx = f.on_stack(x)
-        replaced = _replaced_on_stack(f, x, fresh, blocks)
-    return fx, (((fx - fxb) ** 2).sum(axis=1) for fxb in replaced)
+        return fx, _row_block_gaps(fx, replaced)
+    fx = f.on_stack(x)
+    return fx, (((fx - fxb) ** 2).sum(axis=1) for fxb in _replaced_on_stack(f, x, fresh, blocks))
+
+
+def _row_block_gaps(fx: np.ndarray, replaced):
+    # ||fx - f_i||^2 per dataset for each row i, from the (T, rows, d) blocks
+    # of f_i that ``replaced`` yields; each block is overwritten in place.
+    for block in replaced:
+        np.subtract(fx[:, None], block, out=block)
+        block *= block
+        yield from block.sum(axis=2).T
 
 
 def efron_stein_check(f: Estimator, model: GaussianModel, n: int, trials: int,
@@ -506,6 +560,10 @@ def efron_stein_check(f: Estimator, model: GaussianModel, n: int, trials: int,
     it is the value the selection picks, bit for bit: with ties, per
     coordinate for d > 1, and for even n (the lower median). f(X) itself is
     s_q, read from the same sort instead of a selection over the stack.
+    After the sort, the bounds, the clip and the squared gaps are formed for
+    a block of rows at a time (``_median_replaced``, at most about
+    ``_ES_BLOCK_BYTES`` per array), and the gaps are added to the per-trial
+    sums one row at a time, in row order, so the sums keep their bits.
 
     Only the sign of a zero tied with a zero of the other sign could differ
     from a selection, in f(X) or in f(X^(i)), and neither moves the result:

@@ -1,8 +1,10 @@
 """Fast paths of ``analysis`` held to their references.
 
 ``efron_stein_check`` takes the leave-one-out medians of an estimator that
-computes ``_median_stack`` from three order statistics per dataset; every
-other estimator is evaluated on the n replaced stacks. Every Monte Carlo
+computes ``_median_stack`` from three order statistics per dataset, and
+forms their gaps a block of rows at a time; every other estimator is
+evaluated on the n replaced stacks. ``hypergeom_mgf_check`` marks each
+random subset from one partition per chunk. Every Monte Carlo
 checker but the likelihood-ratio identity draws and evaluates its trials
 chunk by chunk, and ``_log_esp_k`` updates a whole column of its DP in one
 step. ``binomial_point_mass`` reads log-gamma at integer arguments through a
@@ -61,24 +63,115 @@ def test_only_the_median_stack_takes_the_order_statistic_path(monkeypatch):
     assert len(calls) == 11
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 10, 11, 24, 25])
-@pytest.mark.parametrize("d", [1, 2])
-def test_leave_one_out_medians_on_tied_stacks(n, d):
+def median_replaced_rows(x: np.ndarray, fresh: np.ndarray):
+    # The reference for analysis._median_replaced and the gaps formed from
+    # it: the order-statistic rule applied one row at a time, as it was first
+    # written. Returns s_q and the list of (T, d) medians with row i replaced.
+    n = x.shape[1]
+    q = (n - 1) // 2
+    s = np.sort(x, axis=1)
+    mid = s[:, q].copy()
+    below = s[:, q - 1].copy() if q >= 1 else np.full_like(mid, -np.inf)
+    above = s[:, q + 1].copy() if q + 1 < n else np.full_like(mid, np.inf)
+    below_bits, above_bits = below.view(np.int64), above.view(np.int64)
+    to_mid_lo = below_bits ^ mid.view(np.int64)
+    to_mid_hi = above_bits ^ mid.view(np.int64)
+    rows = []
+    for i in range(n):
+        xi = x[:, i]
+        lo = below_bits ^ (to_mid_lo & -(xi < mid).astype(np.int64))
+        hi = above_bits ^ (to_mid_hi & -(xi > mid).astype(np.int64))
+        rows.append(np.clip(fresh[:, i], lo.view(np.float64), hi.view(np.float64)))
+    return mid, rows
+
+
+def assert_gaps_match_the_rows(x: np.ndarray, fresh: np.ndarray):
+    # _leave_out_gaps on the median path, one-row blocks, against the reference.
+    want_fx, want_rows = median_replaced_rows(x, fresh)
+    rows = [(i, i + 1) for i in range(x.shape[1])]
+    fx, gaps = analysis._leave_out_gaps(median_estimator(x.shape[2]), x, fresh, rows)
+    gaps = list(gaps)
+    assert fx.tobytes() == want_fx.tobytes()
+    assert len(gaps) == x.shape[1]
+    for i, (got, row) in enumerate(zip(gaps, want_rows)):
+        want = ((want_fx - row) ** 2).sum(axis=1)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), i
+
+
+def tied_stacks(n: int, d: int, trials: int = 300):
     # Values in {0, 1, 2}: most ranks are ties, and the fresh value often
     # equals the removed one or the median.
     gen = np.random.default_rng(1000 * n + d)
-    x = gen.integers(0, 3, size=(300, n, d)).astype(np.float64)
-    fresh = gen.integers(0, 3, size=(300, n, d)).astype(np.float64)
+    x = gen.integers(0, 3, size=(trials, n, d)).astype(np.float64)
+    fresh = gen.integers(0, 3, size=(trials, n, d)).astype(np.float64)
+    return x, fresh
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 10, 11, 24, 25])
+@pytest.mark.parametrize("d", [1, 2])
+def test_leave_one_out_medians_on_tied_stacks(n, d):
+    x, fresh = tied_stacks(n, d)
     q = (n - 1) // 2
-    fx, rows = analysis._median_replaced(x, fresh)
+    fx, blocks = analysis._median_replaced(x, fresh)
     assert fx.tobytes() == np.partition(x, q, axis=1)[:, q].tobytes()
-    got = list(rows)
+    got = [row for block in blocks for row in block.transpose(1, 0, 2)]
     assert len(got) == n
+    _, reference = median_replaced_rows(x, fresh)
     for i in range(n):
         replaced = x.copy()
         replaced[:, i] = fresh[:, i]
         want = np.partition(replaced, q, axis=1)[:, q]
         assert got[i].shape == want.shape and got[i].tobytes() == want.tobytes(), i
+        assert got[i].tobytes() == reference[i].tobytes(), i
+    assert_gaps_match_the_rows(x, fresh)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_leave_one_out_gaps_across_a_row_block_boundary(d):
+    # n is one block of rows plus one: the last row is a block of its own.
+    trials = 300
+    rows = analysis._ES_BLOCK_BYTES // (trials * d * 8)
+    assert rows > 1
+    x, fresh = tied_stacks(rows + 1, d, trials)
+    assert_gaps_match_the_rows(x, fresh)
+    gen = np.random.default_rng(d)
+    x, fresh = (gen.standard_normal((trials, rows + 1, d)) for _ in range(2))
+    assert_gaps_match_the_rows(x, fresh)
+
+
+@pytest.mark.parametrize("budget", [1, 300 * 8 * 3, 300 * 8 * 7 + 1, 1 << 23])
+@pytest.mark.parametrize("d", [1, 2])
+def test_row_block_size_moves_no_gap(monkeypatch, budget, d):
+    # One row per block, blocks of 3 or 7 rows (1 or 3 at d = 2) with a short
+    # last one, and every row in one block.
+    monkeypatch.setattr(analysis, "_ES_BLOCK_BYTES", budget)
+    for n in (1, 10, 25):
+        assert_gaps_match_the_rows(*tied_stacks(n, d))
+
+
+def argpartition_masks(u: np.ndarray, k: int) -> np.ndarray:
+    # The reference for analysis._random_k_subset_masks, as it was first
+    # written: the positions argpartition puts first at kth = k - 1.
+    idx = np.argpartition(u, k - 1, axis=1)[:, :k]
+    mask = np.zeros(u.shape, dtype=bool)
+    np.put_along_axis(mask, idx, True, axis=1)
+    return mask
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 10, 100, 101])
+def test_random_subset_masks_match_argpartition(n):
+    gen = np.random.default_rng(n)
+    stacks = {
+        # Eight values per row: from n = 9 on every row has ties, and at
+        # n ~ 100 nearly every cut with k < n is tied with an entry past it.
+        "tied": gen.integers(0, 8, size=(500, n)) / 8,
+        "draws": RngStream(94, n).generator().random((500, n)),
+    }
+    for kind, u in stacks.items():
+        for k in sorted({1, 2, n // 2, n - 1, n} & set(range(1, n + 1))):
+            got, want = analysis._random_k_subset_masks(u, k), argpartition_masks(u, k)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (kind, k)
 
 
 # sha256 of "\n".join(repr(result)) over d = 1, n in (1, 2, 3, 4, 10, 101) and

@@ -192,6 +192,26 @@ def test_binomial_tail_checks_p_like_the_chernoff_bound(p):
         analysis.chernoff_tail_bound(100, p, 10)
 
 
+# --- hypergeom_mgf_check rejects an exponent past exp's range before any draw ---
+
+@pytest.mark.parametrize("n, k, lam, side", [
+    (100, 10, 6.7, "bound"),  # (k^2/n)(e^lambda - 1 - lambda) = 804
+    (100, 10, 710.0, "bound"),  # e^lambda overflows a double; so would the lhs
+    (10, 10, 1e6, "bound"),  # H = k always: the lhs exponent is 0
+    (1_000_000, 1000, 6.0, "lhs"),  # bound exponent 396, lambda (k - k^2/n) = 5994
+])
+def test_hypergeom_mgf_overflow_is_rejected_before_any_draw(n, k, lam, side):
+    with pytest.raises(OverflowError,
+                       match=rf"^{side} exponent \S+ exceeds 700\.0; result overflows$"):
+        analysis.hypergeom_mgf_check(n, k, lam, 1000, NoDraw())
+
+
+def test_hypergeom_mgf_just_inside_exp_range_runs():
+    # (k^2/n)(e^lambda - 1 - lambda) = 657.6 at lambda = 6.5
+    r = analysis.hypergeom_mgf_check(100, 10, 6.5, 1000, RngStream(24, 7))
+    assert math.isfinite(r.lhs) and math.isfinite(r.rhs) and r.holds
+
+
 @pytest.mark.parametrize("delta", NONFINITE)
 def test_nonfinite_delta_is_rejected_before_the_first_trial(monkeypatch, delta):
     monkeypatch.setattr(harness, "_run_pairs", no_trials)
