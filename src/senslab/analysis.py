@@ -20,9 +20,11 @@ so degenerate zero-variance rows are not failed by float noise. A
 ``holds = False`` result on the documented grids is a test failure, not a
 warning.
 
-The chi^2 Monte Carlo oracles simulate likelihood ratios in log space with
-max-subtraction before exponentiating, since exp(n h^2) regimes overflow
-naive arithmetic.
+The exponents of the chi^2 forms, the likelihood-ratio identity and the
+overlap MGF pass one rule, ``_exp_arg``, before any draw: past
+``_EXP_OVERFLOW`` the call raises ``OverflowError``. The chi^2 Monte
+Carlo oracles simulate likelihood ratios in log space with max-subtraction
+before exponentiating, since exp(n h^2) regimes overflow naive arithmetic.
 
 Every Monte Carlo checker draws through ``_draw_chunks``: its stream's
 ``random`` doubles form ``parts`` consecutive (trials, *row) blocks, read
@@ -43,8 +45,8 @@ import numpy as np
 from scipy import special
 
 # standard_normal is not called here: bench/tracing.py wraps this module's binding.
-from .core import (GaussianModel, RngStream, _count, _normal_in_place,  # noqa: F401
-                   _require_finite, _require_nonnegative, standard_normal)
+from .core import (GaussianModel, RngStream, _check_finite, _count,  # noqa: F401
+                   _normal_in_place, _require_finite, _require_nonnegative, standard_normal)
 from .estimators import Estimator, _median_index, _median_stack, _require_scalar
 
 __all__ = [
@@ -65,6 +67,7 @@ __all__ = [
     "uniform_spacing_check",
 ]
 
+# Largest exponent a closed form takes (``_exp_arg``); e^x overflows from x = 709.8.
 _EXP_OVERFLOW = 700.0
 # Absolute allowance so zero-variance (degenerate) checks survive float roundoff.
 _ROUNDOFF = 1e-12
@@ -185,6 +188,26 @@ def _require_probability(p: float) -> None:
         raise ValueError(f"p must lie in (0, 1), got {p}")
 
 
+def _exp_arg(label: str, arg: float) -> float:
+    """``arg`` if it is at most ``_EXP_OVERFLOW`` (NaN is not): the one overflow rule."""
+    if not arg <= _EXP_OVERFLOW:
+        raise OverflowError(f"{label} {arg:.3g} exceeds {_EXP_OVERFLOW}; result overflows")
+    return arg
+
+
+def _expm1_excess(x: float) -> float:
+    """e^x - 1 - x, or inf where e^x is out of a double's range."""
+    return math.expm1(x) - x if x <= _EXP_OVERFLOW else math.inf
+
+
+def _square(x: float) -> float:
+    """``float(x) ** 2`` (libm's pow), or inf where it overflows."""
+    try:
+        return float(x) ** 2
+    except OverflowError:
+        return math.inf
+
+
 def tv_gaussian_shift(eta: float) -> float:
     """TV(N(0,1), N(eta,1)) = 2 Phi(eta/2) - 1 = erf(eta / (2 sqrt 2)).
 
@@ -199,10 +222,7 @@ def chi2_gaussian_products(delta: float, n: int) -> float:
     """chi^2(N(delta,1)^{x n} || N(0,1)^{x n}) = exp(n delta^2) - 1."""
     n = _count("n", n)
     _require_finite("delta", delta)
-    arg = n * float(delta) ** 2
-    if arg > _EXP_OVERFLOW:
-        raise OverflowError(f"n * delta^2 = {arg:.3g} exceeds {_EXP_OVERFLOW}; result overflows")
-    return math.expm1(arg)
+    return math.expm1(_exp_arg("n * delta^2 =", n * _square(delta)))
 
 
 def chi2_localshift_bound(k: int, n: int, delta: float) -> float:
@@ -212,11 +232,7 @@ def chi2_localshift_bound(k: int, n: int, delta: float) -> float:
     """
     k, n = _require_subset(k, n)
     _require_nonnegative("delta", delta)
-    d2 = float(delta) ** 2
-    arg = (k * k / n) * (math.expm1(d2) - d2)
-    if arg > _EXP_OVERFLOW:
-        raise OverflowError(f"bound exponent {arg:.3g} exceeds {_EXP_OVERFLOW}; result overflows")
-    return math.expm1(arg)
+    return math.expm1(_exp_arg("bound exponent", (k * k / n) * _expm1_excess(_square(delta))))
 
 
 def chi2_products_mc(delta: float, n: int, draws: int, rng: RngStream) -> tuple[float, float]:
@@ -309,19 +325,22 @@ def gaussian_lr_identity_check(a, b, trials: int, rng: RngStream) -> IneqCheckRe
     This is an identity, so the verdict is two-sided, with a roundoff
     allowance of 1e-12 * max(1, |rhs|). Draw t's X - theta reads doubles
     [t·d, (t+1)·d) of ``rng``'s stream (``_draw_chunks`` with (d,) rows).
+    A non-finite a or b, or an <a, b> past ``_exp_arg``, fails before any draw.
     """
     trials = _count("trials", trials, 10_000)
     a = np.atleast_1d(np.asarray(a, dtype=np.float64))
     b = np.atleast_1d(np.asarray(b, dtype=np.float64))
     if a.shape != b.shape:
         raise ValueError("a and b must have equal length")
+    _check_finite(a, "a")
+    _check_finite(b, "b")
+    rhs = math.exp(_exp_arg("rhs exponent", a @ b))
     lr = np.empty(trials)
     for lo, hi, (g,) in _draw_chunks(rng, trials, (a.size,)):
         # Per row: a BLAS product over the stack can move a last bit with its size.
         lr[lo:hi] = np.einsum("ij,j->i", _shifted_normals(g), a + b)
     lr -= 0.5 * (a @ a + b @ b)
     lhs, se = _mean_se(np.exp(lr, out=lr))
-    rhs = float(math.exp(a @ b))
     return _mc_verdict(lhs, rhs, se, trials, extra=_ROUNDOFF * max(1.0, abs(rhs)),
                        two_sided=True)
 
@@ -362,27 +381,19 @@ def hypergeom_mgf_check(n: int, k: int, lam: float, trials: int,
     rows: trial t's A reads doubles [t·n, (t+1)·n) of ``rng``'s stream and
     its B doubles [(T + t)·n, (T + t + 1)·n), T = trials.
 
-    A request whose rhs exponent, or whose largest lhs exponent
-    lambda (k - k^2/n) at H = k, exceeds ``_EXP_OVERFLOW`` is rejected
-    before any draw.
+    The bound exponent and the largest lhs exponent, lambda (k - k^2/n) at
+    H = k, pass ``_exp_arg`` before any draw.
     """
     k, n = _require_subset(k, n)
     _require_nonnegative("lambda", lam)
     trials = _count("trials", trials, _MIN_DRAWS)
     ratio = k * k / n
-    # Past lambda = _EXP_OVERFLOW the bound exponent exceeds e^699 / n, out of
-    # range at any n a draw could hold, so it is taken as inf instead of
-    # formed: e^lambda itself overflows a double from lambda = 709.8 on.
-    growth = math.expm1(lam) - lam if lam <= _EXP_OVERFLOW else math.inf
-    for side, arg in (("bound", ratio * growth), ("lhs", lam * (k - ratio))):
-        if arg > _EXP_OVERFLOW:
-            raise OverflowError(f"{side} exponent {arg:.3g} exceeds {_EXP_OVERFLOW}; "
-                                "result overflows")
+    rhs = math.exp(_exp_arg("bound exponent", ratio * _expm1_excess(lam)))
+    _exp_arg("lhs exponent", lam * (k - ratio))
     h = np.empty(trials)
     for lo, hi, (u_a, u_b) in _draw_chunks(rng, trials, (n,), 2):
         h[lo:hi] = (_random_k_subset_masks(u_a, k) & _random_k_subset_masks(u_b, k)).sum(axis=1)
     lhs, se = _mean_se(np.exp(lam * (h - ratio)))
-    rhs = math.exp(ratio * growth)
     return _mc_verdict(lhs, rhs, se, trials)
 
 
@@ -404,7 +415,7 @@ def chernoff_tail_bound(n: int, p: float, t: float, sharp: bool = False) -> floa
     log_bound = t - t * math.log(t / lam)
     if sharp:
         log_bound -= lam
-    return min(1.0, math.exp(log_bound))
+    return 1.0 if log_bound >= 0 else math.exp(log_bound)
 
 
 def binomial_tail(n: int, p: float, t: int) -> float:

@@ -224,6 +224,11 @@ class TestChernoff:
         assert float(tail) <= chernoff_tail_bound(n, 0.01, t)
         assert binomial_tail(n, 0.01, t) == pytest.approx(float(tail), rel=1e-10)
 
+    def test_a_nonnegative_log_bound_caps_at_one_without_forming_exp(self):
+        # log bound t (1 - log(t / lambda)) = 6e5 (1 - log 1.2) = 490,607: its exp
+        # overflows a double, and min(1, e^x) is 1.
+        assert chernoff_tail_bound(1_000_000, 0.5, 600_000) == 1.0
+
     def test_sharp_form_is_sharper(self):
         simple = chernoff_tail_bound(2000, 0.039878, 200)
         sharp = chernoff_tail_bound(2000, 0.039878, 200, sharp=True)

@@ -173,6 +173,10 @@ PARAMETERS = {
                                                                          NoDraw()),
     "chi2_products_mc/delta": lambda v: analysis.chi2_products_mc(v, 10, 1000, NoDraw()),
     "chi2_localshift_mc/delta": lambda v: analysis.chi2_localshift_mc(5, 100, v, 1000, NoDraw()),
+    "gaussian_lr_identity_check/a": lambda v: analysis.gaussian_lr_identity_check(
+        [0.0, v], [1.0, 1.0], 10_000, NoDraw()),
+    "gaussian_lr_identity_check/b": lambda v: analysis.gaussian_lr_identity_check(
+        [1.0], [v], 10_000, NoDraw()),
 }
 
 
@@ -204,6 +208,26 @@ def test_hypergeom_mgf_overflow_is_rejected_before_any_draw(n, k, lam, side):
     with pytest.raises(OverflowError,
                        match=rf"^{side} exponent \S+ exceeds 700\.0; result overflows$"):
         analysis.hypergeom_mgf_check(n, k, lam, 1000, NoDraw())
+
+
+# --- every closed-form exponent past exp's range fails the one rule before any draw ---
+
+OVERFLOWS = {
+    "chi2_localshift_bound": lambda: analysis.chi2_localshift_bound(5, 100, 30.0),
+    "chi2_gaussian_products": lambda: analysis.chi2_gaussian_products(1e200, 10),
+    "mean_obstruction_low": lambda: mean_obstruction_low("clipped-mean", eta=0.05, delta=30.0,
+                                                         n=400),
+    "hcr_check": lambda: analysis.hcr_check(mean_estimator(1), 0.0, 1e200, 25, 1000, NoDraw()),
+    "gaussian_lr_identity_check": lambda: analysis.gaussian_lr_identity_check(
+        [30.0], [30.0], 10000, NoDraw()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWS))
+def test_an_exponent_past_exp_range_is_refused_by_the_rule(monkeypatch, name):
+    monkeypatch.setattr(harness, "_run_pairs", no_trials)
+    with pytest.raises(OverflowError, match=r"exceeds 700\.0; result overflows$"):
+        OVERFLOWS[name]()
 
 
 def test_hypergeom_mgf_just_inside_exp_range_runs():

@@ -141,6 +141,16 @@ def _replaced_helper(node) -> bool:
         "_positive_n", "_require_samples", "_require_draws", "_require_trials"}
 
 
+def _overflow_raise(node) -> bool:
+    return "result overflows" in _message(node)
+
+
+def _exp_overflow_compare(node) -> bool:
+    """A comparison with ``_EXP_OVERFLOW``, the exponent past which exp overflows."""
+    return isinstance(node, ast.Compare) and any(
+        getattr(side, "id", None) == "_EXP_OVERFLOW" for side in (node.left, *node.comparators))
+
+
 def _sites(match) -> list[str]:
     """``module.qualname`` of each node in the package where ``match`` holds,
     once per node."""
@@ -184,6 +194,9 @@ RULES = {
     "count": (_count_rule, {"core._count"}),
     "scalar-finite": (_scalar_finite, {"core._require_finite"}),
     "replaced-count-helpers": (_replaced_helper, set()),
+    "exp-overflow-raise": (_overflow_raise, {"analysis._exp_arg"}),
+    "exp-overflow-compare": (_exp_overflow_compare, {"analysis._exp_arg",
+                                                     "analysis._expm1_excess"}),
 }
 
 
