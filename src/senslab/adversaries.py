@@ -46,11 +46,12 @@ from .core import (
     RngStream,
     _count,
     _require_finite,
+    _require_scalar_rows,
     hamming_distance,
     standard_normal,
     uniform_open,
 )
-from .estimators import Estimator, _LayerStack, _require_binary
+from .estimators import Estimator, _LayerStack, _require_binary, _require_layer_bytes
 
 __all__ = [
     "AdversaryOutcome",
@@ -95,13 +96,6 @@ def _outcome(original: Dataset, corrupted: Dataset, budget: CorruptionBudget,
         feasible=achieved <= budget.k,
         certificate=certificate,
     )
-
-
-def _check_budget(x: Dataset, budget: CorruptionBudget, scalar: str | None = None) -> None:
-    if budget.n != x.n:
-        raise ValueError(f"budget is for n={budget.n} but dataset has n={x.n}")
-    if scalar is not None and x.d != 1:
-        raise ValueError(f"{scalar} is defined for scalar (d = 1) datasets")
 
 
 def _chosen_rows(clean: np.ndarray, k: int, gens, fresh: np.ndarray | None = None):
@@ -149,7 +143,7 @@ def _block_stack(clean: np.ndarray, model, blocks, gens) -> np.ndarray:
 def resampling_adversary(x: Dataset, budget: CorruptionBudget, model: GaussianModel,
                          rng: RngStream) -> AdversaryOutcome:
     """Replace a uniformly random k-subset of rows by fresh draws from the model."""
-    _check_budget(x, budget)
+    budget.require_n(x.n)
     if model.d != x.d:
         raise ValueError(f"model dimension {model.d} does not match dataset d={x.d}")
     corrupted = _resample_stack(x.samples[None], budget, model, [rng.generator()])
@@ -164,7 +158,8 @@ def local_shift_adversary(x: Dataset, budget: CorruptionBudget, delta: float,
     construction; use a negative delta for the other direction explicitly.
     """
     _require_finite("delta", delta)
-    _check_budget(x, budget, scalar="local_shift_adversary")
+    budget.require_n(x.n)
+    _require_scalar_rows(x.d, "local_shift_adversary")
     budget.require_nonempty()
     corrupted = _shift_stack(x.samples[None], budget, delta, [rng.generator()])
     return _outcome(x, Dataset(corrupted[0]), budget)
@@ -240,7 +235,7 @@ def block_layout(n: int, k: int) -> list[tuple[int, int]]:
 def block_resample(x: Dataset, budget: CorruptionBudget, block_index: int,
                    model: GaussianModel, rng: RngStream) -> AdversaryOutcome:
     """Replace the rows of one block by fresh i.i.d. draws from the model."""
-    _check_budget(x, budget)
+    budget.require_n(x.n)
     budget.require_nonempty()
     layout = block_layout(x.n, budget.k)
     if not (0 <= block_index < len(layout)):
@@ -313,7 +308,8 @@ def median_worst_case(x: Dataset, budget: CorruptionBudget) -> AdversaryOutcome:
     adversary runs on a chunk of trials; its docstring gives the corrupting
     values and the tie rule. A zero certificate is always +0.0.
     """
-    _check_budget(x, budget, scalar="median_worst_case")
+    budget.require_n(x.n)
+    _require_scalar_rows(x.d, "median_worst_case")
     _median_push_admissible(budget, "median worst case")
     corrupted, cert = _median_push_stack(x.samples[None], budget.k)
     return _outcome(x, Dataset(corrupted[0]), budget, certificate=float(cert[0]))
@@ -340,17 +336,27 @@ def _flip_masks(n: int, k: int) -> np.ndarray:
     return masks
 
 
-def _layer_ball(f: Estimator, n: int, k: int) -> bool:
-    """Whether the radius-k ball of f on n bits takes the layer path.
+def _layer_path(f: Estimator, n: int, k: int) -> bool:
+    """Whether the radius-k ball of f on n bits takes the layer path, once the
+    guards of the path it takes have passed, by arithmetic on (n, k) alone.
 
-    A layer estimator's ball does, except a ball of radius k <= 1 that fits
-    the flip masks (n <= 32): x and its n single flips are still enumerated
-    with one ``f.on_stack`` call. ``bench/tracing.py`` counts ball points at
-    that call, and ``bench/test_bench.py`` pins the count for the plug-in at
-    n = 8, k = 1; the layer path evaluates no ball point. Both paths return
-    the same outcome byte for byte; the enumeration is the slower one.
+    A layer estimator's ball does, under the layer guard, except a ball of
+    radius k <= 1 that fits the flip masks (n <= 32): x and its n single
+    flips are still enumerated with one ``f.on_stack`` call. ``bench/tracing.py``
+    counts ball points at that call, and ``bench/test_bench.py`` pins the
+    count for the plug-in at n = 8, k = 1; the layer path evaluates no ball
+    point. Both paths return the same outcome byte for byte; the enumeration
+    is the slower one. An enumerated ball needs n <= 32 (the uint32 masks)
+    and at most 1e6 points (the work and memory).
     """
-    return isinstance(f.stack_fn, _LayerStack) and (k > 1 or n > 32)
+    if isinstance(f.stack_fn, _LayerStack) and (k > 1 or n > 32):
+        _require_layer_bytes(n)
+        return True
+    if n > 32:
+        raise ValueError(f"flip masks are uint32: n <= 32 required, got {n}")
+    if _ball_size(n, k) > _BALL_GUARD:
+        raise ValueError(f"enumeration guard: ball size {_ball_size(n, k)} exceeds {_BALL_GUARD}")
+    return False
 
 
 def _layer_ball_stack(clean: np.ndarray, layers: _LayerStack, k: int) -> np.ndarray:
@@ -412,7 +418,7 @@ def hamming_ball_sup(f: Estimator, x: Dataset, budget: CorruptionBudget) -> Adve
 
     A layer estimator (f(x) = g(|x|, n), see ``layer_estimator``) takes the
     layer path, O(n + k) work at any n up to a memory guard on its tables,
-    unless k <= 1 and n <= 32 (see ``_layer_ball``).
+    unless k <= 1 and n <= 32 (see ``_layer_path``, which holds every guard).
     For x in layer t the sup G* is the largest |g(t') - g(t)| over
     t' in [t - k, t + k] ∩ [0, n]. With j the smallest |t' - t| at which it
     is reached, the first maximiser flips the first j zeros (toward t + j)
@@ -426,18 +432,15 @@ def hamming_ball_sup(f: Estimator, x: Dataset, budget: CorruptionBudget) -> Adve
     most 8192 of them is expanded into datasets and evaluated with one
     ``f.on_stack`` call.
     """
-    _check_budget(x, budget, scalar="hamming_ball_sup")
+    budget.require_n(x.n)
+    _require_scalar_rows(x.d, "hamming_ball_sup")
     bits = x.samples[:, 0]
     _require_binary(bits, "hamming ball enumeration")
     n, k = x.n, budget.k
-    if _layer_ball(f, n, k):
+    if _layer_path(f, n, k):
         corrupted = Dataset(_layer_ball_stack(x.samples[None], f.stack_fn, k)[0])
         gap = abs(float(f(corrupted)[0]) - float(f(x)[0]))
         return _outcome(x, corrupted, budget, certificate=gap)
-    if n > 32:
-        raise ValueError(f"flip masks are uint32: n <= 32 required, got {n}")
-    if _ball_size(n, k) > _BALL_GUARD:
-        raise ValueError(f"enumeration guard: ball size {_ball_size(n, k)} exceeds {_BALL_GUARD}")
 
     base = float(f(x)[0])
     if k == 0:

@@ -80,8 +80,8 @@ _MIN_DRAWS = 1000
 _ES_CHUNK_BYTES = 1 << 21
 # Bytes per array of a block of leave-one-out medians (_median_replaced).
 _ES_BLOCK_BYTES = 1 << 19
-# Largest exact relative stderr chi2_products_mc admits.
-_CHI2_MC_REL_SE = 0.5
+# Largest exact relative stderr a Monte Carlo estimate is admitted at (``_require_reach``).
+_MC_REL_SE = 0.5
 
 
 @dataclass(frozen=True)
@@ -188,6 +188,16 @@ def _require_probability(p: float) -> None:
         raise ValueError(f"p must lie in (0, 1), got {p}")
 
 
+def _require_reach(label: str, value: float, log_q: float, draws: int) -> None:
+    """Reject a Monte Carlo request whose estimate has an exact relative stderr
+    sqrt(e^log_q / draws) over ``_MC_REL_SE``: the rare draws that carry its
+    mean are then almost never seen, so the estimate and its sample stderr
+    are both far too small. ``label`` and ``value`` name the request's size."""
+    if log_q - math.log(draws) > 2 * math.log(_MC_REL_SE):
+        raise ValueError(f"{label} {value:.3g} is out of reach at {draws} draws: the "
+                         f"estimate's relative stderr exceeds {_MC_REL_SE}")
+
+
 def _exp_arg(label: str, arg: float) -> float:
     """``arg`` if it is at most ``_EXP_OVERFLOW`` (NaN is not): the one overflow rule."""
     if not arg <= _EXP_OVERFLOW:
@@ -248,19 +258,16 @@ def chi2_products_mc(delta: float, n: int, draws: int, rng: RngStream) -> tuple[
     With s = n delta^2 and x = e^s, the estimate's exact relative stderr is
     sqrt(Q(x) / draws), Q(x) = x^4 + 2x^3 + 3x^2 - 4, since E_P[(LR - 1)^4]
     = x^6 - 4x^3 + 6x - 3. A request where it exceeds 1/2 is rejected before
-    any draw: there the rare draws that carry the mean are almost never
-    seen, so the estimate and its sample stderr are both far too small
-    (s = 100 at 1e4 draws gave 0.99999999915 +- 5.5e-10 against e^100 - 1).
-    Q is formed in log space, so the rule holds at any finite delta.
+    any draw (``_require_reach``): s = 100 at 1e4 draws gave 0.99999999915
+    +- 5.5e-10 against e^100 - 1. Q is formed in log space, so the rule
+    holds at any finite delta.
     """
     n = _count("n", n)
     _require_finite("delta", delta)
     draws = _count("draws", draws, _MIN_DRAWS)
     s = n * (float(delta) * float(delta))
     log_q = 4 * s + math.log1p(2 * math.exp(-s) + 3 * math.exp(-2 * s) - 4 * math.exp(-4 * s))
-    if log_q - math.log(draws) > 2 * math.log(_CHI2_MC_REL_SE):
-        raise ValueError(f"n * delta^2 = {s:.3g} is out of reach at {draws} draws: the "
-                         f"estimate's relative stderr exceeds {_CHI2_MC_REL_SE}")
+    _require_reach("n * delta^2 =", s, log_q, draws)
     values = np.empty(draws)
     for lo, hi, (z,) in _draw_chunks(rng, draws, ()):
         # log LR = a x - a^2/2 <= x^2/2 (a = delta sqrt n), at most 34.4 for
@@ -325,7 +332,13 @@ def gaussian_lr_identity_check(a, b, trials: int, rng: RngStream) -> IneqCheckRe
     This is an identity, so the verdict is two-sided, with a roundoff
     allowance of 1e-12 * max(1, |rhs|). Draw t's X - theta reads doubles
     [t·d, (t+1)·d) of ``rng``'s stream (``_draw_chunks`` with (d,) rows).
-    A non-finite a or b, or an <a, b> past ``_exp_arg``, fails before any draw.
+
+    Each draw LR_mu LR_nu = exp(<a + b, Z> - (|a|^2 + |b|^2) / 2) has mean
+    e^<a, b> and second moment exp(2|a + b|^2 - |a|^2 - |b|^2), so the
+    estimate's exact relative stderr is sqrt(expm1(|a + b|^2) / trials).
+    Before any draw, a non-finite a or b and an <a, b> past ``_exp_arg``
+    fail, then a request where |a|^2, |b|^2, <a, b> or |a + b|^2 is not
+    finite, or where that stderr exceeds 1/2 (``_require_reach``).
     """
     trials = _count("trials", trials, 10_000)
     a = np.atleast_1d(np.asarray(a, dtype=np.float64))
@@ -334,12 +347,19 @@ def gaussian_lr_identity_check(a, b, trials: int, rng: RngStream) -> IneqCheckRe
         raise ValueError("a and b must have equal length")
     _check_finite(a, "a")
     _check_finite(b, "b")
-    rhs = math.exp(_exp_arg("rhs exponent", a @ b))
+    with np.errstate(over="ignore", invalid="ignore"):
+        aa, bb, ab, s = a @ a, b @ b, a @ b, (a + b) @ (a + b)
+    rhs = math.exp(_exp_arg("rhs exponent", ab))
+    if not np.isfinite([aa, bb, ab, s]).all():
+        raise ValueError("|a|^2, |b|^2, <a, b> and |a + b|^2 must be finite")
+    # log expm1(s), in a form that cannot overflow
+    log_q = s + math.log(-math.expm1(-s)) if s > 0 else -math.inf
+    _require_reach("|a + b|^2 =", s, log_q, trials)
     lr = np.empty(trials)
     for lo, hi, (g,) in _draw_chunks(rng, trials, (a.size,)):
         # Per row: a BLAS product over the stack can move a last bit with its size.
         lr[lo:hi] = np.einsum("ij,j->i", _shifted_normals(g), a + b)
-    lr -= 0.5 * (a @ a + b @ b)
+    lr -= 0.5 * (aa + bb)
     lhs, se = _mean_se(np.exp(lr, out=lr))
     return _mc_verdict(lhs, rhs, se, trials, extra=_ROUNDOFF * max(1.0, abs(rhs)),
                        two_sided=True)

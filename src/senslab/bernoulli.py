@@ -157,10 +157,8 @@ def bernoulli_expected_sensitivity(f: Estimator, n: int, p: float,
     """
     n = _count("n", n)
     _require_scalar(f, "bernoulli_expected_sensitivity")
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    if budget.n != n:
-        raise ValueError(f"budget is for n={budget.n}, got n={n}")
+    BernoulliModel(p)  # the model's check of p
+    budget.require_n(n)
     if isinstance(f.stack_fn, _LayerStack):
         g = f.stack_fn.table(n)
         k = min(budget.k, n)

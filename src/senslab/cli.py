@@ -91,7 +91,8 @@ def _add_gaussian_flags(p: argparse.ArgumentParser) -> None:
                    help="mean vector, space- or comma-separated (broadcast if single)")
     p.add_argument("--delta", type=float, help="shift size for local-shift")
     p.add_argument("--workers", type=int, default=1,
-                   help="thread count (does not change results)")
+                   help="thread count (does not change results; tv-coupling runs no "
+                        "faster, its sampler holds the GIL)")
 
 
 def _cmd_sensitivity(args: argparse.Namespace) -> tuple[str, int]:

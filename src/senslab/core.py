@@ -113,6 +113,12 @@ def _require_nonnegative(name: str, value: float) -> None:
         raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
+def _require_scalar_rows(d: int, what: str) -> None:
+    """The rule of every path that reads scalar rows only: d = 1."""
+    if d != 1:
+        raise ValueError(f"{what} requires scalar (d = 1) data")
+
+
 @dataclass(frozen=True)
 class RngStream:
     """A named, reproducible random stream.
@@ -253,6 +259,11 @@ class CorruptionBudget:
     @classmethod
     def from_eta(cls, eta: float, n: int) -> "CorruptionBudget":
         return cls(eta=float(eta), n=int(n), k=compute_k(eta, n))
+
+    def require_n(self, n: int) -> None:
+        """Assert the budget is for n rows."""
+        if self.n != n:
+            raise ValueError(f"budget is for n={self.n}, got n={n}")
 
     def require_nonempty(self) -> None:
         """Assert k >= 1 for experiments that need at least one corruption."""

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Dataset, RngStream, _check_finite, _count, standard_normal
+from .core import Dataset, RngStream, _check_finite, _count, _require_scalar_rows, standard_normal
 
 __all__ = [
     "ClipInterval",
@@ -170,6 +170,15 @@ _LAYER_BYTES = 1 << 27
 _LAYER_TABLES = 9
 
 
+def _require_layer_bytes(n: int) -> None:
+    """The layer guard, by arithmetic on n alone: ``_LayerStack.table`` runs it
+    before it builds a table, and ``adversaries._layer_path`` before a trial."""
+    need = _LAYER_TABLES * 8 * (n + 1)
+    if need > _LAYER_BYTES:
+        raise ValueError(f"layer guard: the layer tables for n={n} take {need} bytes, "
+                         f"over {_LAYER_BYTES}")
+
+
 class _LayerStack:
     """The ``stack_fn`` of a layer estimator: g(|x|, n) for each binary dataset x.
 
@@ -191,10 +200,7 @@ class _LayerStack:
     def table(self, n: int) -> np.ndarray:
         """g on every layer t = 0 .. n. Each layer path calls it first: the guard
         fires before any table or stack copy."""
-        need = _LAYER_TABLES * 8 * (n + 1)
-        if need > _LAYER_BYTES:
-            raise ValueError(f"layer guard: the layer tables for n={n} take {need} bytes, "
-                             f"over {_LAYER_BYTES}")
+        _require_layer_bytes(n)
         table = np.asarray(self.g(np.arange(n + 1), n), dtype=np.float64)
         if table.shape != (n + 1,) or not np.all(np.isfinite(table)):
             raise ValueError(f"{self.name}: the layer function must give n + 1 finite values")
@@ -346,8 +352,7 @@ def project_scalar(
     lift_fn = affine_lift if f.linear_in_data else per_trial_lift
 
     def stack_fn(stack: np.ndarray) -> np.ndarray:
-        if stack.shape[2] != 1:
-            raise ValueError("projected estimator takes scalar (d = 1) datasets")
+        _require_scalar_rows(stack.shape[2], "projected estimator")
         # The noise before the lift: a first call's build sets the peak.
         return lift_fn(stack, _noise(stack.shape[1]))
 

@@ -43,7 +43,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import analysis
-from .adversaries import (_block_stack, _layer_ball, _layer_ball_stack, _median_push_admissible,
+from .adversaries import (_block_stack, _layer_ball_stack, _layer_path, _median_push_admissible,
                           _median_push_stack, _resample_stack, _shift_stack, block_layout,
                           couple_gaussian_pair, hamming_ball_sup)
 # Names not called here stay imported: bench/tracing.py wraps these bindings.
@@ -61,6 +61,7 @@ from .core import (  # noqa: F401
     _count,
     _hamming_stack,
     _require_finite,
+    _require_scalar_rows,
     standard_normal,
 )
 from .estimators import (Estimator, _median_stack, _require_scalar, build_estimator,
@@ -368,11 +369,11 @@ def _median_pairs(job: _Job, streams: _TrialStreams, lo: int, hi: int):
 def _ball_pairs(job: _Job, streams: _TrialStreams, lo: int, hi: int):
     """A layer estimator's achieving datasets come from one layer pass over
     the chunk, the body ``hamming_ball_sup`` runs on a one-trial stack; any
-    other ball's (see ``_layer_ball``) from ``hamming_ball_sup``, trial by
+    other ball's (see ``_layer_path``) from ``hamming_ball_sup``, trial by
     trial, called through this module's binding, which bench/tracing.py
     wraps."""
     clean = _clean_stack(job, streams.data, lo, hi)
-    if _layer_ball(job.est, job.budget.n, job.budget.k):
+    if _layer_path(job.est, job.budget.n, job.budget.k):
         return clean, _layer_ball_stack(clean, job.est.stack_fn, job.budget.k)
     return clean, np.stack([hamming_ball_sup(job.est, Dataset(x), job.budget).corrupted.samples
                             for x in clean])
@@ -426,6 +427,14 @@ def _median_only(est: Estimator, budget: CorruptionBudget) -> None:
     _median_push_admissible(budget, "median-exact")
 
 
+def _ball_only(est: Estimator, budget: CorruptionBudget) -> None:
+    # A ball of binary corruptions, admitted by the guards of the path it takes.
+    if not est.binary_domain:
+        raise ValueError("hamming-ball enumerates binary corruptions; use a "
+                         "binary-domain estimator such as bernoulli-plugin")
+    _layer_path(est, budget.n, budget.k)
+
+
 @dataclass(frozen=True)
 class _Adversary:
     """One adversary of ``estimate_es``. ``step(job, streams, lo, hi)`` returns
@@ -441,7 +450,6 @@ class _Adversary:
     needs_delta: bool = False
     scalar_only: bool = False
     nonempty: bool = False
-    binary_only: bool = False
     off_binary: bool = False
     check: Callable[[Estimator, CorruptionBudget], None] = lambda est, budget: None
 
@@ -453,7 +461,7 @@ _ADVERSARIES = {
     "tv-coupling": _Adversary(_coupling_pairs, (GaussianModel,), scalar_only=True),
     "block-resample": _Adversary(_block_pairs, nonempty=True),
     "median-exact": _Adversary(_median_pairs, exact=True, scalar_only=True, check=_median_only),
-    "hamming-ball": _Adversary(_ball_pairs, (BernoulliModel,), exact=True, binary_only=True),
+    "hamming-ball": _Adversary(_ball_pairs, (BernoulliModel,), exact=True, check=_ball_only),
 }
 ADVERSARY_NAMES = tuple(_ADVERSARIES)
 # Adversaries whose corruption attains the exact pointwise sensitivity.
@@ -517,9 +525,6 @@ def _request(estimator: Estimator | str, adversary: str, model, *, eta: float, n
     if spec is None:
         raise ValueError(f"unknown adversary {adversary!r}; known: {', '.join(ADVERSARY_NAMES)}")
     spec.check(est, budget)
-    if spec.binary_only and not est.binary_domain:
-        raise ValueError(f"{adversary} enumerates binary corruptions; use a "
-                         "binary-domain estimator such as bernoulli-plugin")
     if not isinstance(model, spec.models):
         names = " or ".join(m.__name__ for m in spec.models)
         raise ValueError(f"{adversary} requires a {names} for the clean data")
@@ -534,8 +539,8 @@ def _request(estimator: Estimator | str, adversary: str, model, *, eta: float, n
     if delta is not None:
         _require_finite("delta", delta)
         delta = float(delta)
-    if spec.scalar_only and model.d != 1:
-        raise ValueError(f"{adversary} requires scalar (d = 1) data")
+    if spec.scalar_only:
+        _require_scalar_rows(model.d, adversary)
     if spec.nonempty or nonempty:
         budget.require_nonempty()
     if prior is not None:

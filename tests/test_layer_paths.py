@@ -35,7 +35,7 @@ from senslab import (
     plugin_estimator,
 )
 from senslab import estimators
-from senslab.adversaries import _BALL_GUARD, _ball_size, _layer_ball, _layer_ball_stack
+from senslab.adversaries import _BALL_GUARD, _ball_size, _layer_ball_stack, _layer_path
 from senslab.bernoulli import _log_binomials
 from senslab.estimators import _LayerStack
 
@@ -324,9 +324,9 @@ def test_layer_function_must_be_finite():
 
 def test_radius_one_balls_within_the_masks_are_enumerated():
     plugin = plugin_estimator()
-    assert [_layer_ball(plugin, n, k) for n, k in ((8, 0), (8, 1), (32, 1))] == [False] * 3
-    assert [_layer_ball(plugin, n, k) for n, k in ((8, 2), (16, 3), (33, 0), (33, 1))] == [True] * 4
-    assert not _layer_ball(enumerated(plugin), 16, 3)
+    assert [_layer_path(plugin, n, k) for n, k in ((8, 0), (8, 1), (32, 1))] == [False] * 3
+    assert [_layer_path(plugin, n, k) for n, k in ((8, 2), (16, 3), (33, 0), (33, 1))] == [True] * 4
+    assert not _layer_path(enumerated(plugin), 16, 3)
     rows = []
     counting = layer_estimator("counting", lambda t, n: rows.append(t.size) or t / n)
     hamming_ball_sup(counting, Dataset(np.zeros(8)), budget_for(8, 1))

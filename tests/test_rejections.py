@@ -38,7 +38,7 @@ S = RngStream(0, 0)
 # --- adversaries ---
 
 def test_budget_for_another_n_is_rejected():
-    with pytest.raises(ValueError, match=r"^budget is for n=20 but dataset has n=10$"):
+    with pytest.raises(ValueError, match=r"^budget is for n=20, got n=10$"):
         resampling_adversary(Dataset(np.zeros(10)), CorruptionBudget.from_eta(0.1, 20),
                              GaussianModel([0.0]), S)
 
@@ -178,7 +178,7 @@ def test_projection_noise_defaults_to_the_tagged_stream():
 
 def test_projected_estimator_takes_scalar_datasets():
     est = project_scalar(mean_estimator(2), [1.0, 0.0], [0.0, 0.0])
-    with pytest.raises(ValueError, match=r"^projected estimator takes scalar \(d = 1\) datasets$"):
+    with pytest.raises(ValueError, match=r"^projected estimator requires scalar \(d = 1\) data$"):
         est.on_stack(np.zeros((2, 5, 2)))
 
 

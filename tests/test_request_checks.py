@@ -8,6 +8,7 @@ earlier point of a sweep has run, fails the test.
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from senslab import (
     ClipInterval,
     CorruptionBudget,
     Dataset,
+    Estimator,
     GaussianModel,
     RngStream,
     analysis,
@@ -29,6 +31,7 @@ from senslab import (
     couple_gaussian_pair,
     coupling_obstruction_high,
     estimate_es,
+    hamming_ball_sup,
     harness,
     local_shift_adversary,
     mean_estimator,
@@ -158,6 +161,37 @@ def test_plugin_on_the_cli_gaussian_model_fails_before_the_first_trial(monkeypat
                             "data\n")
 
 
+# --- a Hamming ball runs the guards of the path it takes before any draw ---
+
+FIRST_BIT = Estimator("first-bit", 1, lambda s: s[:, 0, :].copy(), binary_domain=True)
+# (estimator, eta, n, message): the mask width and the point count of an
+# enumerated ball, and the layer tables' bytes of a layer estimator's ball.
+BALL_GUARDS = {
+    "masks": (FIRST_BIT, 0.1, 40, r"^flip masks are uint32: n <= 32 required, got 40$"),
+    "points": (FIRST_BIT, 0.4, 30, r"^enumeration guard: ball size 194129627 exceeds 1000000$"),
+    "layers": ("bernoulli-plugin", 0.1, 2_000_000,
+               r"^layer guard: the layer tables for n=2000000 take 144000072 bytes, over "
+               r"134217728$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BALL_GUARDS))
+def test_hamming_ball_guards_fire_before_the_first_draw(monkeypatch, case):
+    estimator, eta, n, message = BALL_GUARDS[case]
+    monkeypatch.setattr(harness, "_clean_stack", no_trials)
+    with pytest.raises(ValueError, match=message):
+        estimate_es(estimator, "hamming-ball", BernoulliModel(0.5), eta=eta, n=n, trials=100,
+                    seed=1)
+
+
+@pytest.mark.parametrize("case", sorted(BALL_GUARDS))
+def test_hamming_ball_sup_keeps_its_guard_messages(case):
+    estimator, eta, n, message = BALL_GUARDS[case]
+    f = build_estimator(estimator) if isinstance(estimator, str) else estimator
+    with pytest.raises(ValueError, match=message):
+        hamming_ball_sup(f, Dataset(np.zeros(n)), CorruptionBudget.from_eta(eta, n))
+
+
 # --- NaN and infinite parameters are rejected before any draw ---
 
 NONFINITE = [math.nan, math.inf, -math.inf]
@@ -228,6 +262,31 @@ def test_an_exponent_past_exp_range_is_refused_by_the_rule(monkeypatch, name):
     monkeypatch.setattr(harness, "_run_pairs", no_trials)
     with pytest.raises(OverflowError, match=r"exceeds 700\.0; result overflows$"):
         OVERFLOWS[name]()
+
+
+# --- the likelihood-ratio identity refuses what its draws cannot resolve ---
+
+_LR_NONFINITE = r"^\|a\|\^2, \|b\|\^2, <a, b> and \|a \+ b\|\^2 must be finite$"
+LR_REFUSALS = {
+    # relative stderr sqrt(expm1(400) / 1e4): the lhs read 2.8e-59 against 1.0
+    "out-of-reach": ([20.0], [0.0], ValueError,
+                     r"^\|a \+ b\|\^2 = 400 is out of reach at 10000 draws: the estimate's "
+                     r"relative stderr exceeds 0\.5$"),
+    "huge-a": ([1e200], [0.0], ValueError, _LR_NONFINITE),
+    "huge-opposite": ([1e200], [-1e200], ValueError, _LR_NONFINITE),
+    # <a, b> overflows to inf or nan, which the exponent rule refuses first
+    "huge-cancelling": ([1e200, -1e200], [1e200, 1e200], OverflowError,
+                        r"^rhs exponent (inf|nan) exceeds 700\.0; result overflows$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LR_REFUSALS))
+def test_likelihood_ratio_identity_refuses_what_it_cannot_resolve_before_any_draw(case):
+    a, b, error, message = LR_REFUSALS[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=message):
+            analysis.gaussian_lr_identity_check(a, b, 10_000, NoDraw())
 
 
 def test_hypergeom_mgf_just_inside_exp_range_runs():

@@ -131,6 +131,39 @@ def _layer_guard(node) -> bool:
     return _message(node).startswith("layer guard")
 
 
+def _ball_guard(node) -> bool:
+    """The enumerated ball's two guards: the uint32 mask width and the point count."""
+    return _message(node).startswith(("flip masks are uint32", "enumeration guard: ball size"))
+
+
+def _ball_binary(node) -> bool:
+    return "enumerates binary corruptions" in _message(node)
+
+
+def _ball_path_call(node) -> bool:
+    return _called(node, "_layer_path")
+
+
+def _layer_guard_call(node) -> bool:
+    return _called(node, "_require_layer_bytes")
+
+
+def _budget_size(node) -> bool:
+    return _message(node).startswith("budget is for n=")
+
+
+def _probability_range(node) -> bool:
+    return "must lie in [0, 1]" in _message(node)
+
+
+def _scalar_rows(node) -> bool:
+    return "scalar (d = 1) data" in _message(node)
+
+
+def _out_of_reach(node) -> bool:
+    return "is out of reach at" in _message(node)
+
+
 def _names_literal(node) -> bool:
     return (isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple)
             and any(getattr(t, "id", None) == "ESTIMATOR_NAMES" for t in node.targets))
@@ -185,7 +218,17 @@ RULES = {
     "takes-scalar": (_takes_scalar, {"estimators._require_scalar"}),
     "binary-entries": (_binary_entries, {"estimators._require_binary"}),
     "bernoulli-data": (_bernoulli_data, {"harness._require_bernoulli_data"}),
-    "layer-guard": (_layer_guard, {"estimators._LayerStack.table"}),
+    "layer-guard": (_layer_guard, {"estimators._require_layer_bytes"}),
+    "layer-guard-call": (_layer_guard_call, {"estimators._LayerStack.table",
+                                             "adversaries._layer_path"}),
+    "ball-guards": (_ball_guard, {"adversaries._layer_path"}),
+    "ball-binary": (_ball_binary, {"harness._ball_only"}),
+    "ball-path-call": (_ball_path_call, {"adversaries.hamming_ball_sup", "harness._ball_only",
+                                         "harness._ball_pairs"}),
+    "budget-size": (_budget_size, {"core.CorruptionBudget.require_n"}),
+    "probability-range": (_probability_range, {"bernoulli.BernoulliModel.__post_init__"}),
+    "scalar-rows": (_scalar_rows, {"core._require_scalar_rows"}),
+    "out-of-reach": (_out_of_reach, {"analysis._require_reach"}),
     "nonempty-budget": (_nonempty_budget, {"harness._request", "adversaries.local_shift_adversary",
                                            "adversaries.block_resample"}),
     "bernoulli-data-call": (_bernoulli_data_call, {"harness._request"}),
