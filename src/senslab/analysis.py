@@ -336,9 +336,10 @@ def gaussian_lr_identity_check(a, b, trials: int, rng: RngStream) -> IneqCheckRe
     Each draw LR_mu LR_nu = exp(<a + b, Z> - (|a|^2 + |b|^2) / 2) has mean
     e^<a, b> and second moment exp(2|a + b|^2 - |a|^2 - |b|^2), so the
     estimate's exact relative stderr is sqrt(expm1(|a + b|^2) / trials).
-    Before any draw, a non-finite a or b and an <a, b> past ``_exp_arg``
-    fail, then a request where |a|^2, |b|^2, <a, b> or |a + b|^2 is not
-    finite, or where that stderr exceeds 1/2 (``_require_reach``).
+    Before any draw, a non-finite a or b fails, then a request where
+    |a|^2, |b|^2, <a, b> or |a + b|^2 is not finite, then an <a, b> past
+    ``_exp_arg``, or a request where that stderr exceeds 1/2
+    (``_require_reach``).
     """
     trials = _count("trials", trials, 10_000)
     a = np.atleast_1d(np.asarray(a, dtype=np.float64))
@@ -349,9 +350,9 @@ def gaussian_lr_identity_check(a, b, trials: int, rng: RngStream) -> IneqCheckRe
     _check_finite(b, "b")
     with np.errstate(over="ignore", invalid="ignore"):
         aa, bb, ab, s = a @ a, b @ b, a @ b, (a + b) @ (a + b)
-    rhs = math.exp(_exp_arg("rhs exponent", ab))
     if not np.isfinite([aa, bb, ab, s]).all():
         raise ValueError("|a|^2, |b|^2, <a, b> and |a + b|^2 must be finite")
+    rhs = math.exp(_exp_arg("rhs exponent", ab))
     # log expm1(s), in a form that cannot overflow
     log_q = s + math.log(-math.expm1(-s)) if s > 0 else -math.inf
     _require_reach("|a + b|^2 =", s, log_q, trials)

@@ -90,9 +90,12 @@ def _add_gaussian_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mu", action=_FloatListAction, default=[0.0],
                    help="mean vector, space- or comma-separated (broadcast if single)")
     p.add_argument("--delta", type=float, help="shift size for local-shift")
-    p.add_argument("--workers", type=int, default=1,
-                   help="thread count (does not change results; tv-coupling runs no "
-                        "faster, its sampler holds the GIL)")
+    p.add_argument("--workers", type=int, default=None,
+                   help="most threads the draws run on (default: the CPUs this process "
+                        "may use); never changes results. These run on one thread: "
+                        "tv-coupling (0.74-1.00x on two threads), hamming-ball (its step "
+                        "evaluates the estimator) and trials of fewer than 2000 entries "
+                        "n*d (0.78-0.98x at d = 1)")
 
 
 def _cmd_sensitivity(args: argparse.Namespace) -> tuple[str, int]:

@@ -60,6 +60,8 @@ class Estimator:
 
     ``stack_fn`` evaluates the estimator on a (T, n, d) stack of datasets at
     once and returns (T, output_dim); row t must depend on dataset t alone.
+    The trial engine calls it on the calling thread only, in chunk order,
+    whatever the worker count, so it need not be thread-safe.
 
     ``linear_in_data`` declares f affine in the stacked data: f(sum_r a_r X_r)
     = sum_r a_r f(X_r) for datasets X_r of one shape whenever sum_r a_r = 1

@@ -34,8 +34,10 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
+import queue
+import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Sequence
@@ -230,10 +232,11 @@ _CHUNK_TRIALS = 256
 _FEWEST_TRIALS = 2
 
 
-# Idle (data, adversary) generator pairs of the trial engine. A shard pops
-# one and appends it back when it ends. list.pop and list.append are atomic,
-# so threads need no lock, and a pair lost to an exception is built afresh
-# later; the pool holds at most as many pairs as shards ever ran at once.
+# Idle (data, adversary) generator pairs of the trial engine. Each thread
+# of a job pops one and appends it back when its chunks are done.
+# list.pop and list.append are atomic, so threads need no lock, and a pair
+# lost to an exception is built afresh later; the pool holds at most as
+# many pairs as threads ever ran at once.
 _IDLE_GENERATORS: list[tuple[np.random.Generator, np.random.Generator]] = []
 
 
@@ -243,8 +246,8 @@ class _TrialStreams:
     One pooled Philox generator per role is re-keyed for every trial
     (``core._Rekeyer``), which draws the same bytes as
     ``RngStream(seed, 2t[+1]).generator()`` whatever an earlier request left
-    in it. One shard uses an instance, on one thread, until ``release``
-    returns its generators to the pool.
+    in it. One thread uses an instance until ``release`` returns its
+    generators to the pool.
     """
 
     def __init__(self, seed: int):
@@ -265,33 +268,99 @@ class _TrialStreams:
         _IDLE_GENERATORS.append((self._data.generator, self._adversary.generator))
 
 
-def _run_chunked(job: _Job, workers: int,
-                 run_chunk: Callable[[_TrialStreams, int, int], None]) -> None:
-    """Call ``run_chunk(streams, lo, hi)`` over contiguous chunks of the job's trials.
+# Fewest entries n * d of one trial's rows at which a job's steps run on
+# more than one thread. Below it the GIL-free draw is too short against the
+# per-trial ``choice`` and the hand-over: at two threads on 2 cores,
+# estimate_es at d = 1 ran 0.78-0.98x up to n = 1000 and 1.02-1.31x at
+# n = 2000 (BENCH_worker-rule.json).
+_THREADED_MIN_ENTRIES = 2000
 
-    A chunk holds at most 256 trials and at most 512 KiB per trial-stacked
-    (n, d) buffer. With workers > 1 and more than one chunk, the chunks are
-    split into contiguous shards, one thread and one ``_TrialStreams`` each;
-    a single chunk runs on the calling thread. ``run_chunk`` stores its
-    results by trial index, so the reduction that follows sees them in a
-    fixed order.
-    """
-    workers = _count("workers", workers)
-    size = max(1, min(_CHUNK_TRIALS, _CHUNK_BYTES // (job.budget.n * job.model.d * 8)))
-    chunks = [(lo, min(lo + size, job.trials)) for lo in range(0, job.trials, size)]
 
-    def shard(part):
+def _worker_cap(workers: int | None) -> int:
+    """The most threads a job may run on: ``workers``, a count >= 1, or by
+    default the CPUs this process may run on."""
+    if workers is not None:
+        return _count("workers", workers)
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+class _Helper:
+    """A thread that runs ``step(job, streams, lo, hi)`` over its chunks, in
+    order, with its own streams; the calling thread reads each result with
+    ``take``. It starts a chunk only once the previous one has been taken, so
+    it is at most one chunk ahead of the calling thread."""
+
+    def __init__(self, job: _Job, step: Callable, chunks: list[tuple[int, int]]):
+        self._done: queue.SimpleQueue = queue.SimpleQueue()
+        self._taken = threading.Semaphore(0)
+        self._stop = False
+        self._thread = threading.Thread(target=self._run, args=(job, step, chunks), daemon=True)
+        self._thread.start()
+
+    def _run(self, job: _Job, step: Callable, chunks: list[tuple[int, int]]) -> None:
         streams = _TrialStreams(job.seed)
-        for lo, hi in part:
-            run_chunk(streams, lo, hi)
+        for lo, hi in chunks:
+            if self._stop:
+                break
+            try:
+                self._done.put((step(job, streams, lo, hi), None))
+            except BaseException as exc:  # re-raised on the calling thread by take
+                self._done.put((None, exc))
+                return
+            self._taken.acquire()
         streams.release()
 
-    if workers == 1 or len(chunks) == 1:
-        shard(chunks)
-        return
-    per = -(-len(chunks) // workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(shard, [chunks[i:i + per] for i in range(0, len(chunks), per)]))
+    def take(self):
+        """The next chunk's result, once the thread has made it."""
+        result, exc = self._done.get()
+        if exc is not None:
+            raise exc
+        self._taken.release()
+        return result
+
+    def close(self) -> None:
+        """Stop after the chunk in hand, and wait for the thread to end."""
+        self._stop = True
+        self._taken.release()
+        self._thread.join()
+
+
+def _run_chunked(job: _Job, workers: int | None, step: Callable,
+                 take: Callable[[int, int, object], None]) -> None:
+    """Call ``take(lo, hi, step(job, streams, lo, hi))`` over contiguous chunks
+    of the job's trials, in chunk order, on the calling thread.
+
+    A chunk holds at most 256 trials and at most 512 KiB per trial-stacked
+    (n, d) buffer. Chunk i's step runs on thread i mod w, thread 0 being the
+    calling thread and each other a ``_Helper`` with its own
+    ``_TrialStreams``. ``take`` and everything it calls, the estimator
+    included, run on the calling thread only. w is the ``_worker_cap`` of
+    ``workers`` and at most the chunk count; it is 1 for an adversary that
+    holds the GIL for each trial (``_Adversary.one_thread``) and for trials
+    of fewer than ``_THREADED_MIN_ENTRIES`` entries. ``take`` stores its
+    results by trial index, so the reduction that follows sees them in a
+    fixed order whatever w is.
+    """
+    workers = _worker_cap(workers)
+    entries = job.budget.n * job.model.d
+    size = max(1, min(_CHUNK_TRIALS, _CHUNK_BYTES // (entries * 8)))
+    chunks = [(lo, min(lo + size, job.trials)) for lo in range(0, job.trials, size)]
+    w = min(workers, len(chunks))
+    if job.spec.one_thread or entries < _THREADED_MIN_ENTRIES:
+        w = 1
+    streams = _TrialStreams(job.seed)
+    helpers = [_Helper(job, step, chunks[j::w]) for j in range(1, w)]
+    try:
+        for i, (lo, hi) in enumerate(chunks):
+            j = i % w
+            take(lo, hi, step(job, streams, lo, hi) if j == 0 else helpers[j - 1].take())
+    finally:
+        for helper in helpers:
+            helper.close()
+    streams.release()
 
 
 @dataclass(frozen=True)
@@ -379,21 +448,27 @@ def _ball_pairs(job: _Job, streams: _TrialStreams, lo: int, hi: int):
                             for x in clean])
 
 
-def _run_pairs(job: _Job, workers: int = 1):
+def _fresh_pairs(job: _Job, streams: _TrialStreams, lo: int, hi: int):
+    """The clean rows of trials lo..hi-1 and a fresh draw of them from each
+    trial's adversary stream, the variance obstruction's step."""
+    return _clean_stack(job, streams.data, lo, hi), _clean_stack(job, streams.adversary, lo, hi)
+
+
+def _run_pairs(job: _Job, workers: int | None = None):
     """f(corrupted) - f(clean) of every trial of the adversary's step, and
     whether its recomputed Hamming distance is at most k. Both stacks must
     be finite."""
     diff = np.empty((job.trials, job.est.output_dim))
     feasible = np.empty(job.trials, dtype=bool)
 
-    def run_chunk(streams: _TrialStreams, lo: int, hi: int) -> None:
-        clean, corrupted = job.spec.step(job, streams, lo, hi)
+    def take(lo: int, hi: int, pair: tuple[np.ndarray, np.ndarray]) -> None:
+        clean, corrupted = pair
         _check_finite(clean)
         _check_finite(corrupted)
         feasible[lo:hi] = _hamming_stack(clean, corrupted) <= job.budget.k
         diff[lo:hi] = job.est.on_stack(corrupted) - job.est.on_stack(clean)
 
-    _run_chunked(job, workers, run_chunk)
+    _run_chunked(job, workers, job.spec.step, take)
     return diff, feasible
 
 
@@ -442,7 +517,9 @@ class _Adversary:
     public adversary also runs. ``exact`` marks a corruption that attains the
     sup, so the report is not ``lower_bound_only``. ``off_binary`` marks one
     whose corrupted rows leave {0, 1}, which a binary-domain estimator cannot
-    read. ``check(est, budget)`` may reject."""
+    read. ``one_thread`` marks a step that holds the GIL for each trial or
+    evaluates the estimator, so it runs on the calling thread only
+    (``_run_chunked``). ``check(est, budget)`` may reject."""
 
     step: Callable
     models: tuple[type, ...] = (GaussianModel, BernoulliModel)
@@ -451,6 +528,7 @@ class _Adversary:
     scalar_only: bool = False
     nonempty: bool = False
     off_binary: bool = False
+    one_thread: bool = False
     check: Callable[[Estimator, CorruptionBudget], None] = lambda est, budget: None
 
 
@@ -458,10 +536,14 @@ _ADVERSARIES = {
     "resample": _Adversary(_resample_pairs),
     "local-shift": _Adversary(_local_shift_pairs, needs_delta=True, scalar_only=True,
                               nonempty=True, off_binary=True),
-    "tv-coupling": _Adversary(_coupling_pairs, (GaussianModel,), scalar_only=True),
+    # The coupling's rejection rounds hold the GIL: 0.74-1.00x at two threads.
+    "tv-coupling": _Adversary(_coupling_pairs, (GaussianModel,), scalar_only=True,
+                              one_thread=True),
     "block-resample": _Adversary(_block_pairs, nonempty=True),
     "median-exact": _Adversary(_median_pairs, exact=True, scalar_only=True, check=_median_only),
-    "hamming-ball": _Adversary(_ball_pairs, (BernoulliModel,), exact=True, check=_ball_only),
+    # Its step evaluates the estimator, which runs on the calling thread only.
+    "hamming-ball": _Adversary(_ball_pairs, (BernoulliModel,), exact=True, one_thread=True,
+                               check=_ball_only),
 }
 ADVERSARY_NAMES = tuple(_ADVERSARIES)
 # Adversaries whose corruption attains the exact pointwise sensitivity.
@@ -563,7 +645,7 @@ def estimate_es(
     trials: int = 10_000,
     seed: int = 0,
     delta: float | None = None,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> SensitivityReport:
     """Monte Carlo estimate of the L^q distributional empirical sensitivity.
 
@@ -572,12 +654,14 @@ def estimate_es(
     |f(Y) - f(X)| (exact when the adversary's Y attains the sup). Over-budget
     trials contribute 0, which keeps the estimate a valid lower bound. The
     q-th-moment CI is mean +/- 1.96 stderr mapped through x -> x^{1/q}.
+    ``workers`` caps the threads the draws run on (by default, the CPUs the
+    process may use; see ``_run_chunked``); it never changes the report.
     """
     return _sensitivity(_request(estimator, adversary, model, eta=eta, n=n, trials=trials,
                                  seed=seed, q=q, delta=delta), workers)
 
 
-def _sensitivity(job: _Job, workers: int) -> SensitivityReport:
+def _sensitivity(job: _Job, workers: int | None) -> SensitivityReport:
     """The report of an ``estimate_es`` job."""
     diff, feasible = _run_pairs(job, workers)
     per_trial = _row_norms(diff)
@@ -655,7 +739,7 @@ def scaling_sweep(
     trials: int = 10_000,
     seed: int = 0,
     delta: float | None = None,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> ScalingFit:
     """Run ``estimate_es`` over a grid of eta, n, or d and fit a log-log line.
 
@@ -671,7 +755,7 @@ def scaling_sweep(
         raise ValueError("sweep grid needs at least 4 points")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError("sweep grid must be strictly increasing")
-    n, d = _count("n", n), _count("d", d)
+    n, d, workers = _count("n", n), _count("d", d), _worker_cap(workers)
     if variable != "eta":
         for v in values:
             _count(variable, v)
@@ -874,7 +958,8 @@ def variance_obstruction(
     Over M = ceil(n/k) disjoint blocks the block Efron-Stein inequality gives
     max_i E||f(X) - f(X^(i))||^2 >= (2/M) Var(f(X)); the report checks this
     with Monte Carlo slack and returns sqrt(max gap) as the certified ES_2
-    lower bound.
+    lower bound. The draws run on the CPUs the process may use
+    (``_run_chunked``); the report does not depend on how many.
     """
     if not isinstance(model, GaussianModel):
         raise ValueError("variance_obstruction requires a GaussianModel")
@@ -889,14 +974,12 @@ def variance_obstruction(
     outputs = np.empty((trials, est.output_dim))
     gaps = np.empty((trials, m_blocks))
 
-    def run_chunk(streams: _TrialStreams, lo: int, hi: int) -> None:
-        clean = _clean_stack(job, streams.data, lo, hi)
-        fresh = _clean_stack(job, streams.adversary, lo, hi)
-        outputs[lo:hi], block_gaps = analysis._leave_out_gaps(est, clean, fresh, layout)
+    def take(lo: int, hi: int, stacks: tuple[np.ndarray, np.ndarray]) -> None:
+        outputs[lo:hi], block_gaps = analysis._leave_out_gaps(est, *stacks, layout)
         for b, g in enumerate(block_gaps):
             gaps[lo:hi, b] = g
 
-    _run_chunked(job, 1, run_chunk)
+    _run_chunked(job, None, _fresh_pairs, take)
 
     var_clean, var_se = analysis._variance_with_se(outputs)
     block_means, block_ses = analysis._mean_se(gaps, axis=0)

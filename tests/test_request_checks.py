@@ -274,9 +274,9 @@ LR_REFUSALS = {
                      r"relative stderr exceeds 0\.5$"),
     "huge-a": ([1e200], [0.0], ValueError, _LR_NONFINITE),
     "huge-opposite": ([1e200], [-1e200], ValueError, _LR_NONFINITE),
-    # <a, b> overflows to inf or nan, which the exponent rule refuses first
-    "huge-cancelling": ([1e200, -1e200], [1e200, 1e200], OverflowError,
-                        r"^rhs exponent (inf|nan) exceeds 700\.0; result overflows$"),
+    # The products overflow before their sum, 0, is formed: refused as
+    # non-finite, not as an exponent the request does not have
+    "huge-cancelling": ([1e200, -1e200], [1e200, 1e200], ValueError, _LR_NONFINITE),
 }
 
 

@@ -14,7 +14,9 @@ approximate.
 import dataclasses
 import hashlib
 import math
+import os
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -136,7 +138,8 @@ GOLDEN = {
         lambda: estimate_es("bernoulli-plugin", "block-resample", BernoulliModel(0.6), eta=0.07,
                             n=45, trials=110, seed=32),
         "b77a651970624cd6785d8f2213c875de7a0d158c5571425438ea1485a7db27eb"),
-    # Several chunks each, so the shards split them between the threads.
+    # Several chunks each. tv-coupling and hamming-ball stay on one thread;
+    # the median-exact steps run on helper threads.
     "es/clipped-mean/tv-coupling/workers2": (
         lambda: estimate_es("clipped-mean", "tv-coupling", gauss(1, 0.4), eta=0.05, n=2000,
                             trials=120, seed=33, workers=2),
@@ -158,8 +161,25 @@ GOLDEN = {
 }
 
 
+def run_on_cpus(monkeypatch, cpus: int) -> None:
+    """Let the default ``workers`` resolve to ``cpus`` CPUs and drop the n * d
+    crossover, so every job of more than one chunk whose adversary allows
+    threads starts its helpers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(harness, "_THREADED_MIN_ENTRIES", 0)
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_report(name):
+    run, digest = GOLDEN[name]
+    assert hashlib.sha256(text(run()).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_report_on_any_cpu_count(monkeypatch, name, cpus):
+    # The default workers resolves to cpus, the obstruction experiments' too.
+    run_on_cpus(monkeypatch, cpus)
     run, digest = GOLDEN[name]
     assert hashlib.sha256(text(run()).encode()).hexdigest() == digest
 
@@ -550,18 +570,19 @@ def test_median_exact_accepts_the_median_under_another_name():
     ("resample", gauss(16), 200, 100, None),     # 20 trials per chunk
     ("local-shift", gauss(1), 1000, 200, 0.5),   # 65 trials per chunk
     ("block-resample", gauss(4), 300, 150, None),  # 54 trials per chunk
-    ("resample", gauss(1), 101, 100, None),      # one chunk, fewer shards than workers
+    ("resample", gauss(1), 101, 100, None),      # one chunk, fewer chunks than workers
 ])
-def test_reports_identical_across_workers(adversary, model, n, trials, delta):
+def test_reports_identical_across_workers(monkeypatch, adversary, model, n, trials, delta):
+    monkeypatch.setattr(harness, "_THREADED_MIN_ENTRIES", 0)
     interval = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-6)
         texts = [estimate_es("mean", adversary, model, eta=0.1, n=n, trials=trials, seed=5,
                              delta=delta, workers=w).to_json(include_trials=True)
-                 for w in (1, 2, 3)]
+                 for w in (1, 2, 3, None)]
     finally:
         sys.setswitchinterval(interval)
-    assert texts[0] == texts[1] == texts[2]
+    assert texts[0] == texts[1] == texts[2] == texts[3]
 
 
 KEYS = [(0, 0), (0, 2 ** 64 - 1), (2 ** 64 - 1, 0), (2 ** 64 - 1, 2 ** 64 - 1)] + [
@@ -631,6 +652,7 @@ def raise_on_second_chunk(est):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_request_that_raises_leaves_the_next_requests_bytes(monkeypatch, workers):
     monkeypatch.setattr(harness, "_IDLE_GENERATORS", [])
+    monkeypatch.setattr(harness, "_THREADED_MIN_ENTRIES", 0)
     mean = build_estimator("mean", d=1)
     # 163 trials a chunk at n = 400, d = 1: three chunks.
     kwargs = dict(eta=0.1, n=400, trials=400, seed=21, workers=workers)
@@ -642,31 +664,149 @@ def test_a_request_that_raises_leaves_the_next_requests_bytes(monkeypatch, worke
 
 def test_two_workers_on_a_warm_pool_give_the_one_worker_bytes(monkeypatch):
     monkeypatch.setattr(harness, "_IDLE_GENERATORS", [])
+    monkeypatch.setattr(harness, "_THREADED_MIN_ENTRIES", 0)
     kwargs = dict(eta=0.1, n=400, trials=700, seed=8)
     want = text(estimate_es("median", "local-shift", gauss(1), delta=0.5, workers=1, **kwargs))
-    # A request at another seed leaves its pairs in the pool, read mid-stream:
-    # one pair, or two if its shards overlapped.
+    # A request at another seed leaves its two threads' pairs in the pool,
+    # read mid-stream.
     estimate_es("mean", "resample", gauss(1), eta=0.1, n=400, trials=700, seed=9, workers=2)
-    assert 1 <= len(harness._IDLE_GENERATORS) <= 2
+    assert len(harness._IDLE_GENERATORS) == 2
     got = text(estimate_es("median", "local-shift", gauss(1), delta=0.5, workers=2, **kwargs))
     assert got == want
-    assert 1 <= len(harness._IDLE_GENERATORS) <= 2
+    assert len(harness._IDLE_GENERATORS) == 2
+
+
+def test_a_step_that_raises_on_a_helper_raises_on_the_calling_thread(monkeypatch):
+    # 32 trials a chunk at n = 2000, d = 1: the second chunk's step is the helper's.
+    kwargs = dict(eta=0.1, n=2000, trials=100, seed=6, workers=2)
+    want = text(estimate_es("mean", "resample", gauss(1), **kwargs))
+    clean_stack = harness._clean_stack
+
+    def fail_after_the_first_chunk(job, stream, lo, hi):
+        if lo > 0:
+            raise RuntimeError(f"chunk at trial {lo}")
+        return clean_stack(job, stream, lo, hi)
+
+    threads = threading.active_count()
+    monkeypatch.setattr(harness, "_clean_stack", fail_after_the_first_chunk)
+    with pytest.raises(RuntimeError, match=r"^chunk at trial 32$"):
+        estimate_es("mean", "resample", gauss(1), **kwargs)
+    assert threading.active_count() == threads
+    monkeypatch.setattr(harness, "_clean_stack", clean_stack)
+    assert text(estimate_es("mean", "resample", gauss(1), **kwargs)) == want
+
+
+# --- the worker rule: which steps run on helper threads ---
+
+def count_helpers(monkeypatch) -> list:
+    """One entry per helper thread started from here on."""
+    started = []
+
+    class Counted(harness._Helper):
+        def __init__(self, *args):
+            started.append(None)
+            super().__init__(*args)
+
+    monkeypatch.setattr(harness, "_Helper", Counted)
+    return started
+
+
+class RecordingEstimator(sl.Estimator):
+    """The estimator it wraps, noting the thread of every stack it evaluates."""
+
+    def __init__(self, inner: sl.Estimator):
+        super().__init__(inner.name, inner.output_dim, inner.stack_fn, inner.linear_in_data,
+                         inner.binary_domain)
+        object.__setattr__(self, "threads", set())
+
+    def on_stack(self, stack):
+        self.threads.add(threading.get_ident())
+        return super().on_stack(stack)
+
+
+THREADED_JOBS = {
+    # 10 trials a chunk at n = 400, d = 16: ten chunks.
+    "resample": lambda est, workers: estimate_es(est, "resample", gauss(16), eta=0.1, n=400,
+                                                 trials=100, seed=3, workers=workers),
+    # 16 trials a chunk at n = 4001: seven chunks.
+    "median-exact": lambda est, workers: estimate_es(est, "median-exact", gauss(1), eta=0.1,
+                                                     n=4001, trials=100, seed=3,
+                                                     workers=workers),
+    # Four chunks; the experiment takes no workers, so it runs on the default.
+    "variance-obstruction": lambda est, workers: variance_obstruction(est, gauss(16), eta=0.1,
+                                                                      n=400, trials=40, seed=3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(THREADED_JOBS))
+def test_the_estimator_runs_on_the_calling_thread_only(monkeypatch, name):
+    run_on_cpus(monkeypatch, 3)
+    started = count_helpers(monkeypatch)
+    base = sl.median_estimator(1) if name == "median-exact" else sl.mean_estimator(16)
+    est = RecordingEstimator(base)
+    got = text(THREADED_JOBS[name](est, 3))
+    assert len(started) == 2
+    assert est.threads == {threading.get_ident()}
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert got == text(THREADED_JOBS[name](base, 1))
+    assert len(started) == 2
+
+
+NO_HELPER_JOBS = {
+    "one-cpu": lambda: estimate_es("mean", "resample", gauss(16), eta=0.1, n=400, trials=100,
+                                   seed=3),
+    "one-cpu/variance-obstruction": lambda: variance_obstruction("mean", gauss(16), eta=0.1,
+                                                                 n=400, trials=40, seed=3),
+    "tv-coupling": lambda: estimate_es("clipped-mean", "tv-coupling", gauss(1), eta=0.05, n=2000,
+                                       trials=100, seed=3, workers=3),
+    "coupling-obstruction": lambda: coupling_obstruction_high("clipped-mean", eta=0.1, n=2000,
+                                                              trials=100, seed=3),
+    "hamming-ball": lambda: estimate_es("bernoulli-plugin", "hamming-ball", BernoulliModel(0.4),
+                                        eta=0.2, n=10, trials=300, seed=3, workers=3),
+    # 1999 entries a trial, 32 trials a chunk: four chunks.
+    "below-crossover": lambda: estimate_es("mean", "resample", gauss(1), eta=0.1, n=1999,
+                                           trials=100, seed=3, workers=3),
+    "below-crossover/mean-obstruction": lambda: mean_obstruction_low(
+        "clipped-mean", eta=0.05, delta=0.5, n=400, trials=1000, seed=3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_HELPER_JOBS))
+def test_no_helper_starts_where_the_rule_keeps_one_thread(monkeypatch, name):
+    cpus = 1 if name.startswith("one-cpu") else 3
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    started = count_helpers(monkeypatch)
+    NO_HELPER_JOBS[name]()
+    assert started == []
+
+
+def test_helpers_start_at_the_crossover(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    started = count_helpers(monkeypatch)
+    estimate_es("mean", "resample", gauss(1), eta=0.1, n=harness._THREADED_MIN_ENTRIES,
+                trials=100, seed=3)
+    assert len(started) == 2
+
+
+@pytest.mark.parametrize("workers", [0, -1, 1.5, math.nan])
+def test_a_bad_worker_count_fails_before_any_draw(monkeypatch, workers):
+    monkeypatch.setattr(harness, "_TrialStreams", no_trials)
+    message = rf"^workers must be an integer >= 1, got {workers!r}$"
+    with pytest.raises(ValueError, match=message):
+        estimate_es("mean", "resample", gauss(16), eta=0.1, n=400, trials=100, workers=workers)
+    with pytest.raises(ValueError, match=message):
+        sl.scaling_sweep("mean", "resample", variable="eta", values=[0.1, 0.2, 0.3, 0.4],
+                         n=400, trials=100, workers=workers)
 
 
 def test_a_one_chunk_request_runs_on_the_calling_thread(monkeypatch):
-    kwargs = dict(eta=0.2, n=16, trials=100, seed=3)
-    want = text(estimate_es("bernoulli-plugin", "hamming-ball", BernoulliModel(0.5), workers=1,
-                            **kwargs))
-
-    def no_pool(*args, **kw):
-        raise AssertionError("a request of one chunk started a thread pool")
-
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
-    got = text(estimate_es("bernoulli-plugin", "hamming-ball", BernoulliModel(0.5), workers=2,
-                           **kwargs))
-    assert got == want
-    with pytest.raises(AssertionError, match="thread pool"):  # 163 trials a chunk: three chunks
-        estimate_es("mean", "resample", gauss(1), eta=0.1, n=400, trials=400, seed=3, workers=2)
+    # 10 trials a chunk at n = 400, d = 16: 10 trials are one chunk, 11 are two.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    started = count_helpers(monkeypatch)
+    variance_obstruction("mean", gauss(16), eta=0.1, n=400, trials=10, seed=3)
+    assert started == []
+    variance_obstruction("mean", gauss(16), eta=0.1, n=400, trials=11, seed=3)
+    assert len(started) == 1
 
 
 def test_one_column_norms_are_the_row_dot():
