@@ -309,12 +309,31 @@ def chi2_localshift_mc(k: int, n: int, delta: float, draws: int,
 
     Draw t reads doubles [t·n, (t+1)·n) of ``rng``'s stream (``_draw_chunks``
     with (n,) rows).
+
+    A request the estimate provably cannot resolve is rejected before any
+    draw (``_require_reach``). With A = delta^2 k (1 - k/n), the overlap
+    H <= k gives chi^2 <= e^A - 1; the k-subset terms of LR^4 alone give
+    E_P[LR^4] >= C(n,k)^-3 e^{6A}; and Minkowski gives
+    Var (LR - 1)^2 >= (||LR||_4 - 1)^4 - e^{2A}. The ratio of that floor to
+    the squared ceiling is formed in log space, and only where the floor is
+    positive: (k, n, delta) = (5, 100, 30) at 1000 draws, which read
+    (1.0, 0.0) against a chi^2 of about e^4257, is refused by about 1.7e4
+    nats.
     """
     k, n = _require_subset(k, n)
     _require_finite("delta", delta)
     draws = _count("draws", draws, _MIN_DRAWS)
     m = k * delta / n
     log_binom = special.gammaln(n + 1) - special.gammaln(k + 1) - special.gammaln(n - k + 1)
+    a = _square(delta) * k * (1.0 - k / n)
+    log_l4 = 1.5 * a - 0.75 * log_binom  # log of the floor on ||LR||_4
+    # log((e^log_l4 - 1)^4) - 2A, positive where the variance floor is
+    margin = -math.inf
+    if log_l4 > 0:
+        margin = 4 * a - 3 * log_binom + 4 * math.log(-math.expm1(-log_l4))
+    if margin > 0:
+        _require_reach("k delta^2 (1 - k/n) =", a, margin + math.log(-math.expm1(-margin))
+                       - 2 * math.log(-math.expm1(-a)), draws)
     values = np.empty(draws)
     for lo, hi, (x,) in _draw_chunks(rng, draws, (n,)):
         x = _shifted_normals(x, m)

@@ -40,7 +40,7 @@ import threading
 import warnings
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterable, Sequence
+from typing import Callable, ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -171,9 +171,31 @@ def _dump_json(obj, _newline: str = "\n") -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
+class _Report:
+    """A report dataclass, written as one JSON record (``_record``) of kind
+    ``_KIND``: one walk over its fields, each under its own name.
+
+    A report that writes a field otherwise overrides ``_json_fields``, whose
+    keywords are the ``options`` of ``to_json_dict`` and ``to_json``.
+    """
+
+    _KIND: ClassVar[str]
+
+    def _json_fields(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def to_json_dict(self, **options) -> dict:
+        return _record(self._KIND, **self._json_fields(**options))
+
+    def to_json(self, **options) -> str:
+        return _dump_json(self.to_json_dict(**options))
+
+
 @dataclass(frozen=True, eq=False)
-class SensitivityReport:
+class SensitivityReport(_Report):
     """L^q sensitivity estimate with its full experiment configuration."""
+
+    _KIND = "sensitivity-report"
 
     estimator: str
     adversary: str
@@ -191,15 +213,13 @@ class SensitivityReport:
     lower_bound_only: bool
     per_trial: np.ndarray
 
-    def to_json_dict(self, include_trials: bool = False) -> dict:
-        out = _record("sensitivity-report", **{name: getattr(self, name)
-                                               for name in _REPORT_FIELDS})
+    def _json_fields(self, include_trials: bool = False) -> dict:
+        # The per-trial values are written only when asked for.
+        out = super()._json_fields()
+        del out["per_trial"]
         if include_trials:
             out["per_trial"] = self.per_trial.tolist()
         return out
-
-    def to_json(self, include_trials: bool = False) -> str:
-        return _dump_json(self.to_json_dict(include_trials))
 
     @staticmethod
     def csv_header() -> str:
@@ -212,10 +232,6 @@ class SensitivityReport:
         csv.writer(row, lineterminator="").writerow(_csv_cell(getattr(self, c))
                                                     for c in CSV_COLUMNS)
         return row.getvalue()
-
-
-# The JSON fields of a SensitivityReport, in declaration order.
-_REPORT_FIELDS = tuple(f.name for f in fields(SensitivityReport) if f.name != "per_trial")
 
 
 def _csv_cell(value) -> str:
@@ -380,6 +396,15 @@ class _Job:
     q: int
     delta: float | None
     prior: tuple[float, float] | None
+
+
+def _report(cls: type, job: _Job, **values):
+    """A ``cls`` report of ``job``: each request field that ``cls`` declares,
+    read from the job here and nowhere else, then ``values``."""
+    request = {"estimator": job.est.name, "adversary": job.adversary, "n": job.budget.n,
+               "d": job.model.d, "eta": job.budget.eta, "k": job.budget.k, "q": job.q,
+               "trials": job.trials, "seed": job.seed, "delta": job.delta, "prior": job.prior}
+    return cls(**{f.name: request[f.name] for f in fields(cls) if f.name in request}, **values)
 
 
 def _clean_stack(job: _Job, stream: Callable, lo: int, hi: int) -> np.ndarray:
@@ -672,17 +697,8 @@ def _sensitivity(job: _Job, workers: int | None) -> SensitivityReport:
     hi = moment + 1.96 * stderr
     root = 1.0 / job.q
     per_trial.flags.writeable = False
-    return SensitivityReport(
-        estimator=job.est.name,
-        adversary=job.adversary,
-        n=job.budget.n,
-        d=job.model.d,
-        eta=job.budget.eta,
-        k=job.budget.k,
-        q=job.q,
-        trials=job.trials,
-        seed=job.seed,
-        delta=job.delta,
+    return _report(
+        SensitivityReport, job,
         es_estimate=moment ** root,
         ci_low=lo ** root,
         ci_high=hi ** root,
@@ -692,12 +708,14 @@ def _sensitivity(job: _Job, workers: int | None) -> SensitivityReport:
 
 
 @dataclass(frozen=True, eq=False)
-class ScalingFit:
+class ScalingFit(_Report):
     """Log-log least-squares fit of sensitivity against one swept variable.
 
     Only points whose CI half-width is below 10% of the point estimate enter
     the fit; ``used`` records which ones survived.
     """
+
+    _KIND = "scaling-fit"
 
     variable: str
     values: tuple[float, ...]
@@ -707,22 +725,13 @@ class ScalingFit:
     intercept: float
     r_squared: float
 
-    def to_json_dict(self) -> dict:
-        return _record(
-            "scaling-fit",
-            variable=self.variable,
-            values=[float(v) for v in self.values],
-            es_estimates=[r.es_estimate for r in self.reports],
-            ci_lows=[r.ci_low for r in self.reports],
-            ci_highs=[r.ci_high for r in self.reports],
-            used=list(self.used),
-            slope=self.slope,
-            intercept=self.intercept,
-            r_squared=self.r_squared,
-        )
-
-    def to_json(self) -> str:
-        return _dump_json(self.to_json_dict())
+    def _json_fields(self) -> dict:
+        # Each point's report is written as its estimate and CI bounds.
+        out = super()._json_fields()
+        reports = out.pop("reports")
+        out.update(es_estimates=[r.es_estimate for r in reports],
+                   ci_lows=[r.ci_low for r in reports], ci_highs=[r.ci_high for r in reports])
+        return out
 
 
 def scaling_sweep(
@@ -800,8 +809,10 @@ def _uniform_scalar(gen: np.random.Generator, lo: float, hi: float) -> float:
 
 
 @dataclass(frozen=True)
-class MeanObstructionReport:
+class MeanObstructionReport(_Report):
     """Low-corruption obstruction: local shift vs the global shift it mimics."""
+
+    _KIND = "mean-obstruction-low"
 
     eta: float
     delta: float
@@ -847,14 +858,8 @@ def mean_obstruction_low(
                       "outside the low-corruption regime", stacklevel=2)
 
     avg, stderr = analysis._mean_se(_run_pairs(job)[0][:, 0])
-    return MeanObstructionReport(
-        eta=job.budget.eta,
-        delta=job.delta,
-        n=n,
-        k=k,
-        trials=job.trials,
-        seed=job.seed,
-        prior=job.prior,
+    return _report(
+        MeanObstructionReport, job,
         avg_displacement=avg,
         stderr=stderr,
         predicted=job.budget.eta * job.delta,
@@ -864,8 +869,10 @@ def mean_obstruction_low(
 
 
 @dataclass(frozen=True)
-class CouplingObstructionReport:
+class CouplingObstructionReport(_Report):
     """High-corruption obstruction: TV-coupled datasets bridge nearby means."""
+
+    _KIND = "coupling-obstruction-high"
 
     eta: float
     n: int
@@ -906,13 +913,8 @@ def coupling_obstruction_high(
     avg, stderr = analysis._mean_se(np.where(feasible, diff[:, 0], 0.0))
     trials, eta = job.trials, job.budget.eta
     rate = (trials - int(np.count_nonzero(feasible))) / trials
-    return CouplingObstructionReport(
-        eta=eta,
-        n=job.budget.n,
-        k=job.budget.k,
-        trials=trials,
-        seed=job.seed,
-        prior=job.prior,
+    return _report(
+        CouplingObstructionReport, job,
         avg_displacement_on_feasible=avg,
         stderr=stderr,
         infeasible_rate=rate,
@@ -922,8 +924,10 @@ def coupling_obstruction_high(
 
 
 @dataclass(frozen=True)
-class VarianceObstructionReport:
+class VarianceObstructionReport(_Report):
     """Block resampling converts clean output variance into sensitivity."""
+
+    _KIND = "variance-obstruction"
 
     eta: float
     n: int
@@ -988,14 +992,9 @@ def variance_obstruction(
     max_gap_se = float(block_ses[top])
     verdict = analysis._mc_verdict((2.0 / m_blocks) * var_clean, max_gap,
                                    math.hypot(2.0 / m_blocks * var_se, max_gap_se), trials)
-    return VarianceObstructionReport(
-        eta=job.budget.eta,
-        n=n,
-        d=model.d,
-        k=k,
+    return _report(
+        VarianceObstructionReport, job,
         n_blocks=m_blocks,
-        trials=trials,
-        seed=job.seed,
         var_clean=var_clean,
         var_clean_stderr=var_se,
         block_gaps=tuple(float(v) for v in block_means),

@@ -289,6 +289,23 @@ def test_likelihood_ratio_identity_refuses_what_it_cannot_resolve_before_any_dra
             analysis.gaussian_lr_identity_check(a, b, 10_000, NoDraw())
 
 
+def test_mixture_chi2_refuses_a_shift_it_cannot_resolve_before_any_draw():
+    # A = 30^2 * 5 * 0.95 = 4275: the estimate read (1.0, 0.0) against a chi^2
+    # of about e^4257, and the floor on its relative variance is about e^17046.
+    with pytest.raises(ValueError, match=r"^k delta\^2 \(1 - k/n\) = 4\.28e\+03 is out of reach "
+                                         r"at 1000 draws: the estimate's relative stderr "
+                                         r"exceeds 0\.5$"):
+        analysis.chi2_localshift_mc(5, 100, 30.0, 1000, NoDraw())
+
+
+# The shapes verify_suite, the bench and the pinned draws request: each
+# floor is vacuous, so each is admitted at the fewest draws.
+@pytest.mark.parametrize("k, n, delta", [(3, 50, 0.5), (5, 100, 0.8), (1, 101, 0.5), (7, 7, 0.3)])
+def test_mixture_chi2_admits_every_existing_request(k, n, delta):
+    mc, se = analysis.chi2_localshift_mc(k, n, delta, 1000, RngStream(95, 0))
+    assert math.isfinite(mc) and math.isfinite(se)
+
+
 def test_hypergeom_mgf_just_inside_exp_range_runs():
     # (k^2/n)(e^lambda - 1 - lambda) = 657.6 at lambda = 6.5
     r = analysis.hypergeom_mgf_check(100, 10, 6.5, 1000, RngStream(24, 7))

@@ -184,6 +184,29 @@ def _exp_overflow_compare(node) -> bool:
         getattr(side, "id", None) == "_EXP_OVERFLOW" for side in (node.left, *node.comparators))
 
 
+# The request fields a report may declare.
+_REQUEST_FIELDS = {"estimator", "adversary", "n", "d", "eta", "k", "q", "trials", "seed", "delta",
+                   "prior"}
+
+
+def _reads_job(node) -> bool:
+    return any(isinstance(n, ast.Name) and n.id == "job" for n in ast.walk(node))
+
+
+def _request_field_from_job(node) -> bool:
+    """A keyword or dict entry named for a request field whose value reads ``job``."""
+    if isinstance(node, ast.keyword):
+        return node.arg in _REQUEST_FIELDS and _reads_job(node.value)
+    return isinstance(node, ast.Dict) and any(
+        isinstance(k, ast.Constant) and k.value in _REQUEST_FIELDS and _reads_job(v)
+        for k, v in zip(node.keys, node.values))
+
+
+def _json_method(node) -> bool:
+    """A definition of a record writer: ``to_json`` or ``to_json_dict``."""
+    return isinstance(node, ast.FunctionDef) and node.name in {"to_json", "to_json_dict"}
+
+
 def _sites(match) -> list[str]:
     """``module.qualname`` of each node in the package where ``match`` holds,
     once per node."""
@@ -211,6 +234,8 @@ def _places(match) -> set[str]:
 RULES = {
     "json-dumps": (_json_dumps, {"harness._dump_json"}),
     "record-schema": (_schema_key, {"harness._record"}),
+    "report-request-fields": (_request_field_from_job, {"harness._report"}),
+    "report-json-walk": (_json_method, {"harness._Report", "harness.UnboundedSensitivityError"}),
     "normal-transform": (_ndtri, {"core._normal_in_place"}),
     "stream-key": (_philox_key, set()),
     "stream-state": (_philox_state, {"core._Rekeyer.__init__"}),

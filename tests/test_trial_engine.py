@@ -13,6 +13,7 @@ approximate.
 
 import dataclasses
 import hashlib
+import json
 import math
 import os
 import sys
@@ -182,6 +183,61 @@ def test_golden_report_on_any_cpu_count(monkeypatch, name, cpus):
     run_on_cpus(monkeypatch, cpus)
     run, digest = GOLDEN[name]
     assert hashlib.sha256(text(run()).encode()).hexdigest() == digest
+
+
+# -- every report is written as one record: its kind, then its fields --
+
+KINDS = {
+    sl.SensitivityReport: "sensitivity-report",
+    sl.ScalingFit: "scaling-fit",
+    sl.MeanObstructionReport: "mean-obstruction-low",
+    sl.CouplingObstructionReport: "coupling-obstruction-high",
+    sl.VarianceObstructionReport: "variance-obstruction",
+}
+REPORTS = {name: run for name, (run, _) in GOLDEN.items()
+           if name.startswith(("es/", "obstruction/"))}
+REPORTS["scaling-fit"] = lambda: sl.scaling_sweep("mean", "resample", variable="n",
+                                                  values=[100, 200, 400, 800], trials=400, seed=11)
+
+
+def record_fields(report) -> set[str]:
+    """The dataclass field names the record holds: all but ``per_trial``, and a
+    fit's point reports as their three lists."""
+    names = {f.name for f in dataclasses.fields(report)} - {"per_trial"}
+    if isinstance(report, sl.ScalingFit):
+        names = names - {"reports"} | {"es_estimates", "ci_lows", "ci_highs"}
+    return names
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_every_report_writes_one_record_of_its_fields(name):
+    report = REPORTS[name]()
+    record = json.loads(report.to_json())
+    assert record.pop("schema") == "senslab/v1"
+    assert record.pop("kind") == KINDS[type(report)]
+    assert set(record) == record_fields(report)
+    for field, value in record.items():
+        if hasattr(report, field):
+            want = getattr(report, field)
+            assert value == (list(want) if isinstance(want, tuple) else want)
+
+
+def test_the_unbounded_error_writes_one_record():
+    with pytest.raises(UnboundedSensitivityError) as err:
+        estimate_es("mean", "median-exact", gauss(1), eta=0.1, n=51, trials=100)
+    record = json.loads(harness._dump_json(err.value.to_json_dict()))
+    assert (record.pop("schema"), record.pop("kind")) == ("senslab/v1", "unbounded-sensitivity")
+    assert record == {"estimator": "mean", "adversary": "median-exact",
+                      "reason": err.value.reason}
+
+
+@pytest.mark.parametrize("name", sorted(n for n in REPORTS if n.startswith("obstruction/")))
+def test_obstruction_json_on_any_cpu_count(monkeypatch, name):
+    texts = []
+    for cpus in (1, 3):
+        run_on_cpus(monkeypatch, cpus)
+        texts.append(REPORTS[name]().to_json())
+    assert texts[0] == texts[1]
 
 
 @pytest.mark.parametrize("inner, d, n, seed", [(16, 4, 50, 15), (256, 8, 200, 41), (1, 3, 200, 42)])
