@@ -51,7 +51,8 @@ from .core import (
     standard_normal,
     uniform_open,
 )
-from .estimators import Estimator, _LayerStack, _require_binary, _require_layer_bytes
+from .estimators import (Estimator, _LayerStack, _median_index, _require_binary,
+                         _require_layer_bytes)
 
 __all__ = [
     "AdversaryOutcome",
@@ -270,10 +271,10 @@ def _median_push_stack(clean: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarra
     vals = clean[:, :, 0]
     svals = np.sort(vals, axis=1)
     n = vals.shape[1]
-    m = (n + 1) // 2
-    med = svals[:, m - 1]
-    up = svals[:, m - 1 + k] - med
-    down = med - svals[:, m - 1 - k]
+    mid = _median_index(n)
+    med = svals[:, mid]
+    up = svals[:, mid + k] - med
+    down = med - svals[:, mid - k]
     push_up = up >= down
     cuts = np.where(push_up, svals[:, k - 1], svals[:, n - k])
     fills = np.where(push_up, svals[:, -1] + 1.0, svals[:, 0] - 1.0)
@@ -293,9 +294,9 @@ def _median_push_admissible(budget: CorruptionBudget, what: str) -> None:
     odd n = 2m - 1 and k <= m - 1. ``what`` names the caller in the message."""
     if budget.n % 2 == 0:
         raise ValueError(f"{what} requires odd n")
-    m = (budget.n + 1) // 2
-    if budget.k > m - 1:
-        raise ValueError(f"need k <= m - 1 = {m - 1}, got k = {budget.k}")
+    mid = _median_index(budget.n)  # m - 1
+    if budget.k > mid:
+        raise ValueError(f"need k <= m - 1 = {mid}, got k = {budget.k}")
 
 
 def median_worst_case(x: Dataset, budget: CorruptionBudget) -> AdversaryOutcome:

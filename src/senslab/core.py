@@ -139,7 +139,7 @@ class RngStream:
                 raise ValueError(f"{field} must be an unsigned 64-bit integer, got {value!r}")
 
     def generator(self) -> np.random.Generator:
-        return _Rekeyer(self.seed).at(self.stream_id)
+        return _Rekeyer().at(self.seed, self.stream_id)
 
 
 # The seed a new generator is built from before its first re-key overwrites
@@ -151,14 +151,15 @@ class _Rekeyer:
     """Resets one Philox generator to the start of stream (seed, stream_id):
     key words [seed, stream_id], counter 0, empty output buffer.
 
-    This is the one spelling of the stream key. The state dict is built once,
-    with key words [seed, 0]; ``at`` writes stream_id into its key list and
-    hands the same dict to the state setter, which copies every field, so
-    each stream's draws start from a full reset however far the generator's
-    last stream was read (``test_pooled_rekey_draws_the_stream_bytes``).
+    This is the one spelling of the stream key. The state dict is built once;
+    ``at`` writes the key into its key list and hands the same dict to the
+    state setter, which copies every field, so each stream's draws start from
+    a full reset however far the generator's last stream was read
+    (``test_a_reused_generator_draws_the_stream_bytes``).
     ``RngStream.generator`` re-keys a new generator; the trial engine re-keys
-    pooled ones, at a fraction of the cost of building a generator. The
-    caller validates the key, for example by building the ``RngStream`` once.
+    each thread's one generator, at a fraction of the cost of building one.
+    The caller validates the key, for example by building the ``RngStream``
+    once.
 
     The state holds plain lists: the setter converts each entry to a uint64
     by itself, and entries read out of uint64 arrays, as numpy scalars, make
@@ -168,12 +169,10 @@ class _Rekeyer:
 
     __slots__ = ("generator", "_bits", "_key", "_state")
 
-    def __init__(self, seed: int, generator: np.random.Generator | None = None):
-        if generator is None:
-            generator = np.random.Generator(np.random.Philox(_BLANK_SEED))
-        self.generator = generator
-        self._bits = generator.bit_generator
-        self._key = [seed, 0]
+    def __init__(self):
+        self.generator = np.random.Generator(np.random.Philox(_BLANK_SEED))
+        self._bits = self.generator.bit_generator
+        self._key = [0, 0]
         self._state = {
             "bit_generator": "Philox",
             "state": {"counter": [0, 0, 0, 0], "key": self._key},
@@ -183,7 +182,8 @@ class _Rekeyer:
             "uinteger": 0,
         }
 
-    def at(self, stream_id: int) -> np.random.Generator:
+    def at(self, seed: int, stream_id: int) -> np.random.Generator:
+        self._key[0] = seed
         self._key[1] = stream_id
         self._bits.state = self._state
         return self.generator

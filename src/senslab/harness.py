@@ -7,7 +7,8 @@ confidence interval. Unless the adversary is exact ("median-exact",
 true sup, so the report is flagged ``lower_bound_only``.
 
 Reproducibility contract: trial t always consumes streams (seed, 2t) for the
-clean data and (seed, 2t + 1) for the adversary, and per-trial values are
+clean data and (seed, 2t + 1) for the adversary, which ``_trial_streams``
+hands out by re-keying each thread's one generator, and per-trial values are
 stored by index before a fixed-order reduction. Reports are therefore
 byte-identical across reruns regardless of the worker count.
 
@@ -242,46 +243,38 @@ def _csv_cell(value) -> str:
 
 
 # Bytes per trial-stacked buffer of a chunk, and the most trials in one chunk.
+# Without the trial cap, chunks sized by bytes alone ran 8% slower on resample
+# at n = 50 and 6% slower on median-exact at n = 101 (10,000 trials each).
 _CHUNK_BYTES = 1 << 19
 _CHUNK_TRIALS = 256
 # Fewest trials of an obstruction experiment: a stderr is std(ddof=1), NaN for one.
 _FEWEST_TRIALS = 2
 
 
-# Idle (data, adversary) generator pairs of the trial engine. Each thread
-# of a job pops one and appends it back when its chunks are done.
-# list.pop and list.append are atomic, so threads need no lock, and a pair
-# lost to an exception is built afresh later; the pool holds at most as
-# many pairs as threads ever ran at once.
-_IDLE_GENERATORS: list[tuple[np.random.Generator, np.random.Generator]] = []
+# Each thread's one trial generator, built at its first trial (``_trial_streams``).
+_THREAD = threading.local()
 
 
-class _TrialStreams:
-    """The contract streams of trial t, (seed, 2t) and (seed, 2t + 1).
+def _trial_streams(job: _Job, role: int, lo: int, hi: int):
+    """Stream (seed, 2t + role) of each trial t = lo..hi-1, in order: role 0
+    is the trial's clean data, role 1 its adversary. This is the one spelling
+    of the stream contract.
 
-    One pooled Philox generator per role is re-keyed for every trial
+    Every stream is the calling thread's one Philox generator re-keyed
     (``core._Rekeyer``), which draws the same bytes as
-    ``RngStream(seed, 2t[+1]).generator()`` whatever an earlier request left
-    in it. One thread uses an instance until ``release`` returns its
-    generators to the pool.
+    ``RngStream(seed, 2t + role).generator()`` whatever the thread last read
+    from it. So a step must be done with one trial's stream before it asks
+    for the next, and no user code, the estimator included, may run while a
+    stream is held. Every step keeps both rules, which is why a request nested
+    in an estimator may re-key the same generator.
     """
-
-    def __init__(self, seed: int):
-        try:
-            data, adversary = _IDLE_GENERATORS.pop()
-        except IndexError:
-            data = adversary = None
-        self._data = _Rekeyer(seed, data)
-        self._adversary = _Rekeyer(seed, adversary)
-
-    def data(self, t: int) -> np.random.Generator:
-        return self._data.at(2 * t)
-
-    def adversary(self, t: int) -> np.random.Generator:
-        return self._adversary.at(2 * t + 1)
-
-    def release(self) -> None:
-        _IDLE_GENERATORS.append((self._data.generator, self._adversary.generator))
+    try:
+        rekeyer = _THREAD.rekeyer
+    except AttributeError:
+        rekeyer = _THREAD.rekeyer = _Rekeyer()
+    at, seed = rekeyer.at, job.seed
+    for t in range(lo, hi):
+        yield at(seed, 2 * t + role)
 
 
 # Fewest entries n * d of one trial's rows at which a job's steps run on
@@ -304,8 +297,8 @@ def _worker_cap(workers: int | None) -> int:
 
 
 class _Helper:
-    """A thread that runs ``step(job, streams, lo, hi)`` over its chunks, in
-    order, with its own streams; the calling thread reads each result with
+    """A thread that runs ``step(job, lo, hi)`` over its chunks, in order,
+    with its own trial generator; the calling thread reads each result with
     ``take``. It starts a chunk only once the previous one has been taken, so
     it is at most one chunk ahead of the calling thread."""
 
@@ -317,17 +310,15 @@ class _Helper:
         self._thread.start()
 
     def _run(self, job: _Job, step: Callable, chunks: list[tuple[int, int]]) -> None:
-        streams = _TrialStreams(job.seed)
         for lo, hi in chunks:
             if self._stop:
                 break
             try:
-                self._done.put((step(job, streams, lo, hi), None))
+                self._done.put((step(job, lo, hi), None))
             except BaseException as exc:  # re-raised on the calling thread by take
                 self._done.put((None, exc))
                 return
             self._taken.acquire()
-        streams.release()
 
     def take(self):
         """The next chunk's result, once the thread has made it."""
@@ -346,19 +337,19 @@ class _Helper:
 
 def _run_chunked(job: _Job, workers: int | None, step: Callable,
                  take: Callable[[int, int, object], None]) -> None:
-    """Call ``take(lo, hi, step(job, streams, lo, hi))`` over contiguous chunks
-    of the job's trials, in chunk order, on the calling thread.
+    """Call ``take(lo, hi, step(job, lo, hi))`` over contiguous chunks of the
+    job's trials, in chunk order, on the calling thread.
 
     A chunk holds at most 256 trials and at most 512 KiB per trial-stacked
     (n, d) buffer. Chunk i's step runs on thread i mod w, thread 0 being the
-    calling thread and each other a ``_Helper`` with its own
-    ``_TrialStreams``. ``take`` and everything it calls, the estimator
-    included, run on the calling thread only. w is the ``_worker_cap`` of
-    ``workers`` and at most the chunk count; it is 1 for an adversary that
-    holds the GIL for each trial (``_Adversary.one_thread``) and for trials
-    of fewer than ``_THREADED_MIN_ENTRIES`` entries. ``take`` stores its
-    results by trial index, so the reduction that follows sees them in a
-    fixed order whatever w is.
+    calling thread and each other a ``_Helper``; each thread draws from its
+    own generator (``_trial_streams``). ``take`` and everything it calls, the
+    estimator included, run on the calling thread only. w is the
+    ``_worker_cap`` of ``workers`` and at most the chunk count; it is 1 for
+    an adversary that holds the GIL for each trial (``_Adversary.one_thread``)
+    and for trials of fewer than ``_THREADED_MIN_ENTRIES`` entries. ``take``
+    stores its results by trial index, so the reduction that follows sees
+    them in a fixed order whatever w is.
     """
     workers = _worker_cap(workers)
     entries = job.budget.n * job.model.d
@@ -367,16 +358,14 @@ def _run_chunked(job: _Job, workers: int | None, step: Callable,
     w = min(workers, len(chunks))
     if job.spec.one_thread or entries < _THREADED_MIN_ENTRIES:
         w = 1
-    streams = _TrialStreams(job.seed)
     helpers = [_Helper(job, step, chunks[j::w]) for j in range(1, w)]
     try:
         for i, (lo, hi) in enumerate(chunks):
             j = i % w
-            take(lo, hi, step(job, streams, lo, hi) if j == 0 else helpers[j - 1].take())
+            take(lo, hi, step(job, lo, hi) if j == 0 else helpers[j - 1].take())
     finally:
         for helper in helpers:
             helper.close()
-    streams.release()
 
 
 @dataclass(frozen=True)
@@ -407,12 +396,12 @@ def _report(cls: type, job: _Job, **values):
     return cls(**{f.name: request[f.name] for f in fields(cls) if f.name in request}, **values)
 
 
-def _clean_stack(job: _Job, stream: Callable, lo: int, hi: int) -> np.ndarray:
-    """Model rows of trials lo..hi-1 from ``stream(t)``: ``streams.data`` or ``.adversary``."""
+def _clean_stack(job: _Job, role: int, lo: int, hi: int) -> np.ndarray:
+    """Model rows of trials lo..hi-1 from each trial's stream of ``role``
+    (``_trial_streams``): 0 for the clean data, 1 for the adversary's."""
     clean = np.empty((hi - lo, job.budget.n, job.model.d))
     shift = np.empty((hi - lo, 1, 1))
-    for i, t in enumerate(range(lo, hi)):
-        gen = stream(t)
+    for i, gen in enumerate(_trial_streams(job, role, lo, hi)):
         if job.prior is not None:
             shift[i] = _uniform_scalar(gen, *job.prior)
         gen.random(out=clean[i])
@@ -423,66 +412,66 @@ def _clean_stack(job: _Job, stream: Callable, lo: int, hi: int) -> np.ndarray:
     return clean
 
 
-def _resample_pairs(job: _Job, streams: _TrialStreams, lo: int, hi: int):
-    clean = _clean_stack(job, streams.data, lo, hi)
-    gens = map(streams.adversary, range(lo, hi))
+def _resample_pairs(job: _Job, lo: int, hi: int):
+    clean = _clean_stack(job, 0, lo, hi)
+    gens = _trial_streams(job, 1, lo, hi)
     return clean, _resample_stack(clean, job.budget, job.model, gens)
 
 
-def _local_shift_pairs(job: _Job, streams: _TrialStreams, lo: int, hi: int):
-    clean = _clean_stack(job, streams.data, lo, hi)
-    gens = map(streams.adversary, range(lo, hi))
+def _local_shift_pairs(job: _Job, lo: int, hi: int):
+    clean = _clean_stack(job, 0, lo, hi)
+    gens = _trial_streams(job, 1, lo, hi)
     return clean, _shift_stack(clean, job.budget, job.delta, gens)
 
 
-def _block_pairs(job: _Job, streams: _TrialStreams, lo: int, hi: int):
-    clean = _clean_stack(job, streams.data, lo, hi)
+def _block_pairs(job: _Job, lo: int, hi: int):
+    clean = _clean_stack(job, 0, lo, hi)
     layout = block_layout(job.budget.n, job.budget.k)
     blocks = [layout[t % len(layout)] for t in range(lo, hi)]
-    gens = map(streams.adversary, range(lo, hi))
+    gens = _trial_streams(job, 1, lo, hi)
     return clean, _block_stack(clean, job.model, blocks, gens)
 
 
-def _coupling_pairs(job: _Job, streams: _TrialStreams, lo: int, hi: int):
+def _coupling_pairs(job: _Job, lo: int, hi: int):
     eta, n = job.budget.eta, job.budget.n
     clean, corrupted = np.empty((2, hi - lo, n, 1))
-    for i, t in enumerate(range(lo, hi)):
-        gen = streams.data(t)
+    for i, gen in enumerate(_trial_streams(job, 0, lo, hi)):
         mu = float(job.model.mu[0]) if job.prior is None else _uniform_scalar(gen, *job.prior)
         clean[i, :, 0], corrupted[i, :, 0] = couple_gaussian_pair(gen, mu, eta, n)
     return clean, corrupted
 
 
-def _median_pairs(job: _Job, streams: _TrialStreams, lo: int, hi: int):
+def _median_pairs(job: _Job, lo: int, hi: int):
     """Each trial's achieving dataset from one push pass over the chunk, the
     body ``median_worst_case`` runs on a one-trial stack."""
-    clean = _clean_stack(job, streams.data, lo, hi)
+    clean = _clean_stack(job, 0, lo, hi)
     return clean, _median_push_stack(clean, job.budget.k)[0]
 
 
-def _ball_pairs(job: _Job, streams: _TrialStreams, lo: int, hi: int):
+def _ball_pairs(job: _Job, lo: int, hi: int):
     """A layer estimator's achieving datasets come from one layer pass over
     the chunk, the body ``hamming_ball_sup`` runs on a one-trial stack; any
     other ball's (see ``_layer_path``) from ``hamming_ball_sup``, trial by
     trial, called through this module's binding, which bench/tracing.py
     wraps."""
-    clean = _clean_stack(job, streams.data, lo, hi)
+    clean = _clean_stack(job, 0, lo, hi)
     if _layer_path(job.est, job.budget.n, job.budget.k):
         return clean, _layer_ball_stack(clean, job.est.stack_fn, job.budget.k)
     return clean, np.stack([hamming_ball_sup(job.est, Dataset(x), job.budget).corrupted.samples
                             for x in clean])
 
 
-def _fresh_pairs(job: _Job, streams: _TrialStreams, lo: int, hi: int):
+def _fresh_pairs(job: _Job, lo: int, hi: int):
     """The clean rows of trials lo..hi-1 and a fresh draw of them from each
     trial's adversary stream, the variance obstruction's step."""
-    return _clean_stack(job, streams.data, lo, hi), _clean_stack(job, streams.adversary, lo, hi)
+    return _clean_stack(job, 0, lo, hi), _clean_stack(job, 1, lo, hi)
 
 
 def _run_pairs(job: _Job, workers: int | None = None):
     """f(corrupted) - f(clean) of every trial of the adversary's step, and
     whether its recomputed Hamming distance is at most k. Both stacks must
-    be finite."""
+    be finite. A trial over the budget scores 0, which keeps every average
+    of the scores a valid lower bound."""
     diff = np.empty((job.trials, job.est.output_dim))
     feasible = np.empty(job.trials, dtype=bool)
 
@@ -494,6 +483,7 @@ def _run_pairs(job: _Job, workers: int | None = None):
         diff[lo:hi] = job.est.on_stack(corrupted) - job.est.on_stack(clean)
 
     _run_chunked(job, workers, job.spec.step, take)
+    diff[~feasible] = 0.0
     return diff, feasible
 
 
@@ -537,7 +527,7 @@ def _ball_only(est: Estimator, budget: CorruptionBudget) -> None:
 
 @dataclass(frozen=True)
 class _Adversary:
-    """One adversary of ``estimate_es``. ``step(job, streams, lo, hi)`` returns
+    """One adversary of ``estimate_es``. ``step(job, lo, hi)`` returns
     the clean and corrupted stacks of trials lo..hi-1, drawn by the body the
     public adversary also runs. ``exact`` marks a corruption that attains the
     sup, so the report is not ``lower_bound_only``. ``off_binary`` marks one
@@ -688,10 +678,7 @@ def estimate_es(
 
 def _sensitivity(job: _Job, workers: int | None) -> SensitivityReport:
     """The report of an ``estimate_es`` job."""
-    diff, feasible = _run_pairs(job, workers)
-    per_trial = _row_norms(diff)
-    per_trial[~feasible] = 0.0
-
+    per_trial = _row_norms(_run_pairs(job, workers)[0])
     moment, stderr = analysis._mean_se(per_trial if job.q == 1 else per_trial * per_trial)
     lo = max(moment - 1.96 * stderr, 0.0)
     hi = moment + 1.96 * stderr
@@ -910,7 +897,7 @@ def coupling_obstruction_high(
                    fewest=_FEWEST_TRIALS, nonempty=True)
     _require_scalar(job.est, "coupling_obstruction_high")
     diff, feasible = _run_pairs(job)
-    avg, stderr = analysis._mean_se(np.where(feasible, diff[:, 0], 0.0))
+    avg, stderr = analysis._mean_se(diff[:, 0])
     trials, eta = job.trials, job.budget.eta
     rate = (trials - int(np.count_nonzero(feasible))) / trials
     return _report(

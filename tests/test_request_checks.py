@@ -335,7 +335,7 @@ class NoDrawGenerator:
 @pytest.fixture
 def no_draws(monkeypatch):
     monkeypatch.setattr(RngStream, "generator", lambda self: NoDrawGenerator())
-    monkeypatch.setattr(harness, "_TrialStreams", no_trials)
+    monkeypatch.setattr(harness, "_trial_streams", no_trials)
 
 
 S = RngStream(0, 0)

@@ -207,6 +207,36 @@ def _json_method(node) -> bool:
     return isinstance(node, ast.FunctionDef) and node.name in {"to_json", "to_json_dict"}
 
 
+def _trial_stream_id(node) -> bool:
+    """A stream keyed by a trial's id, ``2 * t`` or ``2 * t + role``."""
+    def doubled(e) -> bool:
+        return (isinstance(e, ast.BinOp) and isinstance(e.op, ast.Mult)
+                and any(isinstance(s, ast.Constant) and s.value == 2 for s in (e.left, e.right)))
+
+    return (_called(node, "at") or _called(node, "RngStream")) and any(
+        doubled(a) or (isinstance(a, ast.BinOp) and isinstance(a.op, ast.Add) and doubled(a.left))
+        for a in node.args)
+
+
+def _over_budget_zero(node) -> bool:
+    """A trial's score zeroed by its feasibility: ``x[~feasible] = ...`` or
+    ``np.where(feasible, ...)``."""
+    if isinstance(node, ast.Assign):
+        return any(isinstance(t, ast.Subscript) and isinstance(t.slice, ast.UnaryOp)
+                   and isinstance(t.slice.op, ast.Invert)
+                   and getattr(t.slice.operand, "id", None) == "feasible" for t in node.targets)
+    return (_called(node, "where") and bool(node.args)
+            and getattr(node.args[0], "id", None) == "feasible")
+
+
+def _median_rank(node) -> bool:
+    """``(n + 1) // 2``, the median's 1-based rank m, in place of ``_median_index``."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv)
+            and isinstance(node.right, ast.Constant) and node.right.value == 2
+            and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Add)
+            and isinstance(node.left.right, ast.Constant) and node.left.right.value == 1)
+
+
 def _sites(match) -> list[str]:
     """``module.qualname`` of each node in the package where ``match`` holds,
     once per node."""
@@ -239,6 +269,9 @@ RULES = {
     "normal-transform": (_ndtri, {"core._normal_in_place"}),
     "stream-key": (_philox_key, set()),
     "stream-state": (_philox_state, {"core._Rekeyer.__init__"}),
+    "trial-stream-id": (_trial_stream_id, {"harness._trial_streams"}),
+    "over-budget-zero": (_over_budget_zero, {"harness._run_pairs"}),
+    "median-rank": (_median_rank, set()),
     "print": (_print, {"cli.main"}),
     "takes-scalar": (_takes_scalar, {"estimators._require_scalar"}),
     "binary-entries": (_binary_entries, {"estimators._require_binary"}),

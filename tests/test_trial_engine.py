@@ -19,6 +19,7 @@ import os
 import sys
 import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -183,6 +184,72 @@ def test_golden_report_on_any_cpu_count(monkeypatch, name, cpus):
     run_on_cpus(monkeypatch, cpus)
     run, digest = GOLDEN[name]
     assert hashlib.sha256(text(run()).encode()).hexdigest() == digest
+
+
+# -- one generator per thread: no step holds two trial streams at once --
+
+REPORT_JOBS = sorted(name for name in GOLDEN if name.startswith(("es/", "obstruction/")))
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("name", REPORT_JOBS)
+def test_a_new_generator_per_stream_gives_the_same_bytes(monkeypatch, name, cpus):
+    # Every adversary's step and every obstruction's: with each stream drawn
+    # from a generator of its own, a step that held two streams of its
+    # thread's one generator at once would read other bytes than it does.
+    run_on_cpus(monkeypatch, cpus)
+    run, digest = GOLDEN[name]
+    want = text(run())
+    at = _Rekeyer.at
+    monkeypatch.setattr(_Rekeyer, "at",
+                        lambda self, seed, stream_id: at(_Rekeyer(), seed, stream_id))
+    assert text(run()) == want
+    assert hashlib.sha256(want.encode()).hexdigest() == digest
+
+
+def nesting(est: sl.Estimator) -> sl.Estimator:
+    """``est``, running a request of its own on the calling thread before
+    each stack it evaluates."""
+    def stack_fn(stack):
+        estimate_es(sl.mean_estimator(1), "resample", gauss(1), eta=0.1, n=20, trials=100,
+                    seed=99, workers=1)
+        return est.stack_fn(stack)
+
+    return dataclasses.replace(est, stack_fn=stack_fn)
+
+
+# The jobs whose estimator the request builds by name (the projected lifts are
+# built in GOLDEN); the median-exact and hamming-ball certificates key on the
+# estimator's own stack_fn.
+NESTED_JOBS = [name for name in REPORT_JOBS
+               if not any(s in name for s in ("projected", "median-exact", "hamming-ball"))]
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("name", NESTED_JOBS)
+def test_a_request_nested_in_the_estimator_leaves_the_reports_bytes(monkeypatch, name, cpus):
+    # Every estimator a request builds by name nests a request: it re-keys
+    # the calling thread's generator between the outer request's chunks, and
+    # on 3 CPUs while helper threads draw.
+    run_on_cpus(monkeypatch, cpus)
+    build = harness.build_estimator
+    monkeypatch.setattr(harness, "build_estimator", lambda *a, **kw: nesting(build(*a, **kw)))
+    run, digest = GOLDEN[name]
+    assert hashlib.sha256(text(run()).encode()).hexdigest() == digest
+
+
+def test_over_budget_trials_score_zero(monkeypatch):
+    # Every trial's recomputed Hamming distance over the budget: each score is
+    # 0 in the sensitivity report and in both obstructions that score pairs.
+    monkeypatch.setattr(harness, "_hamming_stack",
+                        lambda clean, corrupted: np.full(clean.shape[0], clean.shape[1] + 1))
+    low = mean_obstruction_low("clipped-mean", eta=0.05, delta=0.5, n=400, trials=300, seed=17)
+    assert (low.avg_displacement, low.stderr) == (0.0, 0.0)
+    high = coupling_obstruction_high("clipped-mean", eta=0.1, n=500, trials=50, seed=20)
+    assert high.avg_displacement_on_feasible == high.stderr == 0.0
+    assert high.infeasible_rate == 1.0
+    report = estimate_es("mean", "resample", gauss(16), eta=0.1, n=400, trials=123, seed=11)
+    assert report.per_trial.tolist() == [0.0] * 123 and report.es_estimate == 0.0
 
 
 # -- every report is written as one record: its kind, then its fields --
@@ -651,46 +718,59 @@ def draws(gen: np.random.Generator) -> tuple:
             gen.choice(50, size=4, replace=False).tobytes(), gen.standard_normal(3).tobytes())
 
 
-def test_rekey_draws_the_stream_bytes():
-    gen = np.random.Generator(np.random.Philox(0))
-    for seed, stream_id in KEYS:
-        # Leave a half-used 32-bit draw and a partly used Philox output block.
-        gen.integers(0, 7, size=3)
-        gen.random(3)
-        # The stream key packed into numpy's 128-bit Philox key.
-        want = draws(np.random.Generator(np.random.Philox(key=seed | stream_id << 64)))
-        assert draws(_Rekeyer(seed, gen).at(stream_id)) == want
-        assert draws(RngStream(seed, stream_id).generator()) == want
-
-
-def test_rekey_accepts_numpy_key_words():
-    # RngStream accepts np.integer keys; the list-valued state takes them too.
-    gen = np.random.Generator(np.random.Philox(0))
-    for seed, stream_id in KEYS + [(0, 0), (2 ** 64 - 1, 2 ** 64 - 1)]:
-        want = draws(_Rekeyer(seed, gen).at(stream_id))
-        assert draws(_Rekeyer(np.uint64(seed), gen).at(np.uint64(stream_id))) == want
-        assert draws(_Rekeyer(np.uint64(seed), gen).at(stream_id)) == want
-
-
 def leave_mid_block(gen: np.random.Generator) -> None:
     # A half-used 32-bit draw and a partly used Philox output block.
     gen.integers(0, 7, size=3)
     gen.random(3)
 
 
-def test_pooled_rekey_draws_the_stream_bytes(monkeypatch):
-    monkeypatch.setattr(harness, "_IDLE_GENERATORS", [])
+def stream_bytes(seed: int, stream_id: int) -> tuple:
+    # The stream key packed into numpy's 128-bit Philox key.
+    return draws(np.random.Generator(np.random.Philox(key=seed | stream_id << 64)))
+
+
+def test_rekey_draws_the_stream_bytes():
+    rekeyer = _Rekeyer()
     for seed, stream_id in KEYS:
-        # After the first key, the streams reuse the pair the last key left mid-block.
-        streams = harness._TrialStreams(seed)
-        t, role = divmod(stream_id, 2)
-        gen = streams.adversary(t) if role else streams.data(t)
-        want = draws(np.random.Generator(np.random.Philox(key=seed | stream_id << 64)))
-        assert draws(gen) == want
-        leave_mid_block(streams.data(0))
-        leave_mid_block(streams.adversary(0))
-        streams.release()
-    assert len(harness._IDLE_GENERATORS) == 1
+        leave_mid_block(rekeyer.generator)
+        want = stream_bytes(seed, stream_id)
+        assert draws(rekeyer.at(seed, stream_id)) == want
+        assert draws(RngStream(seed, stream_id).generator()) == want
+
+
+def test_rekey_accepts_numpy_key_words():
+    # RngStream accepts np.integer keys; the list-valued state takes them too.
+    rekeyer = _Rekeyer()
+    for seed, stream_id in KEYS + [(0, 0), (2 ** 64 - 1, 2 ** 64 - 1)]:
+        want = draws(rekeyer.at(seed, stream_id))
+        assert draws(rekeyer.at(np.uint64(seed), np.uint64(stream_id))) == want
+        assert draws(rekeyer.at(np.uint64(seed), stream_id)) == want
+
+
+def thread_streams(seed: int, stream_id: int) -> np.random.Generator:
+    """Stream (seed, stream_id) as the trial engine hands it out on this thread."""
+    t, role = divmod(stream_id, 2)
+    (gen,) = harness._trial_streams(types.SimpleNamespace(seed=seed), role, t, t + 1)
+    return gen
+
+
+def test_a_reused_generator_draws_the_stream_bytes():
+    # After the first key, each stream is the thread's generator as the last
+    # key left it, mid-block.
+    gens = []
+    for seed, stream_id in KEYS:
+        gens.append(thread_streams(seed, stream_id))
+        assert draws(gens[-1]) == stream_bytes(seed, stream_id)
+        leave_mid_block(gens[-1])
+    assert all(gen is gens[0] for gen in gens)
+    # Another thread re-keys a generator of its own.
+    other = []
+    thread = threading.Thread(target=lambda: other.append(thread_streams(*KEYS[1])))
+    thread.start()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert other[0] is not gens[0]
+    assert draws(other[0]) == stream_bytes(*KEYS[1])
 
 
 def raise_on_second_chunk(est):
@@ -707,7 +787,6 @@ def raise_on_second_chunk(est):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_request_that_raises_leaves_the_next_requests_bytes(monkeypatch, workers):
-    monkeypatch.setattr(harness, "_IDLE_GENERATORS", [])
     monkeypatch.setattr(harness, "_THREADED_MIN_ENTRIES", 0)
     mean = build_estimator("mean", d=1)
     # 163 trials a chunk at n = 400, d = 1: three chunks.
@@ -718,18 +797,16 @@ def test_a_request_that_raises_leaves_the_next_requests_bytes(monkeypatch, worke
     assert text(estimate_es(mean, "resample", gauss(1), **kwargs)) == want
 
 
-def test_two_workers_on_a_warm_pool_give_the_one_worker_bytes(monkeypatch):
-    monkeypatch.setattr(harness, "_IDLE_GENERATORS", [])
+def test_two_workers_on_a_used_generator_give_the_one_worker_bytes(monkeypatch):
     monkeypatch.setattr(harness, "_THREADED_MIN_ENTRIES", 0)
     kwargs = dict(eta=0.1, n=400, trials=700, seed=8)
     want = text(estimate_es("median", "local-shift", gauss(1), delta=0.5, workers=1, **kwargs))
-    # A request at another seed leaves its two threads' pairs in the pool,
-    # read mid-stream.
+    # A request at another seed leaves this thread's generator read mid-stream.
     estimate_es("mean", "resample", gauss(1), eta=0.1, n=400, trials=700, seed=9, workers=2)
-    assert len(harness._IDLE_GENERATORS) == 2
+    used = harness._THREAD.rekeyer
     got = text(estimate_es("median", "local-shift", gauss(1), delta=0.5, workers=2, **kwargs))
     assert got == want
-    assert len(harness._IDLE_GENERATORS) == 2
+    assert harness._THREAD.rekeyer is used
 
 
 def test_a_step_that_raises_on_a_helper_raises_on_the_calling_thread(monkeypatch):
@@ -738,10 +815,10 @@ def test_a_step_that_raises_on_a_helper_raises_on_the_calling_thread(monkeypatch
     want = text(estimate_es("mean", "resample", gauss(1), **kwargs))
     clean_stack = harness._clean_stack
 
-    def fail_after_the_first_chunk(job, stream, lo, hi):
+    def fail_after_the_first_chunk(job, role, lo, hi):
         if lo > 0:
             raise RuntimeError(f"chunk at trial {lo}")
-        return clean_stack(job, stream, lo, hi)
+        return clean_stack(job, role, lo, hi)
 
     threads = threading.active_count()
     monkeypatch.setattr(harness, "_clean_stack", fail_after_the_first_chunk)
@@ -846,7 +923,7 @@ def test_helpers_start_at_the_crossover(monkeypatch):
 
 @pytest.mark.parametrize("workers", [0, -1, 1.5, math.nan])
 def test_a_bad_worker_count_fails_before_any_draw(monkeypatch, workers):
-    monkeypatch.setattr(harness, "_TrialStreams", no_trials)
+    monkeypatch.setattr(harness, "_trial_streams", no_trials)
     message = rf"^workers must be an integer >= 1, got {workers!r}$"
     with pytest.raises(ValueError, match=message):
         estimate_es("mean", "resample", gauss(16), eta=0.1, n=400, trials=100, workers=workers)
