@@ -258,7 +258,8 @@ class CorruptionBudget:
 
     @classmethod
     def from_eta(cls, eta: float, n: int) -> "CorruptionBudget":
-        return cls(eta=float(eta), n=int(n), k=compute_k(eta, n))
+        k = compute_k(eta, n)  # checks eta and counts n before either is converted
+        return cls(eta=float(eta), n=int(n), k=k)
 
     def require_n(self, n: int) -> None:
         """Assert the budget is for n rows."""

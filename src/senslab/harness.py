@@ -6,11 +6,13 @@ confidence interval. Unless the adversary is exact ("median-exact",
 "hamming-ball"), each trial's displacement is a pointwise lower bound on the
 true sup, so the report is flagged ``lower_bound_only``.
 
-Reproducibility contract: trial t always consumes streams (seed, 2t) for the
-clean data and (seed, 2t + 1) for the adversary, which ``_trial_streams``
-hands out by re-keying each thread's one generator, and per-trial values are
-stored by index before a fixed-order reduction. Reports are therefore
-byte-identical across reruns regardless of the worker count.
+Reproducibility contract: trial t always draws its clean data from stream
+(seed, 2t) and its adversary from (seed, 2t + 1), except tv-coupling, which
+draws its coupled pair from (seed, 2t) alone. ``_stream_ids`` spells these
+ids and ``_trial_streams`` hands the streams out by re-keying each thread's
+one generator; per-trial values are stored by index before a fixed-order
+reduction. Reports are therefore byte-identical across reruns regardless of
+the worker count.
 
 Every trial runs in one chunked engine: each trial's streams fill its rows
 of (T, n, d) stacks and the estimator runs once per stack. One table maps
@@ -255,10 +257,16 @@ _FEWEST_TRIALS = 2
 _THREAD = threading.local()
 
 
-def _trial_streams(job: _Job, role: int, lo: int, hi: int):
-    """Stream (seed, 2t + role) of each trial t = lo..hi-1, in order: role 0
+def _stream_ids(role: int, lo: int, hi: int) -> range:
+    """The stream id 2t + role of each trial t = lo..hi-1, in order: role 0
     is the trial's clean data, role 1 its adversary. This is the one spelling
-    of the stream contract.
+    of the stream contract."""
+    return range(2 * lo + role, 2 * hi, 2)
+
+
+def _trial_streams(job: _Job, role: int, lo: int, hi: int):
+    """Stream (seed, 2t + role) of each trial t = lo..hi-1, in order: the job's
+    seed keyed by each of ``_stream_ids``.
 
     Every stream is the calling thread's one Philox generator re-keyed
     (``core._Rekeyer``), which draws the same bytes as
@@ -273,8 +281,7 @@ def _trial_streams(job: _Job, role: int, lo: int, hi: int):
     except AttributeError:
         rekeyer = _THREAD.rekeyer = _Rekeyer()
     at, seed = rekeyer.at, job.seed
-    for t in range(lo, hi):
-        yield at(seed, 2 * t + role)
+    return (at(seed, stream_id) for stream_id in _stream_ids(role, lo, hi))
 
 
 # Fewest entries n * d of one trial's rows at which a job's steps run on
@@ -565,16 +572,19 @@ ADVERSARY_NAMES = tuple(_ADVERSARIES)
 EXACT_ADVERSARIES = frozenset(name for name, spec in _ADVERSARIES.items() if spec.exact)
 
 
-def _gaussian_point(estimator: str, d: int, mu: Sequence[float],
+def _gaussian_point(estimator: str, d: int, mu: float | Sequence[float],
                     seed: int) -> tuple[Estimator, GaussianModel]:
-    """The estimator, built at dimension d, and its clean-data model.
+    """The estimator, built at dimension d, and its clean-data model: the
+    point of ``senslab sensitivity`` and of each ``scaling_sweep`` value.
 
-    ``mu`` has d entries, or one that is broadcast. An estimator whose output
-    is not d-dimensional (the ``projected:<inner>`` lift) lifts scalar samples
-    into R^d itself, so its clean data stay scalar: its ``mu`` has one entry.
+    d is a count. ``mu`` is one value, or a sequence of d entries or of one
+    that is broadcast. An estimator whose output is not d-dimensional (the
+    ``projected:<inner>`` lift) lifts scalar samples into R^d itself, so its
+    clean data stay scalar: its ``mu`` has one entry.
     """
+    d = _count("d", d)
     est = build_estimator(estimator, d=d, seed=seed)
-    mu = [float(v) for v in mu]
+    mu = [float(v) for v in np.atleast_1d(mu)]
     if est.output_dim != d:
         if len(mu) != 1:
             raise ValueError(f"{estimator} takes scalar clean data, so mu needs one entry, "
@@ -645,7 +655,7 @@ def _request(estimator: Estimator | str, adversary: str, model, *, eta: float, n
         if not (0.0 <= lo < hi <= 1.0):
             raise ValueError(f"prior must be an interval inside [0, 1], got {prior}")
         prior = (float(lo), float(hi))
-    RngStream(seed, 2 * trials - 1)  # the largest key: out-of-range seeds raise here
+    RngStream(seed, _stream_ids(1, 0, trials)[-1])  # the largest key: a bad seed raises here
     return _Job(est, adversary, spec, model, budget, trials, int(seed), int(q), delta, prior)
 
 
@@ -665,7 +675,8 @@ def estimate_es(
     """Monte Carlo estimate of the L^q distributional empirical sensitivity.
 
     Per trial t: sample a clean dataset from the model with stream (seed, 2t),
-    corrupt it with stream (seed, 2t + 1), and record the displacement
+    corrupt it with stream (seed, 2t + 1) (tv-coupling draws both from
+    (seed, 2t)), and record the displacement
     |f(Y) - f(X)| (exact when the adversary's Y attains the sup). Over-budget
     trials contribute 0, which keeps the estimate a valid lower bound. The
     q-th-moment CI is mean +/- 1.96 stderr mapped through x -> x^{1/q}.
@@ -739,10 +750,12 @@ def scaling_sweep(
 ) -> ScalingFit:
     """Run ``estimate_es`` over a grid of eta, n, or d and fit a log-log line.
 
-    ``mu`` is one value (broadcast) or a mean vector of d entries. Every
-    point's estimator and model come from ``_gaussian_point``, and every
-    point's job from ``_request``, before the first trial runs, so a bad
-    request fails at once.
+    ``mu`` is one value (broadcast) or a mean vector of d entries. Each
+    point is a plain request: its estimator and model come from
+    ``_gaussian_point`` and its job from ``_request``, which check it, before
+    the first trial of any point runs, so a bad request fails at once. A bad
+    ``workers`` fails after every point's request is built, before the first
+    draw.
     """
     if variable not in ("eta", "n", "d"):
         raise ValueError(f"sweep variable must be eta, n, or d, got {variable!r}")
@@ -751,18 +764,11 @@ def scaling_sweep(
         raise ValueError("sweep grid needs at least 4 points")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError("sweep grid must be strictly increasing")
-    n, d, workers = _count("n", n), _count("d", d), _worker_cap(workers)
-    if variable != "eta":
-        for v in values:
-            _count(variable, v)
-
-    mu = np.atleast_1d(mu)
     jobs = []
     for v in values:
-        point = {"eta": eta, "n": n, "d": d}
-        point[variable] = v
-        est, model = _gaussian_point(estimator, int(point["d"]), mu, seed)
-        jobs.append(_request(est, adversary, model, eta=float(point["eta"]), n=int(point["n"]),
+        point = {"eta": eta, "n": n, "d": d, variable: v}
+        est, model = _gaussian_point(estimator, point["d"], mu, seed)
+        jobs.append(_request(est, adversary, model, eta=point["eta"], n=point["n"],
                              trials=trials, seed=seed, q=q, delta=delta))
     reports = [_sensitivity(job, workers) for job in jobs]
 

@@ -1,7 +1,9 @@
 """A lower bound never exceeds the exact certificate, trial by trial.
 
 Both reports run on the same (model, n, eta, seed), so trial t of each reads
-the same clean rows from stream (seed, 2t). Every corruption of a
+the same clean rows from stream (seed, 2t). tv-coupling draws its coupled
+pair from that stream alone, and its clean rows are the stream's first n
+normals, the same bytes every other adversary reads. Every corruption of a
 lower-bound adversary replaces at most k rows (an over-budget trial scores
 0), and the exact adversary's value is the sup of the displacement over all
 such corruptions of those rows, so each per-trial lower bound is at most the
@@ -9,8 +11,9 @@ certificate. For the median and the Bernoulli plug-in the two values are
 roundings of order-statistic or count differences, and rounding is
 monotone, so the law holds in floating point too.
 
-At n >= 2000 the lower-bound steps run on helper threads at workers 3 and
-by default on more than one CPU; below that they stay on the calling thread.
+At n >= 2000 the lower-bound steps but tv-coupling's run on helper threads
+at workers 3 and by default on more than one CPU; below that they stay on
+the calling thread.
 """
 
 import numpy as np
@@ -24,7 +27,7 @@ from senslab import BernoulliModel, GaussianModel, estimate_es
 FAMILIES = {
     "median": ("median", "median-exact",
                [("resample", None), ("local-shift", 0.5), ("local-shift", -3.0),
-                ("block-resample", None)]),
+                ("block-resample", None), ("tv-coupling", None)]),
     "bernoulli-plugin": ("bernoulli-plugin", "hamming-ball",
                          [("resample", None), ("block-resample", None)]),
 }

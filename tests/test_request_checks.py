@@ -359,11 +359,13 @@ COUNTS = {
     "bernoulli_expected_sensitivity/n": (
         lambda v: bernoulli_expected_sensitivity(PLUGIN, v, 0.5,
                                                  CorruptionBudget.from_eta(0.1, 10)), "n", 1),
+    "CorruptionBudget.from_eta/n": (lambda v: CorruptionBudget.from_eta(0.1, v), "n", 1),
     # adversaries
     "block_layout/n": (lambda v: block_layout(v, 2), "n", 1),
     "block_layout/k": (lambda v: block_layout(10, v), "k", 1),
     "couple_gaussian_pair/n": (lambda v: couple_gaussian_pair(NoDrawGenerator(), 0.0, 0.1, v),
                                "n", 1),
+    "tv_coupling_adversary/n": (lambda v: tv_coupling_adversary(0.0, 0.1, v, S), "n", 1),
     # estimators
     "mean_estimator/d": (lambda v: mean_estimator(v), "d", 1),
     "median_estimator/d": (lambda v: median_estimator(v), "d", 1),
@@ -405,16 +407,25 @@ COUNTS = {
     "uniform_spacing_check/trials": (lambda v: analysis.uniform_spacing_check(9, 5, v, S),
                                      "trials", 1000),
     # harness
+    "estimate_es/n": (lambda v: estimate_es("mean", "resample", G1, eta=0.1, n=v, trials=100),
+                      "n", 1),
     "estimate_es/trials": (lambda v: estimate_es("mean", "resample", G1, eta=0.1, n=50, trials=v),
                            "trials", 100),
     "estimate_es/workers": (lambda v: estimate_es("mean", "resample", G1, eta=0.1, n=50,
                                                   trials=100, workers=v), "workers", 1),
+    "mean_obstruction_low/n": (
+        lambda v: mean_obstruction_low("clipped-mean", eta=0.05, delta=0.5, n=v, trials=100),
+        "n", 1),
     "mean_obstruction_low/trials": (
         lambda v: mean_obstruction_low("clipped-mean", eta=0.05, delta=0.5, n=400, trials=v),
         "trials", 2),
+    "coupling_obstruction_high/n": (
+        lambda v: coupling_obstruction_high("clipped-mean", eta=0.1, n=v, trials=100), "n", 1),
     "coupling_obstruction_high/trials": (
         lambda v: coupling_obstruction_high("clipped-mean", eta=0.1, n=500, trials=v),
         "trials", 2),
+    "variance_obstruction/n": (
+        lambda v: variance_obstruction("mean", G1, eta=0.1, n=v, trials=100), "n", 1),
     "variance_obstruction/trials": (
         lambda v: variance_obstruction("mean", G1, eta=0.1, n=50, trials=v), "trials", 2),
     "scaling_sweep/n": (lambda v: scaling_sweep("mean", "resample", variable="eta",

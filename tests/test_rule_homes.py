@@ -208,13 +208,15 @@ def _json_method(node) -> bool:
 
 
 def _trial_stream_id(node) -> bool:
-    """A stream keyed by a trial's id, ``2 * t`` or ``2 * t + role``."""
+    """A stream keyed, or a range of stream ids bounded, by a trial's id:
+    ``2 * t``, ``2 * t + role`` or ``2 * t - c``."""
     def doubled(e) -> bool:
         return (isinstance(e, ast.BinOp) and isinstance(e.op, ast.Mult)
                 and any(isinstance(s, ast.Constant) and s.value == 2 for s in (e.left, e.right)))
 
-    return (_called(node, "at") or _called(node, "RngStream")) and any(
-        doubled(a) or (isinstance(a, ast.BinOp) and isinstance(a.op, ast.Add) and doubled(a.left))
+    return any(_called(node, f) for f in ("at", "RngStream", "range")) and any(
+        doubled(a) or (isinstance(a, ast.BinOp) and isinstance(a.op, (ast.Add, ast.Sub))
+                       and doubled(a.left))
         for a in node.args)
 
 
@@ -269,7 +271,7 @@ RULES = {
     "normal-transform": (_ndtri, {"core._normal_in_place"}),
     "stream-key": (_philox_key, set()),
     "stream-state": (_philox_state, {"core._Rekeyer.__init__"}),
-    "trial-stream-id": (_trial_stream_id, {"harness._trial_streams"}),
+    "trial-stream-id": (_trial_stream_id, {"harness._stream_ids"}),
     "over-budget-zero": (_over_budget_zero, {"harness._run_pairs"}),
     "median-rank": (_median_rank, set()),
     "print": (_print, {"cli.main"}),
@@ -312,6 +314,23 @@ def test_the_harness_counts_trials_in_its_request_only():
     # by _request; the analysis checkers count their own draws.
     assert {place for place in _places(_trials_count)
             if place.startswith("harness.")} == {"harness._request"}
+
+
+def _point_cast(node) -> bool:
+    """An ``int`` or ``float`` of a value read from a sweep ``point``."""
+    return (_called(node, "int") or _called(node, "float")) and any(
+        isinstance(n, ast.Name) and n.id == "point" for n in ast.walk(node))
+
+
+def test_a_sweep_point_is_a_plain_request():
+    # Each point is checked by the builders of an estimate_es request alone:
+    # the sweep counts nothing, resolves no worker cap and casts no point value.
+    sweep = "harness.scaling_sweep"
+    for match in (lambda node: _called(node, "_count"),
+                  lambda node: _called(node, "_worker_cap"), _point_cast):
+        assert sweep not in _places(match)
+    for builder in ("_gaussian_point", "_request"):
+        assert sweep in _places(lambda node: _called(node, builder))
 
 
 def test_a_registry_name_is_split_once_in_build_estimator():

@@ -829,6 +829,37 @@ def test_a_step_that_raises_on_a_helper_raises_on_the_calling_thread(monkeypatch
     assert text(estimate_es("mean", "resample", gauss(1), **kwargs)) == want
 
 
+def test_a_helper_with_chunks_queued_stops_when_the_estimator_raises(monkeypatch):
+    # 163 trials a chunk at n = 400, d = 1: seven chunks, the helper's the
+    # second, fourth and sixth. The estimator raises on the second, while the
+    # helper holds the fourth and has the sixth still to draw.
+    monkeypatch.setattr(harness, "_THREADED_MIN_ENTRIES", 0)
+    threads = threading.active_count()
+    raised = []
+
+    def call():
+        try:
+            estimate_es(raise_on_second_chunk(build_estimator("mean", d=1)), "resample",
+                        gauss(1), eta=0.1, n=400, trials=1100, seed=5, workers=2)
+        except RuntimeError as exc:
+            raised.append(str(exc))
+
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=30)
+    assert not caller.is_alive()
+    assert raised == ["second chunk"]
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("cpus", [None, 3])
+def test_the_default_cap_without_cpu_affinity_is_the_cpu_count(monkeypatch, cpus):
+    # A platform without os.sched_getaffinity: os.cpu_count, or 1 when unknown.
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert harness._worker_cap(None) == (cpus or 1)
+
+
 # --- the worker rule: which steps run on helper threads ---
 
 def count_helpers(monkeypatch) -> list:
