@@ -412,6 +412,10 @@ def _layer_ball_stack(clean: np.ndarray, layers: _LayerStack, k: int) -> np.ndar
 def hamming_ball_sup(f: Estimator, x: Dataset, budget: CorruptionBudget) -> AdversaryOutcome:
     """Exact sup of |f(y) - f(x)| over binary y within Hamming radius k.
 
+    y ranges over binary datasets only. For an estimator that reads
+    real-valued rows, the value is the binary-ball sup, not its sensitivity:
+    a row moved off {0, 1} can displace it further.
+
     Returns an argmax dataset as the corruption: the first maximiser in the
     enumeration's order, which visits the flip sets by size and, within a
     size, in lexicographic order of their sorted row indices. Both paths

@@ -138,6 +138,10 @@ def bernoulli_expected_sensitivity(f: Estimator, n: int, p: float,
                                    budget: CorruptionBudget) -> float:
     """Exact E_{X ~ Bern(p)^n}[ sup_{d_H(X, y) <= k} |f(y) - f(X)| ].
 
+    y ranges over binary datasets only. For an estimator that reads
+    real-valued rows, the value is the binary-ball sup, not its sensitivity:
+    a row moved off {0, 1} can displace it further.
+
     For a layer estimator (f(x) = g(|x|, n), see ``layer_estimator``) the
     sup depends on the layer t = |x| alone: it is the largest |g(t') - g(t)|
     over t' in [t - k, t + k] ∩ [0, n], the floats the enumeration compares.

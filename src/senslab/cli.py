@@ -15,14 +15,15 @@ import argparse
 import sys
 
 from .bernoulli import BernoulliModel, bernoulli_expected_sensitivity
-from .core import CorruptionBudget
-from .estimators import build_estimator
 from .harness import (
     SensitivityReport,
     UnboundedSensitivityError,
+    _BernoulliExactReport,
     _dump_json,
     _gaussian_point,
-    _record,
+    _report,
+    _request,
+    _sensitivity,
     all_pass,
     estimate_es,
     format_verify_table,
@@ -130,24 +131,15 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_bernoulli(args: argparse.Namespace) -> tuple[str, int]:
-    if args.mode == "mc":
-        return estimate_es(
-            args.estimator, "hamming-ball", BernoulliModel(args.p),
-            eta=args.eta, n=args.n, q=args.q, trials=args.trials, seed=args.seed,
-        ).to_json(), 0
-    if args.q != 1:
+    # Both modes run one checked hamming-ball request, so they admit the same.
+    if args.mode == "exact" and args.q != 1:
         raise ValueError(f"exact mode computes the q = 1 sensitivity only, got --q {args.q}")
-    est = build_estimator(args.estimator)
-    budget = CorruptionBudget.from_eta(args.eta, args.n)
-    return _dump_json(_record(
-        "bernoulli-exact",
-        estimator=est.name,
-        n=args.n,
-        eta=args.eta,
-        k=budget.k,
-        p=args.p,
-        expected_sensitivity=bernoulli_expected_sensitivity(est, args.n, args.p, budget),
-    )), 0
+    job = _request(args.estimator, "hamming-ball", BernoulliModel(args.p), eta=args.eta,
+                   n=args.n, q=args.q, trials=args.trials, seed=args.seed)
+    if args.mode == "mc":
+        return _sensitivity(job, None).to_json(), 0
+    es = bernoulli_expected_sensitivity(job.est, job.budget.n, args.p, job.budget)
+    return _report(_BernoulliExactReport, job, p=args.p, expected_sensitivity=es).to_json(), 0
 
 
 def build_parser() -> argparse.ArgumentParser:

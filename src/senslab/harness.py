@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import os
 import queue
@@ -577,12 +578,12 @@ def _gaussian_point(estimator: str, d: int, mu: float | Sequence[float],
     """The estimator, built at dimension d, and its clean-data model: the
     point of ``senslab sensitivity`` and of each ``scaling_sweep`` value.
 
-    d is a count. ``mu`` is one value, or a sequence of d entries or of one
-    that is broadcast. An estimator whose output is not d-dimensional (the
-    ``projected:<inner>`` lift) lifts scalar samples into R^d itself, so its
-    clean data stay scalar: its ``mu`` has one entry.
+    d is a count (``build_estimator`` counts it). ``mu`` is one value, or a
+    sequence of d entries or of one that is broadcast. An estimator whose
+    output is not d-dimensional (the ``projected:<inner>`` lift) lifts scalar
+    samples into R^d itself, so its clean data stay scalar: its ``mu`` has
+    one entry.
     """
-    d = _count("d", d)
     est = build_estimator(estimator, d=d, seed=seed)
     mu = [float(v) for v in np.atleast_1d(mu)]
     if est.output_dim != d:
@@ -591,9 +592,9 @@ def _gaussian_point(estimator: str, d: int, mu: float | Sequence[float],
                              f"got {len(mu)}")
         return est, GaussianModel(mu)
     if len(mu) == 1:
-        mu = mu * d
-    if len(mu) != d:
-        raise ValueError(f"mu has {len(mu)} entries but d is {d}")
+        mu = mu * est.output_dim
+    if len(mu) != est.output_dim:
+        raise ValueError(f"mu has {len(mu)} entries but d is {est.output_dim}")
     return est, GaussianModel(mu)
 
 
@@ -703,6 +704,22 @@ def _sensitivity(job: _Job, workers: int | None) -> SensitivityReport:
         lower_bound_only=not job.spec.exact,
         per_trial=per_trial,
     )
+
+
+@dataclass(frozen=True)
+class _BernoulliExactReport(_Report):
+    """The exact q = 1 sensitivity of a ``hamming-ball`` job on Bernoulli(p)
+    data (``bernoulli_expected_sensitivity``): ``senslab bernoulli``'s exact
+    record."""
+
+    _KIND = "bernoulli-exact"
+
+    estimator: str
+    n: int
+    eta: float
+    k: int
+    p: float
+    expected_sensitivity: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -1075,12 +1092,7 @@ def verify_suite(trials_scale: int = 100_000, seed: int = 0) -> list[VerifyRow]:
     """
     t_mc = _count("trials_scale", trials_scale, analysis._MIN_DRAWS)
     rows: list[VerifyRow] = []
-    counter = 0
-
-    def stream() -> RngStream:
-        nonlocal counter
-        counter += 1
-        return RngStream(seed, counter)
+    streams = (RngStream(seed, i) for i in itertools.count(1))
 
     def add(name: str, result: analysis.IneqCheckResult) -> None:
         rows.append(VerifyRow(name, result))
@@ -1091,32 +1103,32 @@ def verify_suite(trials_scale: int = 100_000, seed: int = 0) -> list[VerifyRow]:
     median1 = median_estimator(1)
 
     # Efron-Stein: linear statistic saturates the inequality, the median obeys it.
-    add("efron-stein/mean-n25", analysis.efron_stein_check(mean1, gauss1, 25, t_mc, stream()))
-    add("efron-stein/median-n101", analysis.efron_stein_check(median1, gauss1, 101, t_mc, stream()))
-    add("efron-stein/constant", analysis.efron_stein_check(_constant_estimator(0.7), gauss1, 10, t_mc, stream()))
+    add("efron-stein/mean-n25", analysis.efron_stein_check(mean1, gauss1, 25, t_mc, next(streams)))
+    add("efron-stein/median-n101", analysis.efron_stein_check(median1, gauss1, 101, t_mc, next(streams)))
+    add("efron-stein/constant", analysis.efron_stein_check(_constant_estimator(0.7), gauss1, 10, t_mc, next(streams)))
 
     # Variance lower bounds via chi-square (HCR) and Fisher information.
-    add("hcr/mean-n25", analysis.hcr_check(mean1, 0.0, 1.0 / math.sqrt(25), 25, t_mc, stream()))
-    add("hcr/median-n101", analysis.hcr_check(median1, 0.0, 1.0 / math.sqrt(101), 101, t_mc, stream()))
-    add("hcr/constant", analysis.hcr_check(_constant_estimator(0.3), 0.0, 0.2, 25, t_mc, stream()))
-    add("cramer-rao/mean-n25", analysis.cramer_rao_check(mean1, 0.0, 25, t_mc, stream()))
-    add("cramer-rao/scaled-mean-n25", analysis.cramer_rao_check(_scaled_mean(2.0), 0.0, 25, t_mc, stream()))
-    add("cramer-rao/constant", analysis.cramer_rao_check(_constant_estimator(0.3), 0.0, 25, t_mc, stream()))
+    add("hcr/mean-n25", analysis.hcr_check(mean1, 0.0, 1.0 / math.sqrt(25), 25, t_mc, next(streams)))
+    add("hcr/median-n101", analysis.hcr_check(median1, 0.0, 1.0 / math.sqrt(101), 101, t_mc, next(streams)))
+    add("hcr/constant", analysis.hcr_check(_constant_estimator(0.3), 0.0, 0.2, 25, t_mc, next(streams)))
+    add("cramer-rao/mean-n25", analysis.cramer_rao_check(mean1, 0.0, 25, t_mc, next(streams)))
+    add("cramer-rao/scaled-mean-n25", analysis.cramer_rao_check(_scaled_mean(2.0), 0.0, 25, t_mc, next(streams)))
+    add("cramer-rao/constant", analysis.cramer_rao_check(_constant_estimator(0.3), 0.0, 25, t_mc, next(streams)))
 
     # Gaussian likelihood-ratio product identity.
-    add("gaussian-lr/orthogonal", analysis.gaussian_lr_identity_check([1.0, 0.0], [0.0, 1.0], t_lr, stream()))
-    add("gaussian-lr/aligned", analysis.gaussian_lr_identity_check([1.0], [1.0], t_lr, stream()))
-    add("gaussian-lr/opposite", analysis.gaussian_lr_identity_check([1.0], [-1.0], t_lr, stream()))
+    add("gaussian-lr/orthogonal", analysis.gaussian_lr_identity_check([1.0, 0.0], [0.0, 1.0], t_lr, next(streams)))
+    add("gaussian-lr/aligned", analysis.gaussian_lr_identity_check([1.0], [1.0], t_lr, next(streams)))
+    add("gaussian-lr/opposite", analysis.gaussian_lr_identity_check([1.0], [-1.0], t_lr, next(streams)))
 
     # Overlap MGF of two independent random k-subsets.
-    add("hypergeom-mgf/lambda-zero", analysis.hypergeom_mgf_check(100, 10, 0.0, t_mc, stream()))
-    add("hypergeom-mgf/n100-k10", analysis.hypergeom_mgf_check(100, 10, 1.0, t_mc, stream()))
-    add("hypergeom-mgf/degenerate-n-equals-k", analysis.hypergeom_mgf_check(10, 10, 1.0, t_mc, stream()))
+    add("hypergeom-mgf/lambda-zero", analysis.hypergeom_mgf_check(100, 10, 0.0, t_mc, next(streams)))
+    add("hypergeom-mgf/n100-k10", analysis.hypergeom_mgf_check(100, 10, 1.0, t_mc, next(streams)))
+    add("hypergeom-mgf/degenerate-n-equals-k", analysis.hypergeom_mgf_check(10, 10, 1.0, t_mc, next(streams)))
 
     # chi-square closed forms against likelihood-ratio simulation.
     add("chi2-products/zero-delta", _exact(analysis.chi2_gaussian_products(0.0, 100), 0.0, atol=1e-15))
     closed = analysis.chi2_gaussian_products(0.1, 100)
-    mc, se = analysis.chi2_products_mc(0.1, 100, 10 * t_mc, stream())
+    mc, se = analysis.chi2_products_mc(0.1, 100, 10 * t_mc, next(streams))
     add("chi2-products/e-minus-1-mc",
         analysis._mc_verdict(mc, closed, se, 10 * t_mc, floor=0.05 * closed, two_sided=True))
     add("chi2-localshift/zero-delta", _exact(analysis.chi2_localshift_bound(10, 100, 0.0), 0.0, atol=1e-15))
@@ -1127,7 +1139,7 @@ def verify_suite(trials_scale: int = 100_000, seed: int = 0) -> list[VerifyRow]:
     add("chi2-localshift/monotone", _exact(worst_step, 0.0))
     for label, (k_, n_, d_) in (("k3-n50", (3, 50, 0.5)), ("k5-n100", (5, 100, 0.8))):
         bound = analysis.chi2_localshift_bound(k_, n_, d_)
-        mc, se = analysis.chi2_localshift_mc(k_, n_, d_, t_mc, stream())
+        mc, se = analysis.chi2_localshift_mc(k_, n_, d_, t_mc, next(streams))
         add(f"chi2-localshift/mc-{label}", analysis._mc_verdict(mc, bound, se, t_mc))
 
     # TV of a Gaussian mean shift: below eta, increasing, tending to 1.
@@ -1154,8 +1166,8 @@ def verify_suite(trials_scale: int = 100_000, seed: int = 0) -> list[VerifyRow]:
     add("binomial-point-mass/floor-0.24", _exact(0.24, _binomial_pmf_floor(200)))
 
     # Uniform spacing moments (Beta(1, n) marginals).
-    add("uniform-spacing/n1", analysis.uniform_spacing_check(1, 1, t_mc, stream()))
-    add("uniform-spacing/n9-i5", analysis.uniform_spacing_check(9, 5, t_mc, stream()))
+    add("uniform-spacing/n1", analysis.uniform_spacing_check(1, 1, t_mc, next(streams)))
+    add("uniform-spacing/n9-i5", analysis.uniform_spacing_check(9, 5, t_mc, next(streams)))
 
     # Flat layer law of the uniform Bernoulli mixture.
     law3 = beta_binomial_layer_law(3)

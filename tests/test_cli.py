@@ -351,6 +351,17 @@ class TestSharedErrorPath:
         assert captured.out == ""
         assert captured.err.startswith("error: exact mode")
 
+    @pytest.mark.parametrize("estimator", ["mean", "median", "clipped-mean", "projected:16"])
+    def test_bernoulli_exact_mode_refuses_what_mc_mode_refuses(self, capsys, estimator):
+        # The binary ball bounds a binary-domain estimator only: both modes run
+        # the hamming-ball request's check before computing anything.
+        code = main(["bernoulli", "--estimator", estimator, "--n", "12", "--eta", "0.09",
+                     "--mode", "exact"])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", "error: hamming-ball enumerates binary corruptions; use a binary-domain "
+                "estimator such as bernoulli-plugin\n")
+
 
 def _readme_commands() -> list[list[str]]:
     readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -435,6 +435,11 @@ RECORDS = {
     "scaling-fit": lambda: scaling_sweep("mean", "resample", variable="n",
                                          values=[100, 200, 400, 800], trials=400,
                                          seed=11).to_json_dict(),
+    "bernoulli-exact": lambda: harness._report(
+        harness._BernoulliExactReport,
+        harness._request("bernoulli-plugin", "hamming-ball", BernoulliModel(0.3), eta=0.09, n=12,
+                         trials=100, seed=0),
+        p=0.3, expected_sensitivity=1 / 12).to_json_dict(),
     "unbounded": lambda: UnboundedSensitivityError("mean", "median-exact",
                                                    "a reason with \"quotes\"").to_json_dict(),
 }
@@ -446,18 +451,12 @@ def test_dump_json_writes_the_json_dumps_text_of_every_record(kind):
     assert _dump_json(record) == json_oracle(record)
 
 
-def test_dump_json_writes_the_cli_bernoulli_record(monkeypatch, capsys):
-    records = []
-
-    def spy(obj):
-        records.append(obj)
-        return _dump_json(obj)
-
-    monkeypatch.setattr(cli, "_dump_json", spy)
+def test_dump_json_writes_the_cli_bernoulli_record(capsys):
     assert cli.main(["bernoulli", "--n", "12", "--eta", "0.09", "--p", "0.3"]) == 0
-    (record,) = records
+    out = capsys.readouterr().out
+    record = json.loads(out)  # one record, or json.loads raises
     assert record["kind"] == "bernoulli-exact"
-    assert capsys.readouterr().out == json_oracle(record) + "\n"
+    assert out == json_oracle(record) + "\n"
 
 
 EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-7, 0.1,

@@ -148,6 +148,18 @@ def _layer_guard_call(node) -> bool:
     return _called(node, "_require_layer_bytes")
 
 
+def _record_call(node) -> bool:
+    return _called(node, "_record")
+
+
+def _estimator_build(node) -> bool:
+    return _called(node, "build_estimator")
+
+
+def _budget_build(node) -> bool:
+    return _called(node, "from_eta")
+
+
 def _budget_size(node) -> bool:
     return _message(node).startswith("budget is for n=")
 
@@ -268,6 +280,10 @@ RULES = {
     "record-schema": (_schema_key, {"harness._record"}),
     "report-request-fields": (_request_field_from_job, {"harness._report"}),
     "report-json-walk": (_json_method, {"harness._Report", "harness.UnboundedSensitivityError"}),
+    "record-call": (_record_call, {"harness._Report.to_json_dict",
+                                   "harness.UnboundedSensitivityError.to_json_dict"}),
+    "estimator-build": (_estimator_build, {"harness._gaussian_point", "harness._request"}),
+    "budget-build": (_budget_build, {"harness._request", "adversaries.tv_coupling_adversary"}),
     "normal-transform": (_ndtri, {"core._normal_in_place"}),
     "stream-key": (_philox_key, set()),
     "stream-state": (_philox_state, {"core._Rekeyer.__init__"}),
